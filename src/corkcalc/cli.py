@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or parse error, 3 I/O failure.
+2 usage or parse error (including a datum file that fails ``validate``),
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -50,12 +51,17 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_datum(path: str):
+    """Parse and validate a datum file; a parse error or violation exits 2."""
     text = _read_text(path)
     try:
-        return datum_io.loads(text)
+        d = datum_io.loads(text)
     except DatumFormatError as e:
         where = f" (line {e.line})" if e.line else ""
         raise _CliError(f"{path}: {e}{where}", EXIT_USAGE) from e
+    report = datum_io.validate(d)
+    if not report.ok:
+        raise _CliError(f"{path}: invalid datum\n{report}", EXIT_USAGE)
+    return d
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:

@@ -11,6 +11,7 @@ linking matrix to the kernel lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .datum import KirbyDatum, exponent_matrix, full_linking_matrix
@@ -22,25 +23,27 @@ from .linalg import IntMatrix
 class HomologyProfile:
     h1_invariants: tuple[int, ...]
     b2: int
-    h2_free_rank: int
-    h3_rank: int
     is_contractible_homology: bool
 
     @staticmethod
     def ball() -> "HomologyProfile":
-        return HomologyProfile((), 0, 0, 0, True)
+        return HomologyProfile((), 0, True)
 
 
 def homology(d: KirbyDatum) -> HomologyProfile:
-    """Homology profile of the 4-manifold the datum describes."""
+    """Homology profile of the 4-manifold the datum describes.
+
+    H1 and b2 = rank H2 both come from one SNF of the exponent-sum matrix.
+    """
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
             "homology of data with explicit 3-handles is not supported")
     mat, _, _ = exponent_matrix(d)
-    h1 = tuple(linalg.coker_invariants(mat))
-    b2 = len(linalg.kernel_basis(mat))
+    res = linalg.snf(mat)
+    h1 = tuple(res.coker_invariants())
+    b2 = len(res.kernel_basis())
     contractible = (not h1) and b2 == 0
-    return HomologyProfile(h1, b2, b2, 0, contractible)
+    return HomologyProfile(h1, b2, contractible)
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,18 @@ def boundary_h1(d: KirbyDatum) -> BoundaryHomology:
     """First homology of the boundary 3-manifold.
 
     Presented by the full linking matrix after dot-to-zero conversion;
-    the boundary is a homology sphere exactly when |det| = 1.
+    the boundary is a homology sphere exactly when |det| = 1.  One SNF gives
+    both: the invariant factors, and the determinant as the product of the
+    SNF diagonal times the unit sign ``snf`` tracks through its swaps and
+    negations.
     """
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
             "boundary homology of data with explicit 3-handles is not supported")
     mat, _ = full_linking_matrix(d)
-    factors = tuple(linalg.coker_invariants(mat))
-    determinant = linalg.det(mat)
+    res = linalg.snf(mat)
+    factors = tuple(res.coker_invariants())
+    determinant = res.det()
     return BoundaryHomology(factors, abs(determinant) == 1, determinant)
 
 
@@ -94,9 +101,8 @@ def intersection_form_with_basis(d: KirbyDatum):
                 link[index[other]][i] = value
     entries = []
     for v in basis:
-        lv = [sum(link[r][c] * v[c] for c in range(n)) for r in range(n)]
-        for w in basis:
-            entries.append(sum(w[r] * lv[r] for r in range(n)))
+        lv = [sum(map(mul, row, v)) for row in link]
+        entries.extend(sum(map(mul, w, lv)) for w in basis)
     return IntMatrix(k, k, tuple(entries)), basis
 
 

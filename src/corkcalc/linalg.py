@@ -4,13 +4,20 @@ cokernel invariants, signatures, and negative-definite form recognition.
 Everything runs on Python integers (arbitrary precision); no floating point
 enters any result.  Pivot choices are deterministic: smallest nonzero
 absolute value, ties broken by position.
+
+One ``snf`` yields a matrix's cokernel invariants, kernel basis and (for a
+square matrix) determinant.  ``is_diag_minus_one`` splits a diagonal -1 off
+in closed form: the complement vectors it uses are exactly those the
+one-row SNF kernel would return, so no SNF runs on that path.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import isqrt, prod
 
 from .errors import NotSquareError
 
@@ -51,23 +58,20 @@ class IntMatrix:
         return self.entries[i * self.cols: (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+                         tuple(chain.from_iterable(map(self.col, range(self.cols)))))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
+        cols = [other.col(j) for j in range(other.cols)]
+        out = [sum(map(operator.mul, self.row(i), c)) for i in range(self.rows) for c in cols]
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -86,9 +90,31 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
+    """U @ m @ V == S, with ``sign`` = det(U) * det(V), which is +1 or -1."""
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
+    sign: int
+
+    def kernel_basis(self) -> list[tuple[int, ...]]:
+        """Columns of V at the zero diagonal slots of S: a basis of ker(m)."""
+        diag = self.S.diagonal()
+        return [self.V.col(j) for j in range(self.S.cols)
+                if j >= len(diag) or diag[j] == 0]
+
+    def coker_invariants(self) -> list[int]:
+        """Nontrivial invariant factors of coker(m); each free summand is a 0."""
+        nonzero = [d for d in self.S.diagonal() if d != 0]
+        factors = [d for d in nonzero if d != 1]
+        factors.extend([0] * (self.S.rows - len(nonzero)))
+        return factors
+
+    def det(self) -> int:
+        """det(m) of a square m: the product of S's diagonal times ``sign``."""
+        if self.S.rows != self.S.cols:
+            raise NotSquareError(
+                f"determinant needs a square matrix, got {self.S.rows}x{self.S.cols}")
+        return self.sign * prod(self.S.diagonal())
 
 
 def det(m: IntMatrix) -> int:
@@ -118,24 +144,32 @@ def det(m: IntMatrix) -> int:
 def snf(m: IntMatrix) -> SNFResult:
     """Smith normal form with unimodular transforms: U @ m @ V == S.
 
-    The diagonal of S is non-negative and satisfies d_i | d_{i+1}.
+    The diagonal of S is non-negative and satisfies d_i | d_{i+1}.  Every
+    row or column swap and every row negation flips the tracked unit
+    ``sign`` = det(U) * det(V); row and column additions leave it alone.
+    So det(m) = sign * prod(diag S) for square m, with no second pass.
     """
     a = m.to_rows()
     R, C = m.rows, m.cols
     u = IntMatrix.identity(R).to_rows()
     v = IntMatrix.identity(C).to_rows()
+    sign = 1
 
     def swap_rows(i, j):
+        nonlocal sign
         if i != j:
             a[i], a[j] = a[j], a[i]
             u[i], u[j] = u[j], u[i]
+            sign = -sign
 
     def swap_cols(i, j):
+        nonlocal sign
         if i != j:
             for row in a:
                 row[i], row[j] = row[j], row[i]
             for row in v:
                 row[i], row[j] = row[j], row[i]
+            sign = -sign
 
     def add_row(dst, src, q):
         # row dst += q * row src
@@ -155,8 +189,10 @@ def snf(m: IntMatrix) -> SNFResult:
                 row[dst] += q * row[src]
 
     def negate_row(i):
+        nonlocal sign
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        sign = -sign
 
     def find_pivot(t):
         best = None
@@ -217,11 +253,8 @@ def snf(m: IntMatrix) -> SNFResult:
             negate_row(t)
         t += 1
 
-    return SNFResult(IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
-
-
-def rank(m: IntMatrix) -> int:
-    return sum(1 for d in snf(m).S.diagonal() if d != 0)
+    return SNFResult(IntMatrix.from_rows(u), IntMatrix(R, C, tuple(chain.from_iterable(a))),
+                     IntMatrix.from_rows(v), sign)
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -230,14 +263,7 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     Vectors are columns of the SNF transform V for the zero diagonal slots,
     hence primitive and linearly independent.
     """
-    res = snf(m)
-    diag = res.S.diagonal()
-    basis = []
-    for j in range(m.cols):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            basis.append(res.V.col(j))
-    return basis
+    return snf(m).kernel_basis()
 
 
 def coker_invariants(m: IntMatrix) -> list[int]:
@@ -246,11 +272,7 @@ def coker_invariants(m: IntMatrix) -> list[int]:
     Finite factors appear in divisibility order; each free summand is a 0.
     An empty list means the cokernel is trivial.
     """
-    diag = snf(m).S.diagonal()
-    nonzero = [d for d in diag if d != 0]
-    factors = [d for d in nonzero if d != 1]
-    factors.extend([0] * (m.rows - len(nonzero)))
-    return factors
+    return snf(m).coker_invariants()
 
 
 def signature(q: IntMatrix) -> tuple[int, int, int]:
@@ -367,13 +389,47 @@ def _frac_floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+def _split_minus_one(current: list[list[int]], basis: list[tuple[int, ...]], i: int):
+    """Split off slot i of ``current``, whose diagonal entry is -1.
+
+    Closed form of ``kernel_basis`` on the row r = current[i]: the SNF pivots
+    on the first index p with |r_p| = 1 (sigma swaps slots 0 and p) and
+    returns the complement vectors c_j = e_sigma(j) - t_j * e_p, j = 1..m-1,
+    with t_j = r_sigma(j) * r_p.  Returns the form c_j^T current c_k and the
+    basis vectors sum_k c_j[k] * basis[k], both entrywise in O(m^2 + m*n).
+    """
+    r = current[i]
+    m = len(r)
+    p = next(k for k, x in enumerate(r) if x in (1, -1))
+    rp = r[p]
+    qp, qpp = current[p], current[p][p]
+    sig = [0 if j == p else j for j in range(1, m)]
+    t = [r[s] * rp for s in sig]
+    # c_j^T Q c_k = Q[s_j][s_k] - t_j * w_k - t_k * Q[p][s_j], w_k = Q[p][s_k] - t_k * Q[p][p]
+    w = [qp[s] - tk * qpp for s, tk in zip(sig, t)]
+    form = []
+    for sj, tj in zip(sig, t):
+        row, qpj = current[sj], qp[sj]
+        form.append([row[sk] - tj * wk - tk * qpj for sk, wk, tk in zip(sig, w, t)])
+    bp = basis[p]
+    new_basis = [tuple(x - tj * y for x, y in zip(basis[sj], bp)) if tj else basis[sj]
+                 for sj, tj in zip(sig, t)]
+    return form, new_basis
+
+
 def is_diag_minus_one(q: IntMatrix, height: int = 4) -> DiagMinusOneResult:
     """Decide whether symmetric q is unimodularly congruent to -Identity.
 
-    Greedy: peel off norm -1 vectors with coefficients bounded by ``height``
-    and recurse on the orthogonal complement lattice.  Returns a definite
-    False on any definiteness or determinant obstruction; an exhausted
-    search without obstruction is inconclusive, never False.
+    Greedy: peel off norm -1 vectors and recurse on the orthogonal complement
+    lattice.  While the current form has a -1 on its diagonal, the first such
+    slot is split off in closed form (``_split_minus_one``); that split equals
+    the one-row SNF kernel the general step computes, so verdicts and
+    witnesses are the same.  Only when no diagonal entry is -1 does the
+    lattice search run, for a norm -1 vector with coefficients bounded by
+    ``height``, followed by an SNF kernel and a congruence.  Returns a
+    definite False on any definiteness or determinant obstruction; an
+    exhausted search without obstruction is inconclusive, never False.  A
+    True verdict carries a witness W with W^T q W == -I, checked here.
     """
     if not q.is_symmetric():
         raise ValueError("is_diag_minus_one needs a symmetric matrix")
@@ -389,29 +445,28 @@ def is_diag_minus_one(q: IntMatrix, height: int = 4) -> DiagMinusOneResult:
     columns: list[tuple[int, ...]] = []
     # transform columns of the original lattice basis, built up as we peel
     basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    current = q
-    while current.rows > 0:
-        m = current.rows
-        vec = None
-        for i in range(m):
-            if current.at(i, i) == -1:
-                vec = tuple(1 if k == i else 0 for k in range(m))
-                break
-        if vec is None:
-            p_rows = [[Fraction(-current.at(i, j)) for j in range(m)] for i in range(m)]
-            vec = next(_norm_one_vectors(p_rows, height), None)
+    current = q.to_rows()
+    while current:
+        m = len(current)
+        i = next((k for k in range(m) if current[k][k] == -1), None)
+        if i is not None:
+            columns.append(basis[i])
+            current, basis = _split_minus_one(current, basis, i)
+            continue
+        p_rows = [[Fraction(-x) for x in row] for row in current]
+        vec = next(_norm_one_vectors(p_rows, height), None)
         if vec is None:
             return DiagMinusOneResult(None, None, "search budget exhausted")
         ambient = tuple(sum(vec[k] * basis[k][i] for k in range(m)) for i in range(n))
         columns.append(ambient)
         row = IntMatrix(1, m, tuple(
-            sum(vec[k] * current.at(k, j) for k in range(m)) for j in range(m)))
+            sum(vec[k] * current[k][j] for k in range(m)) for j in range(m)))
         complement = kernel_basis(row)
         basis = [tuple(sum(c[k] * basis[k][i] for k in range(m)) for i in range(n))
                  for c in complement]
         b = IntMatrix(m, len(complement), tuple(
             complement[j][i] for i in range(m) for j in range(len(complement))))
-        current = b.transpose() @ current @ b
+        current = (b.transpose() @ IntMatrix.from_rows(current) @ b).to_rows()
 
     witness = IntMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
     check = witness.transpose() @ q @ witness

@@ -160,12 +160,38 @@ def test_stein_check_command(tmp_path):
 
 
 def test_stein_check_failure_exit_1(tmp_path, capsys):
-    # wrong wheel size: every handle still maps, but framings disagree with tb
+    # wrong wheel size: every handle still maps, but framings disagree with tb;
+    # the wheel meta is dropped so the datum stays valid after the reframing
     datum_path = tmp_path / "w.json"
     d = build_X(1, 1, "*")
-    bad = d.replace(two_handles=tuple(
+    bad = d.replace(meta=(), two_handles=tuple(
         h.__class__(h.id, h.word, -3, h.linking) for h in d.two_handles))
     datum_path.write_text(datum_io.dumps(bad))
     from corkcalc.families import data_dir
     front_path = data_dir() / "fronts" / "C_1_1.front"
     assert run(["stein-check", str(datum_path), str(front_path)]) == 1
+
+
+def _write_datum(path, two_handle):
+    doc = {"format": "corkcalc-datum/1", "meta": {}, "one_handles": ["a"],
+           "three_handles": 0, "two_handles": [two_handle]}
+    path.write_text(json.dumps(doc))
+
+
+def test_invariants_unknown_generator_exit_2(tmp_path, capsys):
+    path = tmp_path / "ghost.json"
+    _write_datum(path, {"framing": 0, "id": "h", "linking": [["a", 1]], "word": ["a", "b"]})
+    assert run(["invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "UNKNOWN_GENERATOR" in captured.err
+    assert captured.out == ""
+
+
+def test_invariants_linking_unknown_id_exit_2(tmp_path, capsys):
+    path = tmp_path / "ghost_link.json"
+    _write_datum(path, {"framing": 0, "id": "h", "linking": [["a", 1], ["ghost", 2]],
+                        "word": ["a"]})
+    assert run(["invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "LINKING_UNKNOWN_ID" in captured.err
+    assert captured.out == ""

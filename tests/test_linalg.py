@@ -1,26 +1,32 @@
 import math
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corkcalc import linalg
 from corkcalc.errors import NotSquareError
-from corkcalc.linalg import (IntMatrix, coker_invariants, det, is_diag_minus_one,
-                             kernel_basis, signature, snf)
+from corkcalc.families import build_W
+from corkcalc.invariants import intersection_form
+from corkcalc.linalg import (DiagMinusOneResult, IntMatrix, coker_invariants, det,
+                             is_diag_minus_one, kernel_basis, signature, snf)
 
 
 def cofactor_det(rows):
-    """Oracle: recursive cofactor expansion."""
+    """Oracle: cofactor expansion along the first row, memoized on column sets."""
     n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
-    return total
+
+    @lru_cache(maxsize=None)
+    def minor(k, cols):
+        # determinant of rows k.. restricted to the sorted column tuple ``cols``
+        if k == n:
+            return 1
+        return sum((-1) ** pos * rows[k][c] * minor(k + 1, cols[:pos] + cols[pos + 1:])
+                   for pos, c in enumerate(cols) if rows[k][c])
+
+    return minor(0, tuple(range(n)))
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -224,3 +230,199 @@ def test_diag_minus_one_even_form_is_inconclusive():
 def test_diag_minus_one_on_shuffled_negatives(n):
     q = IntMatrix.from_rows([[-1 if i == j else 0 for j in range(n)] for i in range(n)])
     assert is_diag_minus_one(q).verdict is True
+
+
+# --- determinant and product oracles ------------------------------------------------
+
+def test_snf_determinant_matches_det_and_cofactor_oracle():
+    rng = random.Random(41)
+    singular = 0
+    for trial in range(1200):
+        n = rng.randint(0, 8)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n >= 1 and trial % 3 == 0:
+            # force a singular matrix: the last row combines the others
+            coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+            rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        m = IntMatrix.from_rows(rows)
+        res = snf(m)
+        assert res.sign in (1, -1)
+        expected = cofactor_det(rows)
+        assert res.det() == det(m) == expected
+        singular += expected == 0
+    assert singular >= 300
+
+
+def test_snf_determinant_needs_square():
+    with pytest.raises(NotSquareError):
+        snf(IntMatrix.zero(2, 3)).det()
+    with pytest.raises(NotSquareError):
+        snf(IntMatrix.zero(0, 3)).det()
+
+
+def test_snf_of_zero_row_matrix_keeps_shape():
+    res = snf(IntMatrix.zero(0, 3))
+    assert (res.S.rows, res.S.cols) == (0, 3)
+    assert res.U.mul(IntMatrix.zero(0, 3)).mul(res.V) == res.S
+    assert len(res.kernel_basis()) == 3
+    assert res.coker_invariants() == []
+
+
+def per_entry_mul(a, b):
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(a.at(i, k) * b.at(k, j) for k in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)))
+
+
+def per_entry_transpose(a):
+    return IntMatrix(a.cols, a.rows, tuple(
+        a.at(i, j) for j in range(a.cols) for i in range(a.rows)))
+
+
+def test_mul_with_empty_inner_dimension_is_zero():
+    for rows, cols in ((3, 4), (0, 2), (2, 0), (0, 0)):
+        product = IntMatrix.zero(rows, 0).mul(IntMatrix.zero(0, cols))
+        assert product == IntMatrix.zero(rows, cols)
+
+
+def test_transpose_of_empty_shapes():
+    for k in range(4):
+        for m in (IntMatrix.zero(0, k), IntMatrix.zero(k, 0)):
+            assert m.transpose() == per_entry_transpose(m)
+
+
+def test_mul_and_transpose_match_per_entry_reference():
+    rng = random.Random(43)
+    for _ in range(300):
+        r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = IntMatrix(r, k, tuple(rng.randint(-5, 5) for _ in range(r * k)))
+        b = IntMatrix(k, c, tuple(rng.randint(-5, 5) for _ in range(k * c)))
+        assert a.mul(b) == per_entry_mul(a, b)
+        assert a.transpose() == per_entry_transpose(a)
+
+
+# --- the -I recognizer against its SNF-kernel reference --------------------------------
+
+def reference_is_diag_minus_one(q, height=4):
+    """The recognizer as it was before the closed-form split: an SNF kernel and a
+    full congruence for every peeled vector."""
+    if not q.is_symmetric():
+        raise ValueError("is_diag_minus_one needs a symmetric matrix")
+    n = q.rows
+    if n == 0:
+        return DiagMinusOneResult(True, IntMatrix.identity(0), "empty form")
+    pos, neg, zero = signature(q)
+    if pos or zero:
+        return DiagMinusOneResult(False, None, f"not negative definite (inertia {(pos, neg, zero)})")
+    if abs(det(q)) != 1:
+        return DiagMinusOneResult(False, None, "determinant is not a unit")
+
+    columns = []
+    basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    current = q
+    while current.rows > 0:
+        m = current.rows
+        vec = None
+        for i in range(m):
+            if current.at(i, i) == -1:
+                vec = tuple(1 if k == i else 0 for k in range(m))
+                break
+        if vec is None:
+            p_rows = [[Fraction(-current.at(i, j)) for j in range(m)] for i in range(m)]
+            vec = next(linalg._norm_one_vectors(p_rows, height), None)
+        if vec is None:
+            return DiagMinusOneResult(None, None, "search budget exhausted")
+        ambient = tuple(sum(vec[k] * basis[k][i] for k in range(m)) for i in range(n))
+        columns.append(ambient)
+        row = IntMatrix(1, m, tuple(
+            sum(vec[k] * current.at(k, j) for k in range(m)) for j in range(m)))
+        complement = kernel_basis(row)
+        basis = [tuple(sum(c[k] * basis[k][i] for k in range(m)) for i in range(n))
+                 for c in complement]
+        b = IntMatrix(m, len(complement), tuple(
+            complement[j][i] for i in range(m) for j in range(len(complement))))
+        current = b.transpose() @ current @ b
+
+    witness = IntMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
+    check = witness.transpose() @ q @ witness
+    neg_identity = IntMatrix(n, n, tuple(-1 if i == j else 0 for i in range(n) for j in range(n)))
+    if check != neg_identity:
+        raise AssertionError("internal error: witness does not verify")
+    return DiagMinusOneResult(True, witness, "witness verified")
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary operations: swaps, negations, additions."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 3 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.random()
+        if kind < 0.2:
+            p[i], p[j] = p[j], p[i]
+        elif kind < 0.3:
+            p[i] = [-x for x in p[i]]
+        elif i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    return IntMatrix.from_rows(p)
+
+
+def first_split_pivot_precedes_row(q):
+    """True when the first diagonal -1 of q has an earlier unit entry in its row."""
+    rows = q.to_rows()
+    i = next((k for k in range(len(rows)) if rows[k][k] == -1), None)
+    if i is None:
+        return False
+    return any(x in (1, -1) for x in rows[i][:i])
+
+
+def assert_same_verdict(q):
+    got, want = is_diag_minus_one(q), reference_is_diag_minus_one(q)
+    assert (got.verdict, got.reason) == (want.verdict, want.reason)
+    assert (got.witness and got.witness.entries) == (want.witness and want.witness.entries)
+    return got
+
+
+def test_diag_minus_one_matches_reference_on_congruences_of_minus_identity():
+    rng = random.Random(47)
+    pivot_before_row = verdicts_true = 0
+    for _ in range(1200):
+        n = rng.randint(0, 8)
+        p = random_unimodular(rng, n)
+        q = IntMatrix(n, n, tuple(-x for x in p.transpose().mul(p).entries))
+        pivot_before_row += first_split_pivot_precedes_row(q)
+        verdicts_true += assert_same_verdict(q).verdict is True
+    assert pivot_before_row >= 100
+    assert verdicts_true >= 1000
+
+
+def test_diag_minus_one_matches_reference_on_random_symmetric_forms():
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(1000):
+        n = rng.randint(0, 8)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.randint(-3, 1)
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.randint(-1, 1)
+        outcomes.add(assert_same_verdict(IntMatrix.from_rows(rows)).verdict)
+    assert outcomes == {True, False}
+
+
+def test_diag_minus_one_matches_reference_on_decorated_wheels():
+    for n in range(2, 11):
+        assert assert_same_verdict(intersection_form(build_W(n, 1))).verdict is True
+
+
+def test_diag_minus_one_splits_without_snf_kernel(monkeypatch):
+    q = intersection_form(build_W(12, 1))
+
+    def no_kernel(m):
+        raise AssertionError("kernel_basis called on the -1 split path")
+
+    monkeypatch.setattr(linalg, "kernel_basis", no_kernel)
+    res = is_diag_minus_one(q)
+    assert res.verdict is True
+    assert res.witness.transpose().mul(q).mul(res.witness) == IntMatrix(
+        q.rows, q.rows, tuple(-int(i == j) for i in range(q.rows) for j in range(q.rows)))
