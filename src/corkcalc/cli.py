@@ -175,7 +175,7 @@ def _replay(args) -> int:
     text = _read_text(args.trace)
     try:
         trace = trace_from_text(text)
-    except (CorkCalcError, json.JSONDecodeError, KeyError) as e:
+    except CorkCalcError as e:
         raise _CliError(f"{args.trace}: bad trace file: {e}", EXIT_USAGE) from e
     try:
         result = replay(d, trace)
@@ -227,13 +227,12 @@ def _simplify(args) -> int:
 
 def _stein_check(args) -> int:
     d = _load_datum(args.datum)
+    text = _read_text(args.front)
     try:
-        doc = stein.load_front_file(args.front)
+        doc = stein.front_from_text(text)
     except FrontFormatError as e:
         where = f" (line {e.line})" if e.line else ""
         raise _CliError(f"{args.front}: {e}{where}", EXIT_USAGE) from e
-    except CorkCalcError as e:
-        raise _CliError(str(e), EXIT_IO) from e
     try:
         report = stein.stein_check(d, doc.front, doc.correspondence_dict)
     except CorkCalcError as e:

@@ -326,10 +326,6 @@ def datum_hash(d: KirbyDatum) -> str:
     return hashlib.sha256(canonical_json(d).encode("utf-8")).hexdigest()
 
 
-def data_equal(d1: KirbyDatum, d2: KirbyDatum) -> bool:
-    return canonical_form(d1) == canonical_form(d2)
-
-
 def from_canonical(obj: Any) -> KirbyDatum:
     """Parse the canonical dict form, strictly."""
     if not isinstance(obj, dict):

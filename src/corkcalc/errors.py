@@ -8,9 +8,8 @@ can name failures without string-matching Python messages.
 class CorkCalcError(Exception):
     code = "ERROR"
 
-    def __init__(self, message="", **info):
+    def __init__(self, message=""):
         super().__init__(message or self.code)
-        self.info = info
 
 
 class DatumFormatError(CorkCalcError):
@@ -83,10 +82,6 @@ class BadIndexError(CorkCalcError):
 
 class LengthMismatchError(CorkCalcError):
     code = "LENGTH_MISMATCH"
-
-
-class DataFileMissingError(CorkCalcError):
-    code = "DATA_FILE_MISSING"
 
 
 class OddCuspImbalanceError(CorkCalcError):

@@ -1,4 +1,4 @@
-"""Generators for every named manifold datum plus bundled reference data.
+"""Generators for every named manifold datum.
 
 A wheel datum has n circle pairs (radial circle ``a{j}``, circular circle
 ``b{j}``, linking number one inside the pair, all cross-pair linkings zero).
@@ -10,31 +10,11 @@ m rides along as metadata and re-enters in the Legendrian front data.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 from .datum import KirbyDatum, make_datum, two_handle
-from .errors import BadIndexError, DataFileMissingError, LengthMismatchError
+from .errors import BadIndexError, LengthMismatchError
 from .moves import twist_wheel
 from .sequences import STAR, check_sequence
 from .words import single
-from . import datum as datum_io
-
-ENV_DATA_DIR = "CORKCALC_DATA_DIR"
-
-
-def data_dir() -> Path:
-    override = os.environ.get(ENV_DATA_DIR)
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "data"
-
-
-def load_datum_file(path: Path | str) -> KirbyDatum:
-    path = Path(path)
-    if not path.exists():
-        raise DataFileMissingError(f"datum file not found: {path}")
-    return datum_io.loads(path.read_text(encoding="utf-8"))
 
 
 # --- wheel families -------------------------------------------------------------
@@ -161,51 +141,28 @@ def build_Z_twisted(n: int, m: int, i: int) -> KirbyDatum:
     return twist_wheel(z, (n - i) % n)
 
 
-# --- bundled data: the modified wheel family and elliptic-surface forms ------------
-
-def e_family_path(n: int, m: int) -> Path:
-    return data_dir() / "families" / f"E_{n}_{m}.json"
-
+# --- the modified wheel family and elliptic-surface forms ---------------------------
 
 def build_E(n: int, m: int) -> KirbyDatum:
-    """Load the bundled modified-wheel datum.
+    """The modified-wheel datum.
 
     At this fidelity the modification's extra knotting is invisible (the
     pair separation and contractibility checks force the same algebraic
-    data as the plain wheel), so the bundled files carry the wheel shape
-    under the E tag; they exist as data so the transcription is auditable.
+    data as the plain wheel), so E(n, m) is the head-family wheel under the
+    E tag.
     """
-    if n < 1 or m < 1:
-        raise BadIndexError("need n >= 1 and m >= 1")
-    d = load_datum_file(e_family_path(n, m))
-    return d
-
-
-def elliptic_surface_path(l: int) -> Path:
-    return data_dir() / "surfaces" / f"E{l}.json"
-
-
-def load_elliptic_surface(l: int) -> KirbyDatum:
-    """Bundled reference datum whose intersection form carries the standard
-    elliptic-surface characteristic numbers (computed, never trusted)."""
-    if l < 1:
-        raise BadIndexError("need l >= 1")
-    return load_datum_file(elliptic_surface_path(l))
-
-
-# --- generators for the bundled files (used by scripts/regenerate_data.py) --------
-
-def generate_e_family(n: int, m: int) -> KirbyDatum:
-    d = build_X(n, m, c_sequence(n), family="E")
-    return d
+    return build_X(n, m, c_sequence(n), family="E")
 
 
 _E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
 
 
-def generate_elliptic_surface(l: int) -> KirbyDatum:
+def load_elliptic_surface(l: int) -> KirbyDatum:
     """Plumbing-form 2-handlebody: l negative-E8 blocks plus 2l-1 hyperbolic
-    pairs, realizing b2 = 12l - 2 and signature -8l."""
+    pairs, realizing b2 = 12l - 2 and signature -8l (the characteristic
+    numbers are computed from the form, never trusted)."""
+    if l < 1:
+        raise BadIndexError("need l >= 1")
     handles = []
     for b in range(l):
         ids = [f"e{b}n{i}" for i in range(8)]

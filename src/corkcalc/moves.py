@@ -402,72 +402,64 @@ def rotate(d: KirbyDatum, i: int):
 TRACE_FORMAT = "corkcalc-trace/1"
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
+
+
 @dataclass(frozen=True)
 class MoveStep:
     move: str
-    params: tuple[tuple[str, object], ...]
+    params: str  # canonical JSON of the parameter object
     pre: str
     post: str
 
     @property
     def params_dict(self) -> dict:
-        return {k: v for k, v in self.params}
+        return json.loads(self.params)
 
 
 @dataclass(frozen=True)
 class MoveTrace:
     initial: str
     steps: tuple[MoveStep, ...] = ()
-    target: tuple[tuple[str, object], ...] | None = None
+    target: str | None = None  # canonical JSON of the declared target
 
     @property
     def target_dict(self) -> dict | None:
-        return None if self.target is None else {k: v for k, v in self.target}
+        return None if self.target is None else json.loads(self.target)
 
     @property
     def final(self) -> str:
         return self.steps[-1].post if self.steps else self.initial
 
 
-def _freeze(obj):
-    if isinstance(obj, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in obj.items()))
-    if isinstance(obj, list):
-        return tuple(_freeze(v) for v in obj)
-    return obj
-
-
-def _thaw(obj):
-    if isinstance(obj, tuple):
-        if all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) for e in obj):
-            return {k: _thaw(v) for k, v in obj}
-        return [_thaw(v) for v in obj]
-    return obj
-
-
 def _apply_attach(d, p):
     return attach_2handle(d, p["id"], p["word"], p["framing"], p.get("linking") or {})
 
 
+# move name -> (required parameters, application)
 MOVES = {
-    "slide_2_over_2": lambda d, p: slide_2_over_2(d, p["h1"], p["h2"], p["sign"]),
-    "slide_2_over_1": lambda d, p: slide_2_over_1(d, p["h"], p["g"], p["sign"], p.get("end", BACK)),
-    "cancel_1_2": lambda d, p: cancel_1_2(d, p["g"], p["h"]),
-    "remove_split_zero_handle": lambda d, p: remove_split_zero_handle(d, p["h"]),
-    "attach_2handle": _apply_attach,
-    "blow_up": lambda d, p: blow_up(d, p["id"], p["sign"]),
-    "blow_down": lambda d, p: blow_down(d, p["h"]),
-    "cork_twist_pair": lambda d, p: cork_twist_pair(
-        d, CorkPair(p["dotted"], p["zero_handle"], p.get("m", 1))),
-    "twist_wheel": lambda d, p: twist_wheel(d, p["i"]),
-    "rotate": lambda d, p: rotate(d, p["i"])[0],
+    "slide_2_over_2": (("h1", "h2", "sign"),
+                       lambda d, p: slide_2_over_2(d, p["h1"], p["h2"], p["sign"])),
+    "slide_2_over_1": (("h", "g", "sign"),
+                       lambda d, p: slide_2_over_1(d, p["h"], p["g"], p["sign"],
+                                                   p.get("end", BACK))),
+    "cancel_1_2": (("g", "h"), lambda d, p: cancel_1_2(d, p["g"], p["h"])),
+    "remove_split_zero_handle": (("h",), lambda d, p: remove_split_zero_handle(d, p["h"])),
+    "attach_2handle": (("id", "word", "framing"), _apply_attach),
+    "blow_up": (("id", "sign"), lambda d, p: blow_up(d, p["id"], p["sign"])),
+    "blow_down": (("h",), lambda d, p: blow_down(d, p["h"])),
+    "cork_twist_pair": (("dotted", "zero_handle"), lambda d, p: cork_twist_pair(
+        d, CorkPair(p["dotted"], p["zero_handle"], p.get("m", 1)))),
+    "twist_wheel": (("i",), lambda d, p: twist_wheel(d, p["i"])),
+    "rotate": (("i",), lambda d, p: rotate(d, p["i"])[0]),
 }
 
 
 def apply_move(d: KirbyDatum, move: str, params: dict) -> KirbyDatum:
     if move not in MOVES:
         raise IllegalMoveError(f"unknown move {move!r}")
-    return MOVES[move](d, params)
+    return MOVES[move][1](d, params)
 
 
 class Recorder:
@@ -483,13 +475,13 @@ class Recorder:
         pre = datum_hash(self.current)
         result = apply_move(self.current, move, params)
         post = datum_hash(result)
-        self._steps.append(MoveStep(move, _freeze(params), pre, post))
+        self._steps.append(MoveStep(move, _canonical(params), pre, post))
         self.current = result
         return result
 
     def trace(self) -> MoveTrace:
         return MoveTrace(self._initial_hash, tuple(self._steps),
-                         None if self._target is None else _freeze(self._target))
+                         None if self._target is None else _canonical(self._target))
 
 
 def replay(initial: KirbyDatum, trace: MoveTrace) -> KirbyDatum:
@@ -510,22 +502,54 @@ def trace_to_text(trace: MoveTrace) -> str:
     lines = [json.dumps({"format": TRACE_FORMAT, "initial": trace.initial,
                          "target": trace.target_dict}, sort_keys=True)]
     for s in trace.steps:
-        lines.append(json.dumps({"move": s.move, "params": _thaw(s.params),
+        lines.append(json.dumps({"move": s.move, "params": s.params_dict,
                                  "pre": s.pre, "post": s.post}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
+def _json_object(line: str, what: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise CorkCalcError(f"{what} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise CorkCalcError(f"{what} must be a JSON object")
+    return obj
+
+
+def _require_keys(obj: dict, keys, what: str) -> None:
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise CorkCalcError(f"{what} lacks {', '.join(missing)}")
+
+
 def trace_from_text(text: str) -> MoveTrace:
+    """Parse a trace file; any malformed line raises ``CorkCalcError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CorkCalcError("empty trace file")
-    header = json.loads(lines[0])
+    header = _json_object(lines[0], "trace header")
     if header.get("format") != TRACE_FORMAT:
         raise CorkCalcError(f"unsupported trace format {header.get('format')!r}")
-    steps = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        steps.append(MoveStep(obj["move"], _freeze(obj["params"]), obj["pre"], obj["post"]))
+    _require_keys(header, ("initial",), "trace header")
     target = header.get("target")
-    return MoveTrace(header["initial"], tuple(steps),
-                     None if target is None else _freeze(target))
+    if target is not None:
+        if not (isinstance(target, dict) and isinstance(target.get("n"), int)
+                and isinstance(target.get("m"), int)
+                and isinstance(target.get("sequence"), str)):
+            raise CorkCalcError("trace target must be an object with integer "
+                                "n and m and a string sequence")
+        target = _canonical(target)
+    steps = []
+    for idx, ln in enumerate(lines[1:]):
+        what = f"trace step {idx}"
+        obj = _json_object(ln, what)
+        _require_keys(obj, ("move", "params", "pre", "post"), what)
+        move, params = obj["move"], obj["params"]
+        if not isinstance(move, str) or move not in MOVES:
+            raise CorkCalcError(f"{what}: unknown move {move!r}")
+        if not isinstance(params, dict):
+            raise CorkCalcError(f"{what}: params must be a JSON object")
+        _require_keys(params, MOVES[move][0], f"{what} ({move}) params")
+        steps.append(MoveStep(move, _canonical(params), obj["pre"], obj["post"]))
+    return MoveTrace(header["initial"], tuple(steps), target)

@@ -18,8 +18,7 @@ Negative full-twist boxes expand to fixed event templates: a twist on
 antiparallel strands of one component costs two positive crossings plus a
 balanced pair of zigzags, which leaves tb unchanged, so the box multiplicity
 never disturbs the criterion.  Twist templates live in ``TWIST_BLOCK``;
-front files for the wheel families are generated from these templates and
-shipped as data.
+the wheel families' fronts are generated from these templates.
 """
 
 from __future__ import annotations
@@ -371,6 +370,10 @@ def wheel_front_events(n: int, m: int) -> tuple[list[FrontEvent], dict[str, str]
     """Front for the order-n cork wheel: one tb = 1 component per 2-handle,
     drawn disjointly (the wheel's mutual knotting is linking-trivial).
 
+    The front is a transcription fed to the framing check, not an existence
+    proof; for n > 4 it extrapolates the pattern beyond the drawn wheel
+    size 4.
+
     Returns (events, handle-to-component correspondence)."""
     events: list[FrontEvent] = []
     corr: dict[str, str] = {}
@@ -447,11 +450,3 @@ def front_from_text(text: str) -> FrontDocument:
         raise
     return FrontDocument(front, tuple(corr), tuple(flags))
 
-
-def load_front_file(path) -> FrontDocument:
-    from pathlib import Path
-    p = Path(path)
-    if not p.exists():
-        from .errors import DataFileMissingError
-        raise DataFileMissingError(f"front file not found: {p}")
-    return front_from_text(p.read_text(encoding="utf-8"))

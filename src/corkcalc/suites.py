@@ -8,15 +8,17 @@ Suite ids are stable interface strings; each also has a descriptive alias.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from . import families, scripts, sequences, stein
-from .datum import CorkPair, validate_cork_pair
+from .datum import CorkPair, full_linking_matrix, validate, validate_cork_pair
+from .errors import CorkCalcError
 from .invariants import (boundary_h1, char_numbers_from_datum,
                          connected_sum, cp2, cp2_bar, homology, intersection_form)
 from .isomorphism import datum_isomorphic
-from .linalg import is_diag_minus_one
-from .moves import blow_down, minus_one_sphere_present
+from .linalg import IntMatrix, is_diag_minus_one
+from .moves import apply_move, blow_down, minus_one_sphere_present, slide_2_over_2
 from .presentations import pi1_presentation, tietze_simplify
 
 
@@ -257,14 +259,13 @@ def _cases_stein(grid):
 def _run_stein(case):
     kind, n, m = case
     if kind == "reference":
-        doc = stein.load_front_file(families.data_dir() / "fronts" / "trefoil.front")
-        comp = doc.front.components[0]
-        value = stein.tb(doc.front, comp)
+        front = stein.LegendrianFront(tuple(stein.max_tb_reference_events("trefoil")))
+        value = stein.tb(front, "trefoil")
         return CaseResult("max-tb reference front has tb = 1", value == 1,
                           "" if value == 1 else f"tb = {value}")
     d = families.build_C(n, m)
-    doc = stein.load_front_file(families.data_dir() / "fronts" / f"C_{n}_{m}.front")
-    report = stein.stein_check(d, doc.front, doc.correspondence_dict)
+    events, correspondence = stein.wheel_front_events(n, m)
+    report = stein.stein_check(d, stein.LegendrianFront(tuple(events)), correspondence)
     detail = "" if report.passed else "; ".join(
         f"{r.handle}: framing {r.framing}, tb {r.tb}" for r in report.rows if not r.ok)
     return CaseResult(f"framing = tb - 1 on C({n},{m})", report.passed, detail)
@@ -294,6 +295,108 @@ def _run_surface_sum(case):
     return CaseResult(f"surface-sum arithmetic l={l} n={n}", ok, detail)
 
 
+# --- randomized move audit ----------------------------------------------------------
+
+AUDIT_WALKS = 20
+AUDIT_MOVES = 50
+_AUDIT_STARTS = (
+    ("W(3,1)", lambda: families.build_W(3, 1)),
+    ("W(4,2)", lambda: families.build_W(4, 2)),
+    ("X(4,1,*0*0)", lambda: families.build_X(4, 1, "*0*0")),
+    ("X(5,2,*00*0)", lambda: families.build_X(5, 2, "*00*0")),
+    ("Z(4,1,2)", lambda: families.build_Z(4, 1, 2)),
+    ("W(4,1) twist 2", lambda: families.build_W_twisted(4, 1, 2)),
+)
+
+
+def _cases_move_audit(grid):
+    return list(range(AUDIT_WALKS))
+
+
+def _audit_options(d) -> list[str]:
+    options = ["slide"] if len(d.handle_ids) >= 2 else []
+    if any(len(h.word) == 1 for h in d.two_handles):
+        options.append("cancel")
+    if isinstance(d.meta_map.get("sequence"), str):
+        options += ["rotate", "twist"]
+    if any(not h.word and h.framing in (1, -1) for h in d.two_handles):
+        options.append("blow_down")
+    if len(d.handle_ids) <= 16:
+        options.append("blow_up")
+    return options
+
+
+def _slide_congruence_holds(d, out, h1, h2, sign) -> bool:
+    """The slide of h1 over h2 is the congruence E^T L E of the full linking
+    matrix, with E the identity plus ``sign`` at (h2, h1)."""
+    before, order = full_linking_matrix(d)
+    after, order_after = full_linking_matrix(out)
+    size = len(order)
+    rows = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
+    rows[order.index(h2)][order.index(h1)] = sign
+    e = IntMatrix.from_rows(rows)
+    return order == order_after and e.transpose().mul(before).mul(e) == after
+
+
+def _run_move_audit(k):
+    """Walk k: AUDIT_MOVES random moves from the (k mod 6)-th start datum,
+    each checked against the invariants the move must preserve."""
+    rng = random.Random(k)
+    start, build = _AUDIT_STARTS[k % len(_AUDIT_STARTS)]
+    cid = f"walk {k:02d} from {start}"
+    d = build()
+    profile, boundary = homology(d), boundary_h1(d).invariant_factors
+    refused = 0
+    audited = 0
+    while audited < AUDIT_MOVES:
+        kind = rng.choice(_audit_options(d))
+        if kind == "slide":
+            h1, h2 = rng.sample(list(d.handle_ids), 2)
+            sign = rng.choice((1, -1))
+            out = slide_2_over_2(d, h1, h2, sign)
+            if not _slide_congruence_holds(d, out, h1, h2, sign):
+                return CaseResult(cid, False, f"move {audited}: slide congruence failed")
+        elif kind == "cancel":
+            g, h = next((h.word.letters[0][0], h.id)
+                        for h in d.two_handles if len(h.word) == 1)
+            out = apply_move(d, "cancel_1_2", {"g": g, "h": h})
+        elif kind == "rotate":
+            out = apply_move(d, "rotate", {"i": rng.randrange(d.meta_map["n"])})
+        elif kind == "twist":
+            try:
+                out = apply_move(d, "twist_wheel", {"i": rng.randrange(d.meta_map["n"])})
+            except CorkCalcError:
+                refused += 1
+                continue
+        elif kind == "blow_up":
+            out = apply_move(d, "blow_up", {"id": f"bu{audited}",
+                                            "sign": rng.choice((1, -1))})
+        else:
+            target = next(h.id for h in d.two_handles
+                          if not h.word and h.framing in (1, -1))
+            out = blow_down(d, target)
+        out_profile, out_boundary = homology(out), boundary_h1(out).invariant_factors
+        if kind == "blow_up":
+            profile_ok = out_profile.b2 == profile.b2 + 1
+        elif kind == "blow_down":
+            profile_ok = out_profile.b2 == profile.b2 - 1
+        else:
+            profile_ok = out_profile == profile
+        problems = []
+        if not profile_ok:
+            problems.append(f"homology {profile} -> {out_profile}")
+        if out_boundary != boundary:
+            problems.append("boundary invariants changed")
+        report = validate(out)
+        if not report.ok:
+            problems.append(f"invalid result: {report}")
+        if problems:
+            return CaseResult(cid, False, f"move {audited} ({kind}): " + "; ".join(problems))
+        d, profile, boundary = out, out_profile, out_boundary
+        audited += 1
+    return CaseResult(cid, True, f"{audited} moves audited, {refused} twists refused")
+
+
 # --- registry ----------------------------------------------------------------------------
 
 _SUITES = {
@@ -304,6 +407,7 @@ _SUITES = {
     "w-family": (_cases_w_family, _run_w_family),
     "stein-framings": (_cases_stein, _run_stein),
     "thm-1-7-arith": (_cases_surface_sum, _run_surface_sum),
+    "move-audit": (_cases_move_audit, _run_move_audit),
 }
 
 ALIASES = {

@@ -105,10 +105,6 @@ class Word:
         return ".".join(self.serialize())
 
 
-def word(letters: Iterable[Letter] | None = None) -> Word:
-    return Word(tuple(letters or ()))
-
-
 def single(gen: str, sign: int = 1) -> Word:
     return Word(((gen, sign),))
 

@@ -1,33 +1,16 @@
 """Acceptance criteria for the whole engine.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all)
-and asserts the criterion at its stated tolerance; every check is exact.
+Criteria 1-8 run the ``verify`` suites at their default grids; criterion 9
+checks the exact linear algebra against independent oracles. Each test
+prints one PASS/FAIL line (run with ``pytest -s`` to see them all) and
+asserts that its suite passed with the case count its grid implies.
 """
 
-import math
 import random
 import time
 
-from corkcalc import datum as datum_io
-from corkcalc.datum import (CorkPair, full_linking_matrix, validate,
-                            validate_cork_pair)
-from corkcalc.families import (build_C, build_Cm, build_D, build_W,
-                               build_W_twisted, build_X, build_Z,
-                               build_Z_twisted, c_sequence, data_dir,
-                               load_elliptic_surface)
-from corkcalc.invariants import (boundary_h1, char_numbers_from_datum,
-                                 connected_sum, cp2, cp2_bar, homology,
-                                 intersection_form)
-from corkcalc.isomorphism import datum_isomorphic
-from corkcalc.linalg import IntMatrix, det, is_diag_minus_one, snf
-from corkcalc.moves import (apply_move, blow_down, minus_one_sphere_present,
-                            slide_2_over_2)
-from corkcalc.presentations import pi1_presentation, tietze_simplify
-from corkcalc.scripts import verify_chain, verify_deletion
-from corkcalc.sequences import (all_sequences, cork_order, is_constant, period,
-                                rotation_map_order)
-from corkcalc.stein import load_front_file, stein_check, tb
-from corkcalc import families
+from corkcalc.linalg import IntMatrix, det, snf
+from corkcalc.suites import run_suite
 
 
 def _line(name, ok, detail=""):
@@ -37,258 +20,58 @@ def _line(name, ok, detail=""):
     return ok
 
 
-# --- 1. contractibility sweep ----------------------------------------------------
+def _gate(criterion, suite, expected_cases):
+    result = run_suite(suite)
+    failures = [f"{c.case}: {c.details}" for c in result.failures]
+    ok = result.passed and len(result.cases) == expected_cases
+    _line(f"criterion-{criterion} {suite}", ok,
+          f"{len(result.cases)} cases, failures={failures[:3]}")
+    assert result.passed, failures
+    assert len(result.cases) == expected_cases
+
 
 def test_criterion_1_contractibility_sweep():
+    # every sequence of length n <= 6, m <= 3
     start = time.monotonic()
-    failures = []
-    for n in range(1, 7):
-        for m in range(1, 4):
-            for x in all_sequences(n):
-                d = build_X(n, m, x)
-                if not homology(d).is_contractible_homology:
-                    failures.append((n, m, x, "homology"))
-                    continue
-                _, certified = tietze_simplify(pi1_presentation(d), 10_000)
-                if not certified:
-                    failures.append((n, m, x, "pi1"))
-    elapsed = time.monotonic() - start
-    ok = not failures and elapsed < 30.0
-    assert _line("criterion-1 contractibility sweep", ok,
-                 f"{elapsed:.1f}s, failures={failures[:3]}"), failures
-    assert elapsed < 30.0
+    _gate(1, "lemma-2-2", 3 * sum(2 ** n for n in range(1, 7)))
+    assert time.monotonic() - start < 30.0
 
-
-# --- 2. cork-order tables ---------------------------------------------------------
 
 def test_criterion_2_cork_order_tables():
-    failures = []
-    for n in range(1, 9):
-        for x in all_sequences(n):
-            p = period(x)
-            if n % p:
-                failures.append((x, "period does not divide length"))
-            order = cork_order(x)
-            if is_constant(x):
-                if order is not None:
-                    failures.append((x, "constant not reported NOT_A_CORK"))
-            elif order != p or order <= 1:
-                failures.append((x, f"order {order} vs period {p}"))
-        if period(c_sequence(n)) != n:
-            failures.append((c_sequence(n), "head pattern period"))
-    if period("*0*0") != 2 or cork_order("*0*0") != 2:
-        failures.append(("*0*0", "period"))
-    if rotation_map_order(4) != 4:
-        failures.append(("*0*0", "rotation map order"))
-    assert _line("criterion-2 cork-order tables", not failures, str(failures[:3])), failures
+    # every sequence of length n <= 8, plus the head-pattern and alternating checks
+    _gate(2, "cork-order", sum(2 ** n for n in range(1, 9)) + 2)
 
-
-# --- 3. small-wheel equality and distinction ---------------------------------------
 
 def test_criterion_3_pairwise_family_comparison():
-    failures = []
-    for m in range(1, 4):
-        c2 = build_C(2, m)
-        exchanged = families.dot_zero_exchange(build_D(2, m))
-        if datum_isomorphic(c2, exchanged) is None:
-            failures.append((2, m, "no witness"))
-        if datum_isomorphic(build_C(3, m), build_D(3, m)) is not None:
-            failures.append((3, m, "unexpected witness"))
-    assert _line("criterion-3 wheel equality/distinction", not failures,
-                 str(failures)), failures
+    # C(2,m) = exchanged D(2,m) and C(3,m) != D(3,m) for m <= 3; E(n,m)
+    # contractible with separated pairs for n <= 6, m <= 3
+    _gate(3, "prop-2-6", 2 * 3 + 2 * 6 * 3)
 
-
-# --- 4. proof-script replay ----------------------------------------------------------
 
 def test_criterion_4_deletion_script_replay():
-    failures = []
-    total = 0
-    for n in range(2, 6):
-        for m in (1, 2):
-            for x in all_sequences(n):
-                if is_constant(x):
-                    continue
-                for i in range(n):
-                    total += 1
-                    if not verify_deletion(n, m, x, i):
-                        failures.append((n, m, x, i))
-                if not verify_chain(n, m, x):
-                    failures.append((n, m, x, "chain"))
-    ok = not failures
-    assert _line("criterion-4 deletion-script replay", ok,
-                 f"{total} deletions, failures={failures[:3]}"), failures
-
-
-# --- 5. randomized move-engine invariants ----------------------------------------------
-
-def _applicable_moves(d, rng):
-    """Sample a legal boundary-preserving move for the invariance walk."""
-    options = []
-    ids = list(d.handle_ids)
-    if len(ids) >= 2:
-        options.append("slide")
-    if any(len(h.word) == 1 for h in d.two_handles):
-        options.append("cancel")
-    meta = d.meta_map
-    if isinstance(meta.get("sequence"), str):
-        options.append("rotate")
-        options.append("twist")
-    for h in d.two_handles:
-        if not h.word and h.framing in (1, -1):
-            options.append("blow_down")
-            break
-    if len(ids) <= 16:
-        options.append("blow_up")
-    return rng.choice(options) if options else None
-
-
-def _slide_congruence(d, h1, h2, sign):
-    before, order = full_linking_matrix(d)
-    out = slide_2_over_2(d, h1, h2, sign)
-    after, order2 = full_linking_matrix(out)
-    n = len(order)
-    i1, i2 = order.index(h1), order.index(h2)
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i2][i1] = sign
-    e = IntMatrix.from_rows(rows)
-    assert order == order2
-    assert e.transpose().mul(before).mul(e) == after
-    return out
+    # every index of every non-constant sequence, 2 <= n <= 5, m <= 2, plus its chain
+    _gate(4, "lemma-3-4-scripts", 2 * sum((2 ** n - 2) * (n + 1) for n in range(2, 6)))
 
 
 def test_criterion_5_randomized_move_invariance():
-    rng = random.Random(20260811)
-    moves_done = 0
-    fresh = 0
+    # 20 walks of 50 audited moves each
+    _gate(5, "move-audit", 20)
 
-    def new_start():
-        nonlocal fresh
-        fresh += 1
-        picks = [
-            lambda: build_W(3, 1),
-            lambda: build_W(4, 2),
-            lambda: build_X(4, 1, "*0*0"),
-            lambda: build_X(5, 2, "*00*0"),
-            lambda: build_Z(4, 1, 2),
-            lambda: build_W_twisted(4, 1, 2),
-        ]
-        return picks[fresh % len(picks)]()
-
-    d = new_start()
-    walk_len = 0
-    while moves_done < 1000:
-        if walk_len >= 50 or (not d.two_handles and not d.one_handles):
-            d = new_start()
-            walk_len = 0
-        kind = _applicable_moves(d, rng)
-        if kind is None:
-            d = new_start()
-            walk_len = 0
-            continue
-        before_boundary = boundary_h1(d).invariant_factors
-        before_profile = homology(d)
-        if kind == "slide":
-            h1, h2 = rng.sample(list(d.handle_ids), 2)
-            out = _slide_congruence(d, h1, h2, rng.choice((1, -1)))
-            assert homology(out) == before_profile
-        elif kind == "cancel":
-            g, h = next((h.word.letters[0][0], h.id)
-                        for h in d.two_handles if len(h.word) == 1)
-            out = apply_move(d, "cancel_1_2", {"g": g, "h": h})
-            assert homology(out) == before_profile
-        elif kind == "rotate":
-            out = apply_move(d, "rotate", {"i": rng.randrange(d.meta_map["n"])})
-            assert homology(out) == before_profile
-        elif kind == "twist":
-            try:
-                out = apply_move(d, "twist_wheel", {"i": rng.randrange(d.meta_map["n"])})
-            except Exception:
-                d = new_start()
-                continue
-            assert homology(out) == before_profile
-        elif kind == "blow_up":
-            out = apply_move(d, "blow_up",
-                             {"id": f"bu{moves_done}", "sign": rng.choice((1, -1))})
-            assert homology(out).b2 == before_profile.b2 + 1
-        else:
-            target = next(h.id for h in d.two_handles
-                          if not h.word and h.framing in (1, -1))
-            out = blow_down(d, target)
-            assert homology(out).b2 == before_profile.b2 - 1
-        assert boundary_h1(out).invariant_factors == before_boundary, kind
-        assert validate(out).ok
-        d = out
-        moves_done += 1
-        walk_len += 1
-    assert _line("criterion-5 randomized move invariance", True,
-                 f"{moves_done} moves, {fresh} walks")
-
-
-# --- 6. decorated wheel family -----------------------------------------------------------
 
 def test_criterion_6_decorated_wheel_family():
-    failures = []
-    for n in range(2, 7):
-        for m in (1, 2):
-            b2 = n * (n - 1) // 2
-            w = build_W(n, m)
-            if homology(w).b2 != b2:
-                failures.append((n, m, "b2"))
-            if abs(det(full_linking_matrix(w)[0])) != 1:
-                failures.append((n, m, "boundary det"))
-            if is_diag_minus_one(intersection_form(w)).verdict is not True:
-                failures.append((n, m, "form"))
-            for i in range(1, n):
-                d = build_W_twisted(n, m, i)
-                for _ in range(i):
-                    target = next(h.id for h in d.two_handles
-                                  if not h.word and h.framing == -1)
-                    d = blow_down(d, target)
-                prof = homology(d)
-                bh = boundary_h1(d)
-                if prof.b2 != b2 - i or not bh.is_homology_sphere:
-                    failures.append((n, m, i, "twisted blow-down"))
-    assert _line("criterion-6 decorated wheel family", not failures,
-                 str(failures[:3])), failures
+    # per (n, m), 2 <= n <= 6, m <= 2: the base datum, and per 0 < i < n a
+    # twisted blow-down and a Z obstruction
+    _gate(6, "w-family", 2 * sum(1 + 2 * (n - 1) for n in range(2, 7)))
 
-
-# --- 7. framing checks ----------------------------------------------------------------------
 
 def test_criterion_7_framing_checks():
-    failures = []
-    for m in (1, 2, 3):
-        for n in (1, 2, 3, 4):
-            d = build_C(n, m)
-            doc = load_front_file(data_dir() / "fronts" / f"C_{n}_{m}.front")
-            report = stein_check(d, doc.front, doc.correspondence_dict)
-            if not report.passed:
-                failures.append((n, m))
-    doc = load_front_file(data_dir() / "fronts" / "trefoil.front")
-    reference_tb = tb(doc.front, doc.front.components[0])
-    if reference_tb != 1:
-        failures.append(("trefoil", reference_tb))
-    assert _line("criterion-7 framing checks", not failures, str(failures)), failures
+    # C(n,m) for n <= 4, m <= 3, plus the max-tb reference front
+    _gate(7, "stein-framings", 4 * 3 + 1)
 
-
-# --- 8. characteristic-number arithmetic ------------------------------------------------------
 
 def test_criterion_8_surface_sum_arithmetic():
-    failures = []
-    checked = 0
-    for l in range(1, 5):
-        for n in range(1, 6):
-            if l < math.ceil((2 * n + 1) / 3):
-                continue
-            checked += 1
-            surface = char_numbers_from_datum(load_elliptic_surface(l))
-            lhs = connected_sum(surface, cp2_bar(n))
-            rhs = connected_sum(cp2(2 * l - 1), cp2_bar(10 * l + n - 1))
-            if (lhs.b2, lhs.signature) != (rhs.b2, rhs.signature):
-                failures.append((l, n, (lhs.b2, lhs.signature),
-                                 (rhs.b2, rhs.signature)))
-    ok = not failures and checked > 0
-    assert _line("criterion-8 surface-sum arithmetic", ok,
-                 f"{checked} pairs, failures={failures}"), failures
+    # every pair l <= 4, n <= 5
+    _gate(8, "thm-1-7-arith", 4 * 5)
 
 
 # --- 9. exact linear algebra oracles ------------------------------------------------------------

@@ -4,9 +4,10 @@ import pytest
 
 from corkcalc import datum as datum_io
 from corkcalc.cli import main
-from corkcalc.families import build_W, build_X
+from corkcalc.families import build_C, build_W, build_X
 from corkcalc.moves import Recorder, trace_to_text
 from corkcalc.scripts import deletion_script
+from corkcalc.stein import FrontDocument, LegendrianFront, front_to_text, wheel_front_events
 
 
 def run(args):
@@ -97,6 +98,14 @@ def test_verify_surface_sum_single_pair(tmp_path, capsys):
     assert "fails" in report["cases"][0]["details"]  # embedding precondition reported
 
 
+def test_verify_beyond_the_former_data_grid(tmp_path):
+    for args in (["verify", "prop-2-6", "--m-max", "4"],
+                 ["verify", "stein-framings", "--n-max", "7"],
+                 ["verify", "thm-1-7-arith", "--l", "5"],
+                 ["gen", "E", "7", "1"]):
+        assert run(args + ["-o", str(tmp_path / "out.json")]) == 0, args
+
+
 def test_verify_markdown_format(capsys):
     assert run(["verify", "cork-order", "--n-max", "3", "--format", "md"]) == 0
     out = capsys.readouterr().out
@@ -137,6 +146,38 @@ def test_replay_wrong_target_exit_1(tmp_path, capsys):
     assert run(["replay", str(datum_path), str(trace_path)]) == 1
 
 
+def _replay_c21(tmp_path, trace_lines):
+    datum_path = tmp_path / "c21.json"
+    datum_path.write_text(datum_io.dumps(build_C(2, 1)))
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text("\n".join(json.dumps(line) for line in trace_lines) + "\n")
+    return run(["replay", str(datum_path), str(trace_path)])
+
+
+def _c21_header(**extra):
+    return {"format": "corkcalc-trace/1", "initial": datum_io.datum_hash(build_C(2, 1)),
+            "target": None, **extra}
+
+
+def test_replay_header_not_an_object_exit_2(tmp_path, capsys):
+    assert _replay_c21(tmp_path, [["corkcalc-trace/1"]]) == 2
+    assert "trace header must be a JSON object" in capsys.readouterr().err
+
+
+def test_replay_step_missing_param_exit_2(tmp_path, capsys):
+    header = _c21_header()
+    step = {"move": "attach_2handle", "params": {"id": "x", "word": []},
+            "pre": header["initial"], "post": header["initial"]}
+    assert _replay_c21(tmp_path, [header, step]) == 2
+    assert "lacks framing" in capsys.readouterr().err
+
+
+def test_replay_target_missing_m_exit_2(tmp_path, capsys):
+    header = _c21_header(target={"family": "C", "n": 2, "sequence": "*0"})
+    assert _replay_c21(tmp_path, [header]) == 2
+    assert "trace target" in capsys.readouterr().err
+
+
 def test_simplify_command(tmp_path, capsys):
     pres = tmp_path / "p.json"
     pres.write_text(json.dumps({"generators": ["a"], "relators": [["a"]]}))
@@ -151,12 +192,24 @@ def test_simplify_bad_file_exit_2(tmp_path):
     assert run(["simplify", str(pres)]) == 2
 
 
+def _write_wheel_front(path, n, m):
+    events, corr = wheel_front_events(n, m)
+    doc = FrontDocument(LegendrianFront(tuple(events)), tuple(sorted(corr.items())))
+    path.write_text(front_to_text(doc))
+
+
 def test_stein_check_command(tmp_path):
     datum_path = tmp_path / "c21.json"
     run(["gen", "C", "2", "1", "-o", str(datum_path)])
-    from corkcalc.families import data_dir
-    front_path = data_dir() / "fronts" / "C_2_1.front"
+    front_path = tmp_path / "C_2_1.front"
+    _write_wheel_front(front_path, 2, 1)
     assert run(["stein-check", str(datum_path), str(front_path)]) == 0
+
+
+def test_stein_check_missing_front_exit_3(tmp_path):
+    datum_path = tmp_path / "c21.json"
+    run(["gen", "C", "2", "1", "-o", str(datum_path)])
+    assert run(["stein-check", str(datum_path), str(tmp_path / "nope.front")]) == 3
 
 
 def test_stein_check_failure_exit_1(tmp_path, capsys):
@@ -167,8 +220,8 @@ def test_stein_check_failure_exit_1(tmp_path, capsys):
     bad = d.replace(meta=(), two_handles=tuple(
         h.__class__(h.id, h.word, -3, h.linking) for h in d.two_handles))
     datum_path.write_text(datum_io.dumps(bad))
-    from corkcalc.families import data_dir
-    front_path = data_dir() / "fronts" / "C_1_1.front"
+    front_path = tmp_path / "C_1_1.front"
+    _write_wheel_front(front_path, 1, 1)
     assert run(["stein-check", str(datum_path), str(front_path)]) == 1
 
 

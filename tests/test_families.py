@@ -1,17 +1,11 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from corkcalc import datum as datum_io
 from corkcalc.datum import CorkPair, canonical_json, validate, validate_cork_pair
-from corkcalc.errors import BadIndexError, DataFileMissingError, LengthMismatchError
+from corkcalc.errors import BadIndexError, LengthMismatchError
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F,
                                build_W, build_W_twisted, build_X, build_Z,
-                               build_Z_twisted, c_sequence, d_sequence, data_dir,
-                               e_family_path, elliptic_surface_path, f_sequence,
-                               generate_e_family, generate_elliptic_surface,
+                               build_Z_twisted, c_sequence, d_sequence,
                                load_elliptic_surface)
 from corkcalc.invariants import boundary_h1, homology
 from corkcalc.isomorphism import datum_isomorphic
@@ -19,6 +13,8 @@ from corkcalc.moves import blow_down, minus_one_sphere_present, rotate
 from corkcalc.sequences import all_sequences, period
 from corkcalc.linalg import det
 from corkcalc.datum import full_linking_matrix
+from corkcalc.stein import (FrontDocument, LegendrianFront, front_from_text,
+                            front_to_text, max_tb_reference_events, wheel_front_events)
 
 
 def test_build_x_validates_for_all_small_sequences():
@@ -128,39 +124,17 @@ def test_e_family_rotation_has_full_order():
     assert canonical_json(current) == canonical_json(d)
 
 
-def test_missing_data_file_raises(tmp_path, monkeypatch):
-    monkeypatch.setenv("CORKCALC_DATA_DIR", str(tmp_path))
-    with pytest.raises(DataFileMissingError):
-        build_E(2, 1)
-    with pytest.raises(DataFileMissingError):
-        load_elliptic_surface(1)
-
-
-def test_data_dir_override(tmp_path, monkeypatch):
-    target = tmp_path / "families"
-    target.mkdir()
-    (target / "E_9_9.json").write_text(datum_io.dumps(generate_e_family(2, 1)))
-    monkeypatch.setenv("CORKCALC_DATA_DIR", str(tmp_path))
-    assert data_dir() == tmp_path
-    d = build_E(9, 9)
-    assert validate(d).ok
-
-
-def test_bundled_files_match_generators():
+def test_generated_documents_round_trip():
+    # the parsers on the documents that once shipped as data files
     for n in range(1, 7):
         for m in range(1, 4):
-            shipped = datum_io.loads(e_family_path(n, m).read_text())
-            assert canonical_json(shipped) == canonical_json(generate_e_family(n, m))
+            d = build_E(n, m)
+            assert canonical_json(datum_io.loads(datum_io.dumps(d))) == canonical_json(d)
+            events, corr = wheel_front_events(n, m)
+            doc = FrontDocument(LegendrianFront(tuple(events)), tuple(sorted(corr.items())))
+            assert front_from_text(front_to_text(doc)) == doc
     for l in range(1, 5):
-        shipped = datum_io.loads(elliptic_surface_path(l).read_text())
-        assert canonical_json(shipped) == canonical_json(generate_elliptic_surface(l))
-
-
-def test_regeneration_script_is_idempotent(tmp_path):
-    before = {p: p.read_bytes() for p in sorted(data_dir().rglob("*.*"))}
-    result = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve().parents[1] / "scripts" / "regenerate_data.py")],
-        capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    after = {p: p.read_bytes() for p in sorted(data_dir().rglob("*.*"))}
-    assert before == after
+        d = load_elliptic_surface(l)
+        assert canonical_json(datum_io.loads(datum_io.dumps(d))) == canonical_json(d)
+    trefoil = FrontDocument(LegendrianFront(tuple(max_tb_reference_events("trefoil"))))
+    assert front_from_text(front_to_text(trefoil)) == trefoil

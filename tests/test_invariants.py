@@ -2,8 +2,7 @@ import pytest
 
 from corkcalc.datum import make_datum, two_handle
 from corkcalc.errors import UnsupportedThreeHandlesError
-from corkcalc.families import (build_Cm, build_W, build_X, generate_elliptic_surface,
-                               load_elliptic_surface)
+from corkcalc.families import build_Cm, build_W, build_X, load_elliptic_surface
 from corkcalc.invariants import (boundary_h1, char_numbers_from_datum,
                                  char_numbers_from_form, connected_sum, cp2,
                                  cp2_bar, char_zero, homology, intersection_form,
@@ -112,7 +111,7 @@ def test_surface_numbers_computed_from_datum():
 
 
 def test_surface_datum_is_unimodular_and_generated_fresh():
-    d = generate_elliptic_surface(2)
+    d = load_elliptic_surface(2)
     q = intersection_form(d)
     assert abs(det(q)) == 1
     assert signature(q) == (3, 19, 0)

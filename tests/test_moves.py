@@ -410,3 +410,14 @@ def test_trace_text_round_trip():
     parsed = trace_from_text(trace_to_text(trace))
     assert parsed == trace
     assert parsed.target_dict == {"family": "X", "n": 2, "m": 1, "sequence": "0*"}
+
+
+def test_trace_text_keeps_params():
+    # an empty word and a linking object come back as recorded
+    params = [("attach_2handle", {"id": "u", "word": [], "framing": 0, "linking": {"b0": 1}}),
+              ("slide_2_over_1", {"h": "u", "g": "a0", "sign": -1, "end": "front"})]
+    rec = Recorder(build_X(3, 1, "*00"))
+    for move, p in params:
+        rec.apply(move, **p)
+    parsed = trace_from_text(trace_to_text(rec.trace()))
+    assert [(s.move, s.params_dict) for s in parsed.steps] == params

@@ -3,11 +3,11 @@ import pytest
 from corkcalc.datum import make_datum, two_handle
 from corkcalc.errors import (CorrespondenceIncompleteError, FrontFormatError,
                              OddCuspImbalanceError)
-from corkcalc.families import build_C, data_dir
+from corkcalc.families import build_C
 from corkcalc.stein import (DOWN, UP, FrontDocument, FrontEvent, FrontGeometry,
                             LegendrianFront, framed_zero_component_events,
                             front_from_text, front_to_text, linking_number,
-                            load_front_file, max_tb_reference_events, mirror,
+                            max_tb_reference_events, mirror,
                             rot, stein_check, tb, unknot_events,
                             wheel_front_events, writhe)
 
@@ -124,8 +124,8 @@ def test_stein_check_passes_on_bundled_wheel_fronts():
     for n in (1, 2, 3, 4):
         for m in (1, 2, 3):
             d = build_C(n, m)
-            doc = load_front_file(data_dir() / "fronts" / f"C_{n}_{m}.front")
-            report = stein_check(d, doc.front, doc.correspondence_dict)
+            events, corr = wheel_front_events(n, m)
+            report = stein_check(d, front(events), corr)
             assert report.passed, (n, m, report.to_dict())
 
 
@@ -188,10 +188,3 @@ def test_front_parse_errors_carry_line_numbers():
     with pytest.raises(FrontFormatError):
         front_from_text("lcusp zero u up\n")
 
-
-def test_front_files_carry_status_flags():
-    doc5 = load_front_file(data_dir() / "fronts" / "C_5_1.front")
-    assert any("extrapolated" in f for f in doc5.flags)
-    doc4 = load_front_file(data_dir() / "fronts" / "C_4_1.front")
-    assert any("transcription" in f for f in doc4.flags)
-    assert not any("extrapolated" in f for f in doc4.flags)
