@@ -1,33 +1,42 @@
 """Handle-decomposition data ("Kirby data") and their canonical form.
 
 A datum records dotted circles (1-handles, one free-group generator each),
-2-handles (attaching word over the generators, integer framing, linking
-numbers with other components), and a 3-handle count.  The abstraction
+2-handles (attaching word over the generators and integer framing), the
+linking numbers between 2-handles, and a 3-handle count.  The abstraction
 deliberately forgets planar knotting: words and linking numbers are the
-whole state.
-
-Linking records are stored per 2-handle as a sparse map over *other
-component ids*, covering both 2-handles and dotted circles.  For a dotted
-circle the geometric linking number must equal the exponent sum of the
-word, which ``validate`` enforces; builders fill those entries in
-automatically.  Dotted circles form an unlink, so dotted-dotted linking is
-identically zero and never stored.
+whole state.  Each linking number is stored once: a 2-handle pair's in the
+``links`` store under the unordered pair, a 2-handle's with a dotted circle
+as the exponent sum of its word, and dotted circles (an unlink) never link
+each other.  ``KirbyDatum.lk`` reads all three.
 
 Canonical serialization (sorted handles, normalized words, canonical JSON)
-is the basis for file round-trips and trace hashing.
+is the basis for file round-trips and trace hashing.  The ``/1`` format
+lists every linking of a 2-handle on its record, so each pair is written on
+both handles and each dotted linking next to the word; ``from_canonical``
+is the one place where those copies meet.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .errors import DatumFormatError
+from .linalg import IntMatrix
 from .words import Word, parse_word
 
 DATUM_FORMAT = "corkcalc-datum/1"
+
+Pair = tuple[str, str]
+
+
+def link_key(x: str, y: str) -> Pair:
+    """The store key of the unordered pair {x, y}."""
+    return (x, y) if x <= y else (y, x)
 
 
 @dataclass(frozen=True)
@@ -35,30 +44,11 @@ class TwoHandle:
     id: str
     word: Word
     framing: int
-    linking: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self):
-        cleaned = tuple(sorted((k, int(v)) for k, v in dict(self.linking).items() if v != 0))
-        object.__setattr__(self, "linking", cleaned)
-
-    @property
-    def linking_map(self) -> dict[str, int]:
-        return dict(self.linking)
-
-    def lk(self, other_id: str) -> int:
-        return self.linking_map.get(other_id, 0)
 
 
-def two_handle(hid: str, letters, framing: int, linking: Mapping[str, int] | None = None,
-               *, dot_links_from_word: bool = True) -> TwoHandle:
-    """Build a 2-handle; by default dotted-circle linkings are derived from
-    the word's exponent sums (pass explicit values to override)."""
+def two_handle(hid: str, letters, framing: int) -> TwoHandle:
     w = Word(tuple(letters)) if not isinstance(letters, Word) else letters
-    links = dict(linking or {})
-    if dot_links_from_word:
-        for g, e in w.exponents().items():
-            links.setdefault(g, e)
-    return TwoHandle(hid, w, int(framing), tuple(links.items()))
+    return TwoHandle(hid, w, int(framing))
 
 
 @dataclass(frozen=True)
@@ -67,6 +57,8 @@ class KirbyDatum:
     two_handles: tuple[TwoHandle, ...] = ()
     three_handles: int = 0
     meta: tuple[tuple[str, Any], ...] = ()
+    # each unordered 2-handle pair once, sorted, zero values dropped
+    links: tuple[tuple[Pair, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "one_handles", tuple(sorted(self.one_handles)))
@@ -74,6 +66,11 @@ class KirbyDatum:
                            tuple(sorted(self.two_handles, key=lambda h: h.id)))
         if isinstance(self.meta, dict):
             object.__setattr__(self, "meta", tuple(sorted(self.meta.items())))
+        items = self.links.items() if isinstance(self.links, Mapping) else self.links
+        links = tuple(sorted((link_key(*k), int(v)) for k, v in items if v))
+        if len({k for k, _ in links}) != len(links):
+            raise ValueError("a linking pair is given twice")
+        object.__setattr__(self, "links", links)
 
     @property
     def meta_map(self) -> dict[str, Any]:
@@ -89,26 +86,32 @@ class KirbyDatum:
                 return h
         return None
 
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(self.one_handles) + self.handle_ids
+    @cached_property
+    def _link_map(self) -> dict[Pair, int]:
+        return dict(self.links)
+
+    def lk(self, x: str, y: str) -> int:
+        """Linking number of two components: the stored value for two
+        2-handles, the word's exponent sum for a dotted circle and a
+        2-handle, zero for two dotted circles."""
+        if y in self.one_handles:
+            x, y = y, x
+        if x in self.one_handles:
+            h = self.handle(y)
+            return 0 if h is None else h.word.exponent_sum(x)
+        return self._link_map.get(link_key(x, y), 0)
 
     def replace(self, **kw) -> "KirbyDatum":
-        data = {
-            "one_handles": self.one_handles,
-            "two_handles": self.two_handles,
-            "three_handles": self.three_handles,
-            "meta": self.meta,
-        }
-        data.update(kw)
-        return KirbyDatum(**data)
+        return dataclasses.replace(self, **kw)
 
 
 def make_datum(one_handles: Iterable[str] = (),
                two_handles: Iterable[TwoHandle] = (),
                three_handles: int = 0,
-               meta: Mapping[str, Any] | None = None) -> KirbyDatum:
+               meta: Mapping[str, Any] | None = None,
+               links: Mapping[Pair, int] | None = None) -> KirbyDatum:
     return KirbyDatum(tuple(one_handles), tuple(two_handles), three_handles,
-                      tuple(sorted((meta or {}).items())))
+                      tuple(sorted((meta or {}).items())), links or ())
 
 
 # --- invariant checking -----------------------------------------------------
@@ -139,7 +142,6 @@ def validate(d: KirbyDatum) -> ValidationReport:
     out: list[Violation] = []
     gens = set(d.one_handles)
     hids = set(d.handle_ids)
-    comp_ids = gens | hids
 
     if len(gens) != len(d.one_handles):
         out.append(Violation("DUPLICATE_ID", "duplicate dotted-circle ids"))
@@ -156,40 +158,20 @@ def validate(d: KirbyDatum) -> ValidationReport:
             if g not in gens:
                 out.append(Violation("UNKNOWN_GENERATOR",
                                      f"word of {h.id} uses unknown generator {g}", (h.id, g)))
-        links = h.linking_map
-        for other, value in links.items():
-            if other == h.id:
-                out.append(Violation("SELF_LINKING",
-                                     f"{h.id} records a linking with itself", (h.id,)))
-            elif other not in comp_ids:
-                out.append(Violation("LINKING_UNKNOWN_ID",
-                                     f"{h.id} links unknown component {other}", (h.id, other)))
-        # dotted-circle linkings must be the word exponent sums
-        exps = h.word.exponents()
-        for g in gens:
-            recorded = links.get(g, 0)
-            expected = exps.get(g, 0)
-            if recorded != expected:
-                out.append(Violation(
-                    "EXPONENT_LINKING_MISMATCH",
-                    f"{h.id}: word exponent sum {expected} in {g} but recorded linking {recorded}",
-                    (h.id, g)))
+    for (x, y), _ in d.links:
+        if x == y:
+            out.append(Violation("SELF_LINKING", f"{x} records a linking with itself", (x,)))
+        unknown = sorted({x, y} - hids)
+        if unknown:
+            out.append(Violation("LINKING_UNKNOWN_ID",
+                                 f"linking of {x} and {y} names {', '.join(unknown)}, "
+                                 "which is not a 2-handle", (x, y)))
 
-    # symmetry of the 2-handle linking relation
-    by_id = {h.id: h for h in d.two_handles}
-    for h in d.two_handles:
-        for other, value in h.linking_map.items():
-            if other in by_id and by_id[other].lk(h.id) != value:
-                out.append(Violation(
-                    "LINKING_ASYMMETRIC",
-                    f"lk({h.id},{other}) = {value} but lk({other},{h.id}) = {by_id[other].lk(h.id)}",
-                    (h.id, other)))
-
-    out.extend(_validate_wheel_meta(d, gens, by_id))
+    out.extend(_validate_wheel_meta(d, gens))
     return ValidationReport(tuple(out))
 
 
-def _validate_wheel_meta(d: KirbyDatum, gens, by_id) -> list[Violation]:
+def _validate_wheel_meta(d: KirbyDatum, gens) -> list[Violation]:
     meta = d.meta_map
     seq = meta.get("sequence")
     if seq is None:
@@ -204,7 +186,7 @@ def _validate_wheel_meta(d: KirbyDatum, gens, by_id) -> list[Violation]:
             out.append(Violation("META_INCONSISTENT",
                                  f"pair {j}: expected dotted circle {dotted}", (dotted,)))
             continue
-        h = by_id.get(framed)
+        h = d.handle(framed)
         if h is None:
             out.append(Violation("META_INCONSISTENT",
                                  f"pair {j}: expected 2-handle {framed}", (framed,)))
@@ -243,12 +225,10 @@ def validate_cork_pair(d: KirbyDatum, pair: CorkPair) -> list[str]:
     if len(h.word) != 1 or h.word.letters[0][0] != pair.dotted:
         problems.append(f"word of {h.id} is not a single pass through {pair.dotted}")
     for other in d.two_handles:
-        if other.id == h.id:
-            continue
-        if other.word.exponent_sum(pair.dotted) != 0 or pair.dotted in other.word.generators():
+        if other.id != h.id and pair.dotted in other.word.generators():
             problems.append(f"{other.id} also passes through {pair.dotted}")
-    for other_id, value in h.linking_map.items():
-        if other_id != pair.dotted and value != 0:
+    for other_id in sorted(linking_records(d)[h.id]):
+        if other_id != pair.dotted:
             problems.append(f"{h.id} links {other_id}")
     return problems
 
@@ -260,13 +240,9 @@ def exponent_matrix(d: KirbyDatum):
 
     Returns (matrix, row_ids, col_ids); ids are sorted for determinism.
     """
-    from .linalg import IntMatrix
     row_ids = tuple(d.one_handles)
     col_ids = d.handle_ids
-    entries = []
-    for g in row_ids:
-        for h in d.two_handles:
-            entries.append(h.word.exponent_sum(g))
+    entries = [h.word.exponent_sum(g) for g in row_ids for h in d.two_handles]
     return IntMatrix(len(row_ids), len(col_ids), tuple(entries)), row_ids, col_ids
 
 
@@ -274,48 +250,41 @@ def full_linking_matrix(d: KirbyDatum):
     """Symmetric linking matrix over all components.
 
     Dotted circles convert to 0-framed components (diagonal 0); 2-handles
-    carry their framing on the diagonal.  Off-diagonal entries come from
-    word exponent sums (dotted vs handle) and recorded linkings (handle vs
-    handle); dotted circles never link each other.
-    Returns (matrix, component order).
+    carry their framing on the diagonal; every off-diagonal entry is
+    ``d.lk``.  Returns (matrix, component order).
     """
-    from .linalg import IntMatrix
     order = tuple(d.one_handles) + d.handle_ids
-    index = {cid: i for i, cid in enumerate(order)}
     n = len(order)
     rows = [[0] * n for _ in range(n)]
-    for h in d.two_handles:
-        i = index[h.id]
+    for i, h in enumerate(d.two_handles, start=len(d.one_handles)):
         rows[i][i] = h.framing
-        for g, e in h.word.exponents().items():
-            j = index[g]
-            rows[i][j] = e
-            rows[j][i] = e
-        for other, value in h.linking_map.items():
-            if other in index and other not in d.one_handles:
-                rows[i][index[other]] = value
-                rows[index[other]][i] = value
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = d.lk(order[i], order[j])
     return IntMatrix.from_rows(rows), order
 
 
 # --- canonical form, hashing, file round trip ---------------------------------
 
+def linking_records(d: KirbyDatum) -> dict[str, dict[str, int]]:
+    """Each 2-handle's nonzero linkings with the other components, by id:
+    its word's exponent sums for dotted circles, the store for 2-handles."""
+    records = {h.id: {g: e for g, e in h.word.exponents().items() if e}
+               for h in d.two_handles}
+    for (x, y), v in d.links:
+        records.setdefault(x, {})[y] = v
+        records.setdefault(y, {})[x] = v
+    return records
+
+
 def canonical_form(d: KirbyDatum) -> dict:
-    return {
-        "format": DATUM_FORMAT,
-        "one_handles": list(d.one_handles),
-        "two_handles": [
-            {
-                "id": h.id,
-                "word": h.word.serialize(),
-                "framing": h.framing,
-                "linking": [[k, v] for k, v in h.linking],
-            }
-            for h in d.two_handles
-        ],
-        "three_handles": d.three_handles,
-        "meta": {k: v for k, v in d.meta},
-    }
+    records = linking_records(d)
+    handles = [{"id": h.id, "word": h.word.serialize(), "framing": h.framing,
+                "linking": [[k, v] for k, v in sorted(records[h.id].items())]}
+               for h in d.two_handles]
+    return {"format": DATUM_FORMAT, "one_handles": list(d.one_handles),
+            "two_handles": handles, "three_handles": d.three_handles,
+            "meta": {k: v for k, v in d.meta}}
 
 
 def canonical_json(d: KirbyDatum) -> str:
@@ -338,7 +307,7 @@ def from_canonical(obj: Any) -> KirbyDatum:
     ones = obj["one_handles"]
     if not isinstance(ones, list) or not all(isinstance(g, str) and g for g in ones):
         raise DatumFormatError("one_handles must be a list of nonempty strings")
-    handles = []
+    handles, records = [], {}
     if not isinstance(obj["two_handles"], list):
         raise DatumFormatError("two_handles must be a list")
     for rec in obj["two_handles"]:
@@ -352,23 +321,47 @@ def from_canonical(obj: Any) -> KirbyDatum:
             w = parse_word(rec["word"])
         except (ValueError, TypeError) as e:
             raise DatumFormatError(f"bad word for {rec['id']}: {e}") from e
-        links = {}
-        if not isinstance(rec["linking"], list):
-            raise DatumFormatError(f"linking of {rec['id']} must be a list of [id, value]")
-        for entry in rec["linking"]:
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not isinstance(entry[0], str)
-                    or not isinstance(entry[1], int) or isinstance(entry[1], bool)):
-                raise DatumFormatError(f"bad linking entry {entry!r} on {rec['id']}")
-            if entry[0] in links:
-                raise DatumFormatError(f"duplicate linking partner {entry[0]} on {rec['id']}")
-            links[entry[0]] = entry[1]
-        handles.append(TwoHandle(rec["id"], w, rec["framing"], tuple(links.items())))
+        entries = rec["linking"]
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], int) and not isinstance(e[1], bool) for e in entries):
+            raise DatumFormatError(f"linking of {rec['id']} must be a list of [id, integer]")
+        links = dict(entries)
+        if len(links) != len(entries):
+            raise DatumFormatError(f"duplicate linking partner on {rec['id']}")
+        handles.append(TwoHandle(rec["id"], w, rec["framing"]))
+        records[rec["id"]] = links
     if not isinstance(obj["three_handles"], int) or isinstance(obj["three_handles"], bool):
         raise DatumFormatError("three_handles must be an integer")
     if not isinstance(obj["meta"], dict):
         raise DatumFormatError("meta must be an object")
-    return make_datum(ones, handles, obj["three_handles"], obj["meta"])
+    return make_datum(ones, handles, obj["three_handles"], obj["meta"],
+                      _pair_store(ones, handles, records))
+
+
+def _pair_store(ones, handles, records) -> dict[Pair, int]:
+    """The pair store of a ``/1`` document's linking records.  A record for
+    a dotted circle or a word generator must be the word's exponent sum (a
+    dotted circle's is left out only when that is 0), and the two records of
+    a 2-handle pair must agree; others are kept for ``validate`` to report."""
+    store: dict[Pair, int] = {}
+    for h in handles:
+        links, exps = records[h.id], h.word.exponents()
+        for g in sorted(set(ones) | set(exps)):
+            if links.get(g, 0) != exps.get(g, 0) and (g in ones or g in links):
+                raise DatumFormatError(
+                    f"EXPONENT_LINKING_MISMATCH: {h.id} has exponent sum {exps.get(g, 0)} "
+                    f"in {g} but records linking {links.get(g, 0)}")
+        for other, value in links.items():
+            if other in ones or other in exps:
+                continue
+            mirror = records[other].get(h.id, 0) if other in records else value
+            if mirror != value:
+                raise DatumFormatError(
+                    f"LINKING_ASYMMETRIC: lk({h.id},{other}) = {value} "
+                    f"but lk({other},{h.id}) = {mirror}")
+            store[link_key(h.id, other)] = value
+    return store
 
 
 def loads(text: str) -> KirbyDatum:

@@ -163,16 +163,12 @@ def load_elliptic_surface(l: int) -> KirbyDatum:
     numbers are computed from the form, never trusted)."""
     if l < 1:
         raise BadIndexError("need l >= 1")
-    handles = []
+    handles, links = [], {}
     for b in range(l):
         ids = [f"e{b}n{i}" for i in range(8)]
-        links: dict[int, dict[str, int]] = {i: {} for i in range(8)}
-        for i, j in _E8_EDGES:
-            links[i][ids[j]] = 1
-            links[j][ids[i]] = 1
-        for i in range(8):
-            handles.append(two_handle(ids[i], (), -2, links[i]))
+        handles += [two_handle(hid, (), -2) for hid in ids]
+        links.update({(ids[i], ids[j]): 1 for i, j in _E8_EDGES})
     for k in range(2 * l - 1):
-        handles.append(two_handle(f"h{k}a", (), 0, {f"h{k}b": 1}))
-        handles.append(two_handle(f"h{k}b", (), 0, {f"h{k}a": 1}))
-    return make_datum((), handles, 0, {"family": "El", "l": l})
+        handles += [two_handle(f"h{k}a", (), 0), two_handle(f"h{k}b", (), 0)]
+        links[(f"h{k}a", f"h{k}b")] = 1
+    return make_datum((), handles, 0, {"family": "El", "l": l}, links)

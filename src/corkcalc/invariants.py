@@ -86,19 +86,12 @@ def intersection_form_with_basis(d: KirbyDatum):
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
             "intersection form of data with explicit 3-handles is not supported")
-    mat, _, col_ids = exponent_matrix(d)
+    mat, _, _ = exponent_matrix(d)
     basis = linalg.kernel_basis(mat)
     k = len(basis)
-    index = {hid: i for i, hid in enumerate(col_ids)}
-    n = len(col_ids)
-    link = [[0] * n for _ in range(n)]
-    for h in d.two_handles:
-        i = index[h.id]
-        link[i][i] = h.framing
-        for other, value in h.linking_map.items():
-            if other in index:
-                link[i][index[other]] = value
-                link[index[other]][i] = value
+    full, _ = full_linking_matrix(d)
+    g = len(d.one_handles)  # the 2-handle block follows the dotted circles
+    link = [full.row(i)[g:] for i in range(g, full.rows)]
     entries = []
     for v in basis:
         lv = [sum(map(mul, row, v)) for row in link]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datum import KirbyDatum, TwoHandle
+from .datum import KirbyDatum, link_key, linking_records
 from .errors import SearchBudgetExceededError
 from .words import Word
 
@@ -59,8 +59,6 @@ def check_witness(d1: KirbyDatum, d2: KirbyDatum, w: IsoWitness) -> bool:
     hmap = w.handle_map_dict
     gsign = dict(w.generator_signs)
     hsign = dict(w.handle_signs)
-    gens1 = set(d1.one_handles)
-    gens2 = set(d2.one_handles)
     if sorted(gmap) != sorted(d1.one_handles) or sorted(gmap.values()) != sorted(d2.one_handles):
         return False
     if sorted(hmap) != sorted(d1.handle_ids) or sorted(hmap.values()) != sorted(d2.handle_ids):
@@ -76,12 +74,9 @@ def check_witness(d1: KirbyDatum, d2: KirbyDatum, w: IsoWitness) -> bool:
             mapped = mapped.inverse()
         if not _cyclic_rotation_equal(mapped, target.word):
             return False
-        mine = {hmap[k]: v * hsign.get(h.id, 1) * hsign.get(k, 1)
-                for k, v in h.linking_map.items() if k not in gens1}
-        theirs = {k: v for k, v in target.linking_map.items() if k not in gens2}
-        if mine != theirs:
-            return False
-    return True
+    mapped_links = {link_key(hmap[x], hmap[y]): v * hsign.get(x, 1) * hsign.get(y, 1)
+                    for (x, y), v in d1.links}
+    return mapped_links == dict(d2.links)
 
 
 def _mapped_word(word: Word, gmap: dict[str, str], gsign: dict[str, int]) -> Word:
@@ -150,18 +145,21 @@ def _wheel_isomorphic(d1, seq1, d2, seq2) -> IsoWitness | None:
     return None
 
 
-def _handle_signature(h: TwoHandle):
-    return (h.framing, len(h.word.cyclic_reduce()),
-            tuple(sorted(abs(v) for v in h.linking_map.values())))
+def _handle_signatures(d: KirbyDatum) -> dict:
+    records = linking_records(d)
+    return {h.id: (h.framing, len(h.word.cyclic_reduce()),
+                   tuple(sorted(abs(v) for v in records[h.id].values())))
+            for h in d.two_handles}
 
 
 def _general_isomorphic(d1: KirbyDatum, d2: KirbyDatum) -> IsoWitness | None:
-    handles1 = sorted(d1.two_handles, key=lambda h: (_handle_signature(h), h.id))
+    sig1, sig2 = _handle_signatures(d1), _handle_signatures(d2)
+    handles1 = sorted(d1.two_handles, key=lambda h: (sig1[h.id], h.id))
     by_sig2: dict = {}
     for h in d2.two_handles:
-        by_sig2.setdefault(_handle_signature(h), []).append(h)
+        by_sig2.setdefault(sig2[h.id], []).append(h)
     for h in handles1:
-        if _handle_signature(h) not in by_sig2:
+        if sig1[h.id] not in by_sig2:
             return None
 
     nodes = [0]
@@ -176,7 +174,7 @@ def _general_isomorphic(d1: KirbyDatum, d2: KirbyDatum) -> IsoWitness | None:
         if idx == len(handles1):
             return _finish(d1, d2, hmap, hsign, gmap, gsign)
         h = handles1[idx]
-        for cand in by_sig2[_handle_signature(h)]:
+        for cand in by_sig2[sig1[h.id]]:
             if cand.id in used:
                 continue
             for orient in (1, -1):
@@ -232,15 +230,9 @@ def _word_alignments(w1: Word, w2: Word, orient: int, gmap, gsign):
 
 
 def _links_compatible(d1, d2, hmap, hsign, h, cand, orient) -> bool:
-    for placed_id, placed_target in hmap.items():
-        placed = d1.handle(placed_id)
-        target = d2.handle(placed_target)
-        expect = h.lk(placed_id) * orient * hsign[placed_id]
-        if cand.lk(placed_target) != expect:
-            return False
-        if placed.lk(h.id) * orient * hsign[placed_id] != target.lk(cand.id):
-            return False
-    return True
+    return all(d1.lk(h.id, placed_id) * orient * hsign[placed_id]
+               == d2.lk(cand.id, placed_target)
+               for placed_id, placed_target in hmap.items())
 
 
 def _finish(d1, d2, hmap, hsign, gmap, gsign) -> IsoWitness | None:

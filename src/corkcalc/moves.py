@@ -2,11 +2,14 @@
 
 Move semantics
 --------------
+Every move reads and writes the datum's single linking store (one entry
+per unordered 2-handle pair); dotted-circle linkings follow the words.
+
 ``slide_2_over_2`` adds a framed parallel copy of one 2-handle to another:
 the word gains the slid-over handle's word, the framing changes by
-``f2 + 2*sign*lk(h1,h2)``, the linking row changes by ``sign`` times the
-other row, and ``lk(h1,h2)`` itself gains ``sign*f2``.  On the full linking
-matrix this is a unimodular congruence.
+``f2 + 2*sign*lk(h1,h2)``, ``lk(h1,x)`` gains ``sign*lk(h2,x)`` for every
+other 2-handle x, and ``lk(h1,h2)`` itself gains ``sign*f2``.  On the full
+linking matrix this is a unimodular congruence.
 
 ``cancel_1_2`` removes a dotted circle together with a 2-handle passing it
 exactly once, after sliding every other word free of the circle.
@@ -16,9 +19,9 @@ plus the 3-handle that caps it": the handle disappears and the modeled
 3-handle absorbs the H2 class it carried, so the explicit 3-handle count
 never changes.
 
-``blow_down`` removes a +-1-framed empty-word handle, transferring squares
-and products of linking numbers to the survivors; boundary homology is
-untouched and b2 drops by one.
+``blow_down`` removes a +-1-framed empty-word handle e with a rank-one
+update: every survivor pair loses ``eps*lk(x,e)*lk(y,e)`` and every framing
+``eps*lk(x,e)**2``; boundary homology is untouched and b2 drops by one.
 
 Cork twists exchange the roles inside a (dotted circle, 0-framed handle)
 pair.  ``cork_twist_pair`` requires the pair to be algebraically separated;
@@ -36,8 +39,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .datum import (KirbyDatum, TwoHandle, datum_hash, make_datum, two_handle,
-                    validate_cork_pair, CorkPair)
+from .datum import (KirbyDatum, TwoHandle, datum_hash, link_key, make_datum,
+                    validate, validate_cork_pair, CorkPair)
 from .errors import (BadLinkingError, CorkCalcError, DuplicateIdError,
                      HandleNotFoundError, HashMismatchError, IllegalMoveError,
                      NotBlowdownableError, NotCancellableError, NotSeparatedError,
@@ -69,7 +72,6 @@ def _wheel_state(d: KirbyDatum):
     if not isinstance(seq, str) or not isinstance(n, int) or n != len(seq):
         raise NotWheelFamilyError("datum carries no wheel-family metadata")
     check_sequence(seq)
-    from .datum import validate
     stale = [v for v in validate(d).violations if v.code == "META_INCONSISTENT"]
     if stale:
         raise NotWheelFamilyError(f"wheel metadata is stale: {stale[0].message}")
@@ -78,13 +80,8 @@ def _wheel_state(d: KirbyDatum):
 
 def _wheel_member_ids(meta: dict) -> set[str]:
     seq = meta.get("sequence")
-    if not isinstance(seq, str):
-        return set()
-    out = set()
-    for j in range(len(seq)):
-        out.add(f"a{j}")
-        out.add(f"b{j}")
-    return out
+    n = len(seq) if isinstance(seq, str) else 0
+    return {f"{c}{j}" for j in range(n) for c in "ab"}
 
 
 def _drop_wheel_meta_if_touched(d: KirbyDatum, touched_ids: set[str]) -> dict:
@@ -96,10 +93,16 @@ def _drop_wheel_meta_if_touched(d: KirbyDatum, touched_ids: set[str]) -> dict:
 
 
 def _rebuild(d: KirbyDatum, handles: list[TwoHandle], one_handles=None,
-             meta: dict | None = None) -> KirbyDatum:
+             meta: dict | None = None, links=None) -> KirbyDatum:
     return make_datum(one_handles if one_handles is not None else d.one_handles,
                       handles, d.three_handles,
-                      meta if meta is not None else d.meta_map)
+                      meta if meta is not None else d.meta_map,
+                      links if links is not None else d.links)
+
+
+def _partners(d: KirbyDatum, hid: str) -> dict[str, int]:
+    """The stored linkings of one 2-handle, by partner id."""
+    return {y if x == hid else x: v for (x, y), v in d.links if hid in (x, y)}
 
 
 # --- handle slides ------------------------------------------------------------
@@ -118,26 +121,17 @@ def _slide_2_over_2_at(d: KirbyDatum, h1_id: str, h2_id: str, sign: int,
     pos = len(letters) if position is None else position
     new_word = Word(letters[:pos] + inserted.letters + letters[pos:])
 
-    new_framing = h1.framing + h2.framing + 2 * sign * h1.lk(h2_id)
-    links = dict(h1.linking_map)
-    for key, value in h2.linking_map.items():
-        if key == h1_id:
-            continue
-        links[key] = links.get(key, 0) + sign * value
-    links[h2_id] = h1.lk(h2_id) + sign * h2.framing
-
-    new_h1 = TwoHandle(h1_id, new_word, new_framing, tuple(links.items()))
-    out = []
-    for h in d.two_handles:
-        if h.id == h1_id:
-            out.append(new_h1)
-        else:
-            hl = dict(h.linking_map)
-            if new_h1.lk(h.id) != h.lk(h1_id):
-                hl[h1_id] = new_h1.lk(h.id)
-            out.append(TwoHandle(h.id, h.word, h.framing, tuple(hl.items())))
+    lk12 = d.lk(h1_id, h2_id)
+    links = dict(d.links)
+    for x, value in _partners(d, h2_id).items():
+        if x not in (h1_id, h2_id):
+            key = link_key(h1_id, x)
+            links[key] = links.get(key, 0) + sign * value
+    links[link_key(h1_id, h2_id)] = lk12 + sign * h2.framing
+    new_h1 = TwoHandle(h1_id, new_word, h1.framing + h2.framing + 2 * sign * lk12)
+    out = [new_h1 if h.id == h1_id else h for h in d.two_handles]
     meta = _drop_wheel_meta_if_touched(d, {h1_id})
-    return _rebuild(d, out, meta=meta)
+    return _rebuild(d, out, meta=meta, links=links)
 
 
 def slide_2_over_2(d: KirbyDatum, h1: str, h2: str, sign: int) -> KirbyDatum:
@@ -148,8 +142,8 @@ def slide_2_over_2(d: KirbyDatum, h1: str, h2: str, sign: int) -> KirbyDatum:
 def slide_2_over_1(d: KirbyDatum, h: str, g: str, sign: int, end: str = BACK) -> KirbyDatum:
     """Reroute 2-handle h once through the dotted circle g.
 
-    The word gains g^sign at the chosen end and the g-linking record follows
-    the new exponent sum; framings and 2-handle linkings are untouched.
+    The word gains g^sign at the chosen end, which moves lk(h, g) with it;
+    framings and 2-handle linkings are untouched.
     """
     if sign not in (1, -1):
         raise IllegalMoveError("slide sign must be +1 or -1")
@@ -160,9 +154,7 @@ def slide_2_over_1(d: KirbyDatum, h: str, g: str, sign: int, end: str = BACK) ->
     letter = ((g, sign),)
     new_word = Word(letter + handle.word.letters if end == FRONT
                     else handle.word.letters + letter)
-    links = dict(handle.linking_map)
-    links[g] = new_word.exponent_sum(g)
-    new_handle = TwoHandle(h, new_word, handle.framing, tuple(links.items()))
+    new_handle = TwoHandle(h, new_word, handle.framing)
     out = [new_handle if x.id == h else x for x in d.two_handles]
     meta = _drop_wheel_meta_if_touched(d, {h})
     return _rebuild(d, out, meta=meta)
@@ -202,15 +194,11 @@ def cancel_1_2(d: KirbyDatum, g: str, h: str) -> KirbyDatum:
             progress = True
             break
 
-    survivors = []
-    for x in current.two_handles:
-        if x.id == h:
-            continue
-        links = {k: v for k, v in x.linking_map.items() if k not in (g, h)}
-        survivors.append(TwoHandle(x.id, x.word, x.framing, tuple(links.items())))
+    survivors = [x for x in current.two_handles if x.id != h]
+    links = {k: v for k, v in current.links if h not in k}
     ones = tuple(u for u in current.one_handles if u != g)
     meta = _drop_wheel_meta_if_touched(current, touched)
-    return _rebuild(current, survivors, one_handles=ones, meta=meta)
+    return _rebuild(current, survivors, one_handles=ones, meta=meta, links=links)
 
 
 def remove_split_zero_handle(d: KirbyDatum, h: str) -> KirbyDatum:
@@ -220,7 +208,7 @@ def remove_split_zero_handle(d: KirbyDatum, h: str) -> KirbyDatum:
     3-handle and cancels it against the removed 2-handle in one step.
     """
     handle = _require_handle(d, h)
-    if handle.word or handle.framing != 0 or handle.linking:
+    if handle.word or handle.framing != 0 or _partners(d, h):
         raise NotSplitError(f"{h} is not a split 0-framed handle")
     survivors = [x for x in d.two_handles if x.id != h]
     meta = _drop_wheel_meta_if_touched(d, {h})
@@ -243,17 +231,9 @@ def attach_2handle(d: KirbyDatum, hid: str, letters, framing: int,
     for key in links:
         if key not in handle_ids:
             raise BadLinkingError(f"linking names {key}, which is not a 2-handle")
-    new = two_handle(hid, w, framing, links)
-    out = []
-    for x in d.two_handles:
-        if new.lk(x.id) != 0:
-            xl = dict(x.linking_map)
-            xl[hid] = new.lk(x.id)
-            out.append(TwoHandle(x.id, x.word, x.framing, tuple(xl.items())))
-        else:
-            out.append(x)
-    out.append(new)
-    return _rebuild(d, out)
+    store = dict(d.links) | {link_key(hid, key): v for key, v in links.items()}
+    return _rebuild(d, list(d.two_handles) + [TwoHandle(hid, w, int(framing))],
+                    links=store)
 
 
 def blow_up(d: KirbyDatum, hid: str, sign: int) -> KirbyDatum:
@@ -262,7 +242,7 @@ def blow_up(d: KirbyDatum, hid: str, sign: int) -> KirbyDatum:
         raise IllegalMoveError("blow-up sign must be +1 or -1")
     if d.handle(hid) is not None or hid in d.one_handles:
         raise DuplicateIdError(f"id {hid} already in use")
-    out = list(d.two_handles) + [TwoHandle(hid, Word(), sign, ())]
+    out = list(d.two_handles) + [TwoHandle(hid, Word(), sign)]
     return _rebuild(d, out)
 
 
@@ -272,23 +252,17 @@ def blow_down(d: KirbyDatum, h: str) -> KirbyDatum:
     eps = handle.framing
     if handle.word or eps not in (1, -1):
         raise NotBlowdownableError(f"{h} is not a +-1-framed empty-word handle")
-    ks = {x.id: x.lk(h) for x in d.two_handles if x.id != h}
-    out = []
-    for x in d.two_handles:
-        if x.id == h:
-            continue
-        k = ks[x.id]
-        links = {key: v for key, v in x.linking_map.items() if key != h}
-        for other, k2 in ks.items():
-            if other == x.id:
-                continue
-            adjusted = links.get(other, 0) - eps * k * k2
-            links[other] = adjusted
-        out.append(TwoHandle(x.id, x.word, x.framing - eps * k * k,
-                             tuple(links.items())))
-    touched = {h} | {hid for hid, k in ks.items() if k != 0}
-    meta = _drop_wheel_meta_if_touched(d, touched)
-    return _rebuild(d, out, meta=meta)
+    k = _partners(d, h)
+    ks = sorted(k.items())
+    links = {pair: v for pair, v in d.links if h not in pair}
+    for i, (x, kx) in enumerate(ks):
+        for y, ky in ks[i + 1:]:
+            key = link_key(x, y)
+            links[key] = links.get(key, 0) - eps * kx * ky
+    out = [TwoHandle(x.id, x.word, x.framing - eps * k.get(x.id, 0) ** 2)
+           for x in d.two_handles if x.id != h]
+    meta = _drop_wheel_meta_if_touched(d, {h} | set(k))
+    return _rebuild(d, out, meta=meta, links=links)
 
 
 def minus_one_sphere_present(d: KirbyDatum) -> bool:
@@ -314,22 +288,16 @@ def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
         raise NotSeparatedError(f"{framed} must pass {dotted} exactly once to twist")
     sigma = h0.word.letters[0][1]
 
-    new_handles: list[TwoHandle] = []
-    gen_links = {framed: sigma}
+    # pairs with the framed handle turn into letters of the new dotted
+    # circle; passes through the old one turn into pairs with its new handle
+    links = {k: v for k, v in d.links if framed not in k}
+    new_handles = [TwoHandle(dotted, single(framed) ** sigma, 0)]
     for e in d.two_handles:
-        if e.id == framed:
-            continue
-        k_e = e.word.exponent_sum(dotted)
-        j_e = e.lk(framed)
-        new_word = e.word.delete_generator(dotted) * (single(framed) ** j_e)
-        links = dict(e.linking_map)
-        links[framed] = j_e   # now the dotted record, equal to the new exponent sum
-        links[dotted] = k_e   # now a 2-handle linking
-        new_handles.append(TwoHandle(e.id, new_word, e.framing, tuple(links.items())))
-        if k_e:
-            gen_links[e.id] = k_e
-    new_handles.append(TwoHandle(dotted, single(framed) ** sigma, 0,
-                                 tuple(gen_links.items())))
+        if e.id != framed:
+            links[link_key(dotted, e.id)] = e.word.exponent_sum(dotted)
+            new_word = (e.word.delete_generator(dotted)
+                        * single(framed) ** d.lk(e.id, framed))
+            new_handles.append(TwoHandle(e.id, new_word, e.framing))
 
     ones = tuple(u for u in d.one_handles if u != dotted) + (framed,)
     meta = d.meta_map
@@ -341,7 +309,7 @@ def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
                 flipped = "0" if seq[j] == "*" else "*"
                 meta["sequence"] = seq[:j] + flipped + seq[j + 1:]
                 break
-    return _rebuild(d, new_handles, one_handles=ones, meta=meta)
+    return _rebuild(d, new_handles, one_handles=ones, meta=meta, links=links)
 
 
 def cork_twist_pair(d: KirbyDatum, pair: CorkPair) -> KirbyDatum:
@@ -388,13 +356,11 @@ def rotate(d: KirbyDatum, i: int):
         return mapping.get(x, x)
 
     ones = tuple(rename(g) for g in d.one_handles)
-    handles = []
-    for h in d.two_handles:
-        links = {rename(k): v for k, v in h.linking_map.items()}
-        handles.append(TwoHandle(rename(h.id), h.word.rename(mapping), h.framing,
-                                 tuple(links.items())))
+    handles = [TwoHandle(rename(h.id), h.word.rename(mapping), h.framing)
+               for h in d.two_handles]
+    links = {(rename(x), rename(y)): v for (x, y), v in d.links}
     meta["sequence"] = shift(seq, i)
-    return _rebuild(d, handles, one_handles=ones, meta=meta), mapping
+    return _rebuild(d, handles, one_handles=ones, meta=meta, links=links), mapping
 
 
 # --- traces and replay ------------------------------------------------------------
@@ -433,26 +399,50 @@ class MoveTrace:
         return self.steps[-1].post if self.steps else self.initial
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_word(v) -> bool:
+    try:
+        return isinstance(v, list) and parse_word(v) is not None
+    except ValueError:
+        return False
+
+
+# parameter types: (description, check)
+_STR = ("a string", lambda v: isinstance(v, str))
+_INT = ("an integer", _is_int)
+_WORD = ("a list of letters such as \"a\" or \"-a\"", _is_word)
+_LINKS = ("an object of integers", lambda v: isinstance(v, dict)
+          and all(_is_int(x) for x in v.values()))
+_OPTIONAL = frozenset({"end", "linking", "m"})
+
+
 def _apply_attach(d, p):
-    return attach_2handle(d, p["id"], p["word"], p["framing"], p.get("linking") or {})
+    return attach_2handle(d, p["id"], p["word"], p["framing"], p.get("linking"))
 
 
-# move name -> (required parameters, application)
+# move name -> (parameter schema, application); the parameters named in
+# _OPTIONAL may be left out
 MOVES = {
-    "slide_2_over_2": (("h1", "h2", "sign"),
+    "slide_2_over_2": ({"h1": _STR, "h2": _STR, "sign": _INT},
                        lambda d, p: slide_2_over_2(d, p["h1"], p["h2"], p["sign"])),
-    "slide_2_over_1": (("h", "g", "sign"),
+    "slide_2_over_1": ({"h": _STR, "g": _STR, "sign": _INT, "end": _STR},
                        lambda d, p: slide_2_over_1(d, p["h"], p["g"], p["sign"],
                                                    p.get("end", BACK))),
-    "cancel_1_2": (("g", "h"), lambda d, p: cancel_1_2(d, p["g"], p["h"])),
-    "remove_split_zero_handle": (("h",), lambda d, p: remove_split_zero_handle(d, p["h"])),
-    "attach_2handle": (("id", "word", "framing"), _apply_attach),
-    "blow_up": (("id", "sign"), lambda d, p: blow_up(d, p["id"], p["sign"])),
-    "blow_down": (("h",), lambda d, p: blow_down(d, p["h"])),
-    "cork_twist_pair": (("dotted", "zero_handle"), lambda d, p: cork_twist_pair(
-        d, CorkPair(p["dotted"], p["zero_handle"], p.get("m", 1)))),
-    "twist_wheel": (("i",), lambda d, p: twist_wheel(d, p["i"])),
-    "rotate": (("i",), lambda d, p: rotate(d, p["i"])[0]),
+    "cancel_1_2": ({"g": _STR, "h": _STR}, lambda d, p: cancel_1_2(d, p["g"], p["h"])),
+    "remove_split_zero_handle": ({"h": _STR},
+                                 lambda d, p: remove_split_zero_handle(d, p["h"])),
+    "attach_2handle": ({"id": _STR, "word": _WORD, "framing": _INT, "linking": _LINKS},
+                       _apply_attach),
+    "blow_up": ({"id": _STR, "sign": _INT}, lambda d, p: blow_up(d, p["id"], p["sign"])),
+    "blow_down": ({"h": _STR}, lambda d, p: blow_down(d, p["h"])),
+    "cork_twist_pair": ({"dotted": _STR, "zero_handle": _STR, "m": _INT},
+                        lambda d, p: cork_twist_pair(
+                            d, CorkPair(p["dotted"], p["zero_handle"], p.get("m", 1)))),
+    "twist_wheel": ({"i": _INT}, lambda d, p: twist_wheel(d, p["i"])),
+    "rotate": ({"i": _INT}, lambda d, p: rotate(d, p["i"])[0]),
 }
 
 
@@ -550,6 +540,11 @@ def trace_from_text(text: str) -> MoveTrace:
             raise CorkCalcError(f"{what}: unknown move {move!r}")
         if not isinstance(params, dict):
             raise CorkCalcError(f"{what}: params must be a JSON object")
-        _require_keys(params, MOVES[move][0], f"{what} ({move}) params")
+        schema = MOVES[move][0]
+        _require_keys(params, [k for k in schema if k not in _OPTIONAL],
+                      f"{what} ({move}) params")
+        for key, (kind, check) in schema.items():
+            if key in params and not check(params[key]):
+                raise CorkCalcError(f"{what} ({move}): param {key} must be {kind}")
         steps.append(MoveStep(move, _canonical(params), obj["pre"], obj["post"]))
     return MoveTrace(header["initial"], tuple(steps), target)

@@ -12,7 +12,7 @@ the classical counts are available exactly:
 
 A datum passes the framing criterion when every 2-handle has framing
 tb - 1 for its front component and the front's pairwise linking numbers
-reproduce the datum's linking records.
+reproduce the datum's 2-handle linkings.
 
 Negative full-twist boxes expand to fixed event templates: a twist on
 antiparallel strands of one component costs two positive crossings plus a
@@ -268,7 +268,7 @@ class SteinReport:
 def stein_check(d: KirbyDatum, front: LegendrianFront,
                 correspondence: dict[str, str]) -> SteinReport:
     """Verdict per 2-handle: framing must be tb - 1, and front linking
-    numbers must match the datum's 2-handle linking records."""
+    numbers must match the datum's 2-handle linkings."""
     missing = [h.id for h in d.two_handles if h.id not in correspondence]
     if missing:
         raise CorrespondenceIncompleteError(
@@ -283,9 +283,9 @@ def stein_check(d: KirbyDatum, front: LegendrianFront,
     for i, h1 in enumerate(handles):
         for h2 in handles[i + 1:]:
             front_lk = linking_number(front, correspondence[h1.id], correspondence[h2.id])
-            if front_lk != h1.lk(h2.id):
+            if front_lk != d.lk(h1.id, h2.id):
                 mismatches.append(
-                    f"lk({h1.id},{h2.id}) = {h1.lk(h2.id)} but front gives {front_lk}")
+                    f"lk({h1.id},{h2.id}) = {d.lk(h1.id, h2.id)} but front gives {front_lk}")
     passed = all(r.ok for r in rows) and not mismatches
     return SteinReport(tuple(rows), tuple(mismatches), passed)
 

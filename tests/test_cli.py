@@ -218,16 +218,16 @@ def test_stein_check_failure_exit_1(tmp_path, capsys):
     datum_path = tmp_path / "w.json"
     d = build_X(1, 1, "*")
     bad = d.replace(meta=(), two_handles=tuple(
-        h.__class__(h.id, h.word, -3, h.linking) for h in d.two_handles))
+        h.__class__(h.id, h.word, -3) for h in d.two_handles))
     datum_path.write_text(datum_io.dumps(bad))
     front_path = tmp_path / "C_1_1.front"
     _write_wheel_front(front_path, 1, 1)
     assert run(["stein-check", str(datum_path), str(front_path)]) == 1
 
 
-def _write_datum(path, two_handle):
-    doc = {"format": "corkcalc-datum/1", "meta": {}, "one_handles": ["a"],
-           "three_handles": 0, "two_handles": [two_handle]}
+def _write_datum(path, *two_handles, one_handles=("a",)):
+    doc = {"format": "corkcalc-datum/1", "meta": {}, "one_handles": list(one_handles),
+           "three_handles": 0, "two_handles": list(two_handles)}
     path.write_text(json.dumps(doc))
 
 
@@ -247,4 +247,34 @@ def test_invariants_linking_unknown_id_exit_2(tmp_path, capsys):
     assert run(["invariants", str(path)]) == 2
     captured = capsys.readouterr()
     assert "LINKING_UNKNOWN_ID" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("params", [
+    {"move": "rotate", "params": {"i": "x"}},
+    {"move": "attach_2handle", "params": {"id": "u", "word": [], "framing": "x"}},
+    {"move": "attach_2handle", "params": {"id": "u", "word": "ab", "framing": 0}},
+], ids=["rotate-index-string", "attach-framing-string", "attach-word-string"])
+def test_replay_wrongly_typed_param_exit_2(tmp_path, capsys, params):
+    header = _c21_header()
+    step = {**params, "pre": header["initial"], "post": header["initial"]}
+    assert _replay_c21(tmp_path, [header, step]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def _handle(hid, word, linking):
+    return {"framing": 0, "id": hid, "linking": linking, "word": word}
+
+
+@pytest.mark.parametrize("one_handles, records, code", [
+    ((), [_handle("h1", [], [["h2", 1]]), _handle("h2", [], [])], "LINKING_ASYMMETRIC"),
+    (("a",), [_handle("h", ["a"], [["a", 3]])], "EXPONENT_LINKING_MISMATCH"),
+    (("a",), [_handle("h", ["a"], [])], "EXPONENT_LINKING_MISMATCH"),
+], ids=["asymmetric-pair", "wrong-dotted-record", "missing-dotted-record"])
+def test_invariants_disagreeing_records_exit_2(tmp_path, capsys, one_handles, records, code):
+    path = tmp_path / "copies.json"
+    _write_datum(path, *records, one_handles=one_handles)
+    assert run(["invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert code in captured.err
     assert captured.out == ""

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from corkcalc.datum import (CorkPair, KirbyDatum, TwoHandle, canonical_json,
@@ -5,20 +7,25 @@ from corkcalc.datum import (CorkPair, KirbyDatum, TwoHandle, canonical_json,
                             two_handle, validate, validate_cork_pair,
                             full_linking_matrix, exponent_matrix)
 from corkcalc.errors import DatumFormatError
-from corkcalc.families import build_C, build_W, build_X
+from corkcalc.families import build_C, build_W, build_X, load_elliptic_surface
 from corkcalc.linalg import IntMatrix
 from corkcalc.words import parse_word, single
 
 
-def test_two_handle_drops_zero_linkings():
-    h = TwoHandle("h", single("a"), 0, (("x", 0), ("y", 2)))
-    assert h.linking == (("y", 2),)
-    assert h.lk("x") == 0 and h.lk("y") == 2
+def test_datum_stores_each_pair_once():
+    d = make_datum((), [two_handle(h, (), 0) for h in "hxy"],
+                   links={("y", "h"): 2, ("h", "x"): 0})
+    assert d.links == ((("h", "y"), 2),)
+    assert d.lk("h", "y") == d.lk("y", "h") == 2
+    assert d.lk("h", "x") == 0
+    with pytest.raises(ValueError):
+        make_datum((), [], links={("h", "y"): 1, ("y", "h"): 1})
 
 
-def test_two_handle_builder_fills_dot_linkings():
-    h = two_handle("h", parse_word(["a", "a", "-b"]), -1)
-    assert h.lk("a") == 2 and h.lk("b") == -1
+def test_dotted_linkings_are_exponent_sums():
+    d = make_datum(("a", "b"), [two_handle("h", parse_word(["a", "a", "-b"]), -1)])
+    assert d.lk("h", "a") == 2 and d.lk("b", "h") == -1
+    assert d.lk("a", "b") == 0
 
 
 def test_generated_families_validate():
@@ -28,32 +35,48 @@ def test_generated_families_validate():
     assert validate(build_W(4, 2)).ok
 
 
-def test_asymmetric_linking_is_flagged():
-    d = make_datum(
-        (),
-        [TwoHandle("h1", parse_word([]), 0, (("h2", 1),)),
-         TwoHandle("h2", parse_word([]), 0, ())])
-    report = validate(d)
-    assert not report.ok
-    assert any(v.code == "LINKING_ASYMMETRIC" for v in report.violations)
+def _document(one_handles, records):
+    return json.dumps({"format": "corkcalc-datum/1", "meta": {}, "one_handles": one_handles,
+                       "three_handles": 0, "two_handles": [
+                           {"id": hid, "word": word, "framing": 0, "linking": linking}
+                           for hid, word, linking in records]})
 
 
-def test_exponent_linking_mismatch_is_flagged():
-    d = make_datum(
-        ("a",),
-        [TwoHandle("h", single("a"), 0, (("a", 3),))])
-    report = validate(d)
-    assert any(v.code == "EXPONENT_LINKING_MISMATCH" for v in report.violations)
+def test_loads_merges_the_two_records_of_a_pair():
+    d = loads(_document([], [("h1", [], [["h2", 3]]), ("h2", [], [["h1", 3]])]))
+    assert d.links == ((("h1", "h2"), 3),)
+    assert loads(dumps(d)) == d
+
+
+def test_loads_rejects_asymmetric_pair():
+    with pytest.raises(DatumFormatError, match="LINKING_ASYMMETRIC"):
+        loads(_document([], [("h1", [], [["h2", 1]]), ("h2", [], [])]))
+
+
+def test_loads_rejects_wrong_dotted_record():
+    with pytest.raises(DatumFormatError, match="EXPONENT_LINKING_MISMATCH"):
+        loads(_document(["a"], [("h", ["a"], [["a", 3]])]))
+
+
+def test_loads_rejects_missing_dotted_record():
+    with pytest.raises(DatumFormatError, match="EXPONENT_LINKING_MISMATCH"):
+        loads(_document(["a"], [("h", ["a"], [])]))
 
 
 def test_unknown_generator_is_flagged():
-    d = make_datum((), [TwoHandle("h", single("ghost"), 0, (("ghost", 1),))])
+    d = make_datum((), [TwoHandle("h", single("ghost"), 0)])
     report = validate(d)
     assert any(v.code == "UNKNOWN_GENERATOR" for v in report.violations)
 
 
+def test_self_and_unknown_pairs_are_flagged():
+    d = make_datum((), [two_handle("h", (), 0)], links={("h", "h"): 1, ("h", "ghost"): 2})
+    codes = {v.code for v in validate(d).violations}
+    assert codes == {"SELF_LINKING", "LINKING_UNKNOWN_ID"}
+
+
 def test_duplicate_ids_are_flagged():
-    d = make_datum(("a",), [TwoHandle("a", parse_word([]), 0, ())])
+    d = make_datum(("a",), [TwoHandle("a", parse_word([]), 0)])
     assert any(v.code == "DUPLICATE_ID" for v in validate(d).violations)
 
 
@@ -75,7 +98,7 @@ def test_cork_pair_validation():
 
 
 def test_canonical_round_trip():
-    for d in (build_X(3, 2, "0*0"), build_W(3, 1)):
+    for d in (build_X(3, 2, "0*0"), build_W(3, 1), load_elliptic_surface(1)):
         again = loads(dumps(d))
         assert canonical_json(again) == canonical_json(d)
         assert again == d

@@ -69,14 +69,9 @@ def test_conjugated_word_is_found():
 
 
 def test_handle_orientation_flips_linkings():
-    d1 = make_datum((), [
-        two_handle("h1", (), -1, {"h2": 1}),
-        two_handle("h2", (), -1, {"h1": 1}),
-    ])
-    d2 = make_datum((), [
-        two_handle("h1", (), -1, {"h2": -1}),
-        two_handle("h2", (), -1, {"h1": -1}),
-    ])
+    handles = [two_handle("h1", (), -1), two_handle("h2", (), -1)]
+    d1 = make_datum((), handles, links={("h1", "h2"): 1})
+    d2 = make_datum((), handles, links={("h1", "h2"): -1})
     w = datum_isomorphic(d1, d2)
     assert w is not None and check_witness(d1, d2, w)
 

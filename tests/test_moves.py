@@ -22,10 +22,8 @@ from corkcalc.moves import (MoveTrace, Recorder, attach_2handle, blow_down,
 
 
 def two_zero_framed_linked():
-    return make_datum((), [
-        two_handle("h1", (), 0, {"h2": 1}),
-        two_handle("h2", (), 0, {"h1": 1}),
-    ])
+    return make_datum((), [two_handle("h1", (), 0), two_handle("h2", (), 0)],
+                      links={("h1", "h2"): 1})
 
 
 def slide_congruence_matrix(d, h1, h2, sign):
@@ -44,9 +42,8 @@ def slide_congruence_matrix(d, h1, h2, sign):
 def test_slide_framing_and_linking_update():
     d = two_zero_framed_linked()
     out = slide_2_over_2(d, "h1", "h2", 1)
-    h1 = out.handle("h1")
-    assert h1.framing == 2
-    assert h1.lk("h2") == 1
+    assert out.handle("h1").framing == 2
+    assert out.lk("h1", "h2") == 1
     assert validate(out).ok
 
 
@@ -95,7 +92,7 @@ def test_slide_over_dotted_circle_contract():
     out = slide_2_over_1(d, "h", "b", 1)
     h = out.handle("h")
     assert h.word.serialize() == ["a", "b"]
-    assert h.lk("a") == 1 and h.lk("b") == 1
+    assert out.lk("h", "a") == 1 and out.lk("h", "b") == 1
     assert h.framing == 0
     assert validate(out).ok
 
@@ -199,7 +196,7 @@ def test_attach_errors():
 
 def test_attach_symmetrizes_linking():
     d = attach_2handle(two_zero_framed_linked(), "h3", [], 0, {"h1": 2})
-    assert d.handle("h1").lk("h3") == 2
+    assert d.lk("h1", "h3") == d.lk("h3", "h1") == 2
     assert validate(d).ok
 
 
@@ -220,16 +217,13 @@ def test_blow_down_split_minus_one():
 
 
 def test_blow_down_transfers_squares_and_products():
-    d = make_datum((), [
-        two_handle("e", (), -1, {"x": 1, "y": 2}),
-        two_handle("x", (), 0, {"e": 1}),
-        two_handle("y", (), 3, {"e": 2}),
-    ])
+    d = make_datum((), [two_handle("e", (), -1), two_handle("x", (), 0), two_handle("y", (), 3)],
+                   links={("e", "x"): 1, ("e", "y"): 2})
     before = boundary_h1(d).invariant_factors
     out = blow_down(d, "e")
     assert out.handle("x").framing == 0 + 1
     assert out.handle("y").framing == 3 + 4
-    assert out.handle("x").lk("y") == 0 + 1 * 2
+    assert out.lk("x", "y") == 0 + 1 * 2
     assert boundary_h1(out).invariant_factors == before
     assert homology(out).b2 == homology(d).b2 - 1
 
@@ -246,19 +240,15 @@ def test_blow_down_shifts_signature_by_one():
     from corkcalc.invariants import intersection_form
     from corkcalc.linalg import signature
 
-    d = make_datum((), [
-        two_handle("e", (), -1, {"x": 1}),
-        two_handle("x", (), 0, {"e": 1}),
-    ])
+    d = make_datum((), [two_handle("e", (), -1), two_handle("x", (), 0)],
+                   links={("e", "x"): 1})
     before = signature(intersection_form(d))
     out = blow_down(d, "e")
     after = signature(intersection_form(out))
     assert (after[0] - after[1]) - (before[0] - before[1]) == 1
 
-    d_plus = make_datum((), [
-        two_handle("e", (), 1, {"x": 1}),
-        two_handle("x", (), 0, {"e": 1}),
-    ])
+    d_plus = make_datum((), [two_handle("e", (), 1), two_handle("x", (), 0)],
+                        links={("e", "x"): 1})
     before = signature(intersection_form(d_plus))
     after = signature(intersection_form(blow_down(d_plus, "e")))
     assert (after[0] - after[1]) - (before[0] - before[1]) == -1
@@ -311,7 +301,7 @@ def test_twist_wheel_rewrites_externals():
     assert validate(out).ok
     blowable = [h.id for h in out.two_handles if not h.word and h.framing == -1]
     assert blowable == ["m1_1"]
-    assert out.handle("m1_1").lk("b1") == 1
+    assert out.lk("m1_1", "b1") == 1
     assert homology(out).b2 == homology(w).b2
     assert boundary_h1(out).invariant_factors == boundary_h1(w).invariant_factors
 
@@ -421,3 +411,24 @@ def test_trace_text_keeps_params():
         rec.apply(move, **p)
     parsed = trace_from_text(trace_to_text(rec.trace()))
     assert [(s.move, s.params_dict) for s in parsed.steps] == params
+
+
+# --- the move-audit suite ----------------------------------------------------------------------------------
+
+def test_move_audit_redraws_a_refused_twist(monkeypatch):
+    from corkcalc import suites
+
+    real = suites.apply_move
+    refused = []
+
+    def refuse_first_twist(d, move, params):
+        if move == "twist_wheel" and not refused:
+            refused.append(params)
+            raise NotWheelFamilyError("twist refused")
+        return real(d, move, params)
+
+    monkeypatch.setattr(suites, "apply_move", refuse_first_twist)
+    result = suites.run_case("move-audit", 0)  # walk 0 draws a twist
+    assert refused
+    assert result.ok, result.details
+    assert result.details == "50 moves audited, 1 twists refused"

@@ -139,10 +139,8 @@ def test_stein_check_fails_on_framing_deficit():
 
 
 def test_stein_check_flags_linking_mismatch():
-    d = make_datum((), [
-        two_handle("h1", (), 0, {"h2": 1}),
-        two_handle("h2", (), 0, {"h1": 1}),
-    ])
+    d = make_datum((), [two_handle("h1", (), 0), two_handle("h2", (), 0)],
+                   links={("h1", "h2"): 1})
     events = (framed_zero_component_events("x", 1)
               + framed_zero_component_events("y", 1))
     report = stein_check(d, front(events), {"h1": "x", "h2": "y"})
