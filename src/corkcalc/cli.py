@@ -243,6 +243,13 @@ def _stein_check(args) -> int:
 
 # --- argument parsing ----------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corkcalc",
@@ -270,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--budget", type=int, default=None)
     ver.add_argument("--l", type=int, default=None)
     ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument("--jobs", type=_positive_int, default=1)
     ver.add_argument("--format", choices=("json", "md"), default="json")
     ver.add_argument("-o", "--out", default=None)
 

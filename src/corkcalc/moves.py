@@ -413,6 +413,8 @@ def _is_word(v) -> bool:
 # parameter types: (description, check)
 _STR = ("a string", lambda v: isinstance(v, str))
 _INT = ("an integer", _is_int)
+_SIGN = ("+1 or -1", lambda v: _is_int(v) and v in (1, -1))
+_END = (f"\"{FRONT}\" or \"{BACK}\"", lambda v: v in (FRONT, BACK))
 _WORD = ("a list of letters such as \"a\" or \"-a\"", _is_word)
 _LINKS = ("an object of integers", lambda v: isinstance(v, dict)
           and all(_is_int(x) for x in v.values()))
@@ -426,9 +428,9 @@ def _apply_attach(d, p):
 # move name -> (parameter schema, application); the parameters named in
 # _OPTIONAL may be left out
 MOVES = {
-    "slide_2_over_2": ({"h1": _STR, "h2": _STR, "sign": _INT},
+    "slide_2_over_2": ({"h1": _STR, "h2": _STR, "sign": _SIGN},
                        lambda d, p: slide_2_over_2(d, p["h1"], p["h2"], p["sign"])),
-    "slide_2_over_1": ({"h": _STR, "g": _STR, "sign": _INT, "end": _STR},
+    "slide_2_over_1": ({"h": _STR, "g": _STR, "sign": _SIGN, "end": _END},
                        lambda d, p: slide_2_over_1(d, p["h"], p["g"], p["sign"],
                                                    p.get("end", BACK))),
     "cancel_1_2": ({"g": _STR, "h": _STR}, lambda d, p: cancel_1_2(d, p["g"], p["h"])),
@@ -436,7 +438,7 @@ MOVES = {
                                  lambda d, p: remove_split_zero_handle(d, p["h"])),
     "attach_2handle": ({"id": _STR, "word": _WORD, "framing": _INT, "linking": _LINKS},
                        _apply_attach),
-    "blow_up": ({"id": _STR, "sign": _INT}, lambda d, p: blow_up(d, p["id"], p["sign"])),
+    "blow_up": ({"id": _STR, "sign": _SIGN}, lambda d, p: blow_up(d, p["id"], p["sign"])),
     "blow_down": ({"h": _STR}, lambda d, p: blow_down(d, p["h"])),
     "cork_twist_pair": ({"dotted": _STR, "zero_handle": _STR, "m": _INT},
                         lambda d, p: cork_twist_pair(
@@ -475,14 +477,21 @@ class Recorder:
 
 
 def replay(initial: KirbyDatum, trace: MoveTrace) -> KirbyDatum:
-    """Deterministically re-run a trace, verifying the hash chain."""
+    """Deterministically re-run a trace, verifying the hash chain.
+
+    A move the datum refuses re-raises its ``CorkCalcError`` with the
+    ``step_index`` of the refused step set."""
     current = initial
     if datum_hash(current) != trace.initial:
         raise HashMismatchError("initial datum does not match trace header", -1)
     for idx, step in enumerate(trace.steps):
         if datum_hash(current) != step.pre:
             raise HashMismatchError(f"pre-hash mismatch at step {idx}", idx)
-        current = apply_move(current, step.move, step.params_dict)
+        try:
+            current = apply_move(current, step.move, step.params_dict)
+        except CorkCalcError as e:
+            e.step_index = idx
+            raise
         if datum_hash(current) != step.post:
             raise HashMismatchError(f"post-hash mismatch at step {idx}", idx)
     return current

@@ -442,15 +442,17 @@ def run_suite(name: str, grid: dict | None = None, jobs: int = 1) -> SuiteResult
     grid = grid or {}
     cases = iter_cases(resolved, grid)
     if jobs > 1:
+        # one strided batch per worker: neighbouring cases cost about the same
         from concurrent.futures import ProcessPoolExecutor
+        batches = [(resolved, cases[k::jobs]) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_pool_runner, [(resolved, c) for c in cases]))
+            results = [r for batch in pool.map(_run_batch, batches) for r in batch]
     else:
         results = [run_case(resolved, c) for c in cases]
     results.sort(key=lambda r: r.case)
     return SuiteResult(resolved, tuple(results))
 
 
-def _pool_runner(item):
-    name, case = item
-    return run_case(name, case)
+def _run_batch(item):
+    name, cases = item
+    return [run_case(name, c) for c in cases]

@@ -106,6 +106,20 @@ def test_verify_beyond_the_former_data_grid(tmp_path):
         assert run(args + ["-o", str(tmp_path / "out.json")]) == 0, args
 
 
+def test_verify_pool_writes_the_serial_report(tmp_path):
+    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+    assert run(["verify", "thm-1-7-arith", "--jobs", "1", "-o", str(serial)]) == 0
+    assert run(["verify", "thm-1-7-arith", "--jobs", "2", "-o", str(pooled)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_exit_2(capsys, jobs):
+    assert run(["verify", "cork-order", "--n-max", "2", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert "--jobs" in captured.err and captured.out == ""
+
+
 def test_verify_markdown_format(capsys):
     assert run(["verify", "cork-order", "--n-max", "3", "--format", "md"]) == 0
     out = capsys.readouterr().out
@@ -254,12 +268,27 @@ def test_invariants_linking_unknown_id_exit_2(tmp_path, capsys):
     {"move": "rotate", "params": {"i": "x"}},
     {"move": "attach_2handle", "params": {"id": "u", "word": [], "framing": "x"}},
     {"move": "attach_2handle", "params": {"id": "u", "word": "ab", "framing": 0}},
-], ids=["rotate-index-string", "attach-framing-string", "attach-word-string"])
+    {"move": "slide_2_over_1", "params": {"h": "a1", "g": "a0", "sign": 2}},
+    {"move": "slide_2_over_1", "params": {"h": "a1", "g": "a0", "sign": 1, "end": "up"}},
+    {"move": "slide_2_over_2", "params": {"h1": "a1", "h2": "b0", "sign": 0}},
+    {"move": "blow_up", "params": {"id": "u", "sign": -2}},
+], ids=["rotate-index-string", "attach-framing-string", "attach-word-string",
+        "slide-over-1-sign-2", "slide-over-1-end-up", "slide-over-2-sign-0",
+        "blow-up-sign-minus-2"])
 def test_replay_wrongly_typed_param_exit_2(tmp_path, capsys, params):
     header = _c21_header()
     step = {**params, "pre": header["initial"], "post": header["initial"]}
     assert _replay_c21(tmp_path, [header, step]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_replay_refused_move_names_its_step(tmp_path, capsys):
+    header = _c21_header()
+    step = {"move": "slide_2_over_2", "params": {"h1": "ghost", "h2": "b0", "sign": 1},
+            "pre": header["initial"], "post": header["initial"]}
+    assert _replay_c21(tmp_path, [header, step]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["integrity"] == "failed" and report["step"] == 0
 
 
 def _handle(hid, word, linking):
