@@ -161,6 +161,9 @@ def _verify(args) -> int:
     grid = {"n_max": args.n_max, "m_max": args.m_max, "budget": args.budget,
             "l": args.l, "n": args.n}
     result = suites.run_suite(args.suite, grid, jobs=args.jobs)
+    if not result.cases:
+        raise _CliError(f"the grid of {args.suite} has no cases; nothing was verified",
+                        EXIT_USAGE)
     report = result.to_dict()
     _emit(report, args.format, args.out)
     for failure in result.failures:
@@ -206,9 +209,8 @@ def _replay(args) -> int:
 def _simplify(args) -> int:
     text = _read_text(args.presentation)
     try:
-        obj = json.loads(text)
-        pres = GroupPresentation.from_dict(obj)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        pres = GroupPresentation.from_dict(json.loads(text))
+    except (json.JSONDecodeError, CorkCalcError) as e:
         raise _CliError(f"{args.presentation}: bad presentation file: {e}",
                         EXIT_USAGE) from e
     simplified, certified = tietze_simplify(pres, args.budget)
@@ -243,11 +245,19 @@ def _stein_check(args) -> int:
 
 # --- argument parsing ----------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,17 +276,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     inv = sub.add_parser("invariants", help="homology/boundary/form report for a datum file")
     inv.add_argument("datum")
-    inv.add_argument("--budget", type=int, default=10_000)
+    inv.add_argument("--budget", type=_nonnegative_int, default=10_000)
     inv.add_argument("--format", choices=("json", "md"), default="json")
     inv.add_argument("-o", "--out", default=None)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("suite")
-    ver.add_argument("--n-max", dest="n_max", type=int, default=None)
-    ver.add_argument("--m-max", dest="m_max", type=int, default=None)
-    ver.add_argument("--budget", type=int, default=None)
-    ver.add_argument("--l", type=int, default=None)
-    ver.add_argument("--n", type=int, default=None)
+    ver.add_argument("--n-max", dest="n_max", type=_positive_int, default=None)
+    ver.add_argument("--m-max", dest="m_max", type=_positive_int, default=None)
+    ver.add_argument("--budget", type=_nonnegative_int, default=None)
+    ver.add_argument("--l", type=_positive_int, default=None)
+    ver.add_argument("--n", type=_positive_int, default=None)
     ver.add_argument("--jobs", type=_positive_int, default=1)
     ver.add_argument("--format", choices=("json", "md"), default="json")
     ver.add_argument("-o", "--out", default=None)
@@ -290,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simp = sub.add_parser("simplify", help="Tietze-simplify a presentation file")
     simp.add_argument("presentation")
-    simp.add_argument("--budget", type=int, default=10_000)
+    simp.add_argument("--budget", type=_nonnegative_int, default=10_000)
     simp.add_argument("--format", choices=("json", "md"), default="json")
     simp.add_argument("-o", "--out", default=None)
 

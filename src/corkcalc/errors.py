@@ -96,6 +96,10 @@ class SearchBudgetExceededError(CorkCalcError):
     code = "SEARCH_BUDGET_EXCEEDED"
 
 
+class PresentationFormatError(CorkCalcError):
+    code = "PRESENTATION_FORMAT"
+
+
 class FrontFormatError(CorkCalcError):
     code = "FRONT_FORMAT"
 

@@ -10,9 +10,11 @@ is the only non-triviality signal reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from . import linalg
 from .datum import KirbyDatum
+from .errors import PresentationFormatError
 from .linalg import IntMatrix
 from .words import Word, parse_word
 
@@ -55,10 +57,25 @@ class GroupPresentation:
         }
 
     @staticmethod
-    def from_dict(obj: dict) -> "GroupPresentation":
-        gens = tuple(obj["generators"])
-        rels = tuple(parse_word(r) for r in obj["relators"])
-        return GroupPresentation(gens, rels)
+    def from_dict(obj: Any) -> "GroupPresentation":
+        """Parse the dict form, strictly: exactly the keys ``generators`` (a
+        list of distinct nonempty strings) and ``relators`` (a list of
+        token lists over those generators)."""
+        if not isinstance(obj, dict) or set(obj) != {"generators", "relators"}:
+            raise PresentationFormatError(
+                "presentation must be an object with exactly the keys "
+                "'generators' and 'relators'")
+        gens, rels = obj["generators"], obj["relators"]
+        if not isinstance(gens, list) or not all(isinstance(g, str) and g for g in gens):
+            raise PresentationFormatError("generators must be a list of nonempty strings")
+        if len(set(gens)) != len(gens):
+            raise PresentationFormatError("generators must be distinct")
+        if not isinstance(rels, list) or not all(isinstance(r, list) for r in rels):
+            raise PresentationFormatError("relators must be a list of token lists")
+        try:
+            return GroupPresentation(tuple(gens), tuple(parse_word(r) for r in rels))
+        except ValueError as e:
+            raise PresentationFormatError(f"bad relator: {e}") from e
 
 
 def pi1_presentation(d: KirbyDatum) -> GroupPresentation:

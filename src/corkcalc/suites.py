@@ -12,9 +12,10 @@ import random
 from dataclasses import dataclass
 
 from . import families, scripts, sequences, stein
-from .datum import CorkPair, full_linking_matrix, validate, validate_cork_pair
+from .datum import (CorkPair, KirbyDatum, content_digest, full_linking_matrix,
+                    validate, validate_cork_pair)
 from .errors import CorkCalcError
-from .invariants import (boundary_h1, char_numbers_from_datum,
+from .invariants import (HomologyProfile, boundary_h1, char_numbers_from_datum,
                          connected_sum, cp2, cp2_bar, homology, intersection_form)
 from .isomorphism import datum_isomorphic
 from .linalg import IntMatrix, is_diag_minus_one
@@ -59,6 +60,28 @@ def _grid_value(grid: dict, key: str, default):
 
 # --- contractibility sweep ---------------------------------------------------
 
+# (content_digest, budget) -> (homology profile, pi1 certified trivial).
+# A wheel's twist parameter m lives only in ``meta``, so the data of one
+# sequence recur for every m (and E(n, .) is C(n, .) under another tag).
+# Cleared by ``run_suite``: it lives for one grid, and a forked pool worker
+# inherits it empty.
+_CONTRACTIBLE: dict[tuple[bytes, int], tuple[HomologyProfile, bool]] = {}
+
+
+def _contractible(d: KirbyDatum, budget: int) -> tuple[HomologyProfile, bool]:
+    """The homology profile of d and whether a Tietze run within ``budget``
+    certifies its fundamental group trivial; the run is skipped (False)
+    when the homology already rules out a ball."""
+    key = (content_digest(d), budget)
+    known = _CONTRACTIBLE.get(key)
+    if known is None:
+        profile = homology(d)
+        certified = (profile.is_contractible_homology
+                     and tietze_simplify(pi1_presentation(d), budget)[1])
+        known = _CONTRACTIBLE[key] = (profile, certified)
+    return known
+
+
 def _cases_contractibility(grid):
     n_max = _grid_value(grid, "n_max", 6)
     m_max = _grid_value(grid, "m_max", 3)
@@ -72,11 +95,9 @@ def _cases_contractibility(grid):
 def _run_contractibility(case):
     n, m, x, budget = case
     cid = f"X({n},{m},{x})"
-    d = families.build_X(n, m, x)
-    profile = homology(d)
+    profile, certified = _contractible(families.build_X(n, m, x), budget)
     if not profile.is_contractible_homology:
         return CaseResult(cid, False, f"homology profile {profile}")
-    _, certified = tietze_simplify(pi1_presentation(d), budget)
     if not certified:
         return CaseResult(cid, False, "fundamental group not certified trivial")
     return CaseResult(cid, True)
@@ -148,11 +169,8 @@ def _run_family_equality(case):
                           witness is None)
     if kind == "e-contractible":
         n, m = arg
-        d = families.build_E(n, m)
-        profile = homology(d)
-        _, certified = tietze_simplify(pi1_presentation(d), 10_000)
-        ok = profile.is_contractible_homology and certified
-        return CaseResult(f"E({n},{m}) contractible", ok)
+        _, certified = _contractible(families.build_E(n, m), 10_000)
+        return CaseResult(f"E({n},{m}) contractible", certified)
     n, m = arg
     d = families.build_E(n, m)
     seq = d.meta_map.get("sequence", "")
@@ -278,8 +296,8 @@ def surface_sum_precondition(l: int, n: int) -> bool:
 
 
 def _cases_surface_sum(grid):
-    ls = [grid["l"]] if grid.get("l") else list(range(1, 5))
-    ns = [grid["n"]] if grid.get("n") else list(range(1, 6))
+    ls = [grid["l"]] if grid.get("l") is not None else list(range(1, 5))
+    ns = [grid["n"]] if grid.get("n") is not None else list(range(1, 6))
     return [("pair", l, n) for l in ls for n in ns]
 
 
@@ -441,6 +459,7 @@ def run_suite(name: str, grid: dict | None = None, jobs: int = 1) -> SuiteResult
     resolved = resolve_suite(name)
     grid = grid or {}
     cases = iter_cases(resolved, grid)
+    _CONTRACTIBLE.clear()
     if jobs > 1:
         # one strided batch per worker: neighbouring cases cost about the same
         from concurrent.futures import ProcessPoolExecutor

@@ -120,6 +120,43 @@ def test_verify_jobs_below_one_exit_2(capsys, jobs):
     assert "--jobs" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["thm-1-7-arith", "--l", "0"],
+    ["thm-1-7-arith", "--n", "0"],
+    ["lemma-2-2", "--n-max", "0"],
+    ["lemma-2-2", "--n-max", "2", "--m-max", "-1"],
+    ["lemma-2-2", "--n-max", "2", "--budget", "-5"],
+])
+def test_verify_grid_value_out_of_range_exit_2(capsys, args):
+    assert run(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert args[-2] in captured.err and captured.out == ""
+
+
+def test_budget_zero_is_legal_and_negative_exit_2(tmp_path, capsys):
+    path = tmp_path / "c11.json"
+    path.write_text(datum_io.dumps(build_C(1, 1)))
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps({"generators": ["a"], "relators": [["a"]]}))
+    # budget 0 applies no Tietze move, so nothing is certified trivial
+    assert run(["verify", "lemma-2-2", "--n-max", "1", "--m-max", "1",
+                "--budget", "0"]) == 1
+    assert run(["invariants", str(path), "--budget", "0"]) == 0
+    assert run(["simplify", str(pres), "--budget", "0"]) == 0
+    capsys.readouterr()
+    for args in (["invariants", str(path)], ["simplify", str(pres)]):
+        assert run(args + ["--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--budget" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["lemma-3-4-scripts", "w-family"])
+def test_verify_empty_grid_exit_2(capsys, suite):
+    assert run(["verify", suite, "--n-max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "no cases" in captured.err and captured.out == ""
+
+
 def test_verify_markdown_format(capsys):
     assert run(["verify", "cork-order", "--n-max", "3", "--format", "md"]) == 0
     out = capsys.readouterr().out
@@ -204,6 +241,27 @@ def test_simplify_bad_file_exit_2(tmp_path):
     pres = tmp_path / "p.json"
     pres.write_text("{]")
     assert run(["simplify", str(pres)]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"generators": ["a"], "relators": "a"},
+    {"generators": ["a"], "relators": 1},
+    {"generators": "ab", "relators": []},
+    {"generators": ["a", "a"], "relators": []},
+    [],
+    7,
+    {"generators": ["a"], "relators": [["a"]], "extra": 1},
+    {"generators": [""], "relators": []},
+    {"generators": ["a"], "relators": [["z"]]},
+    {"generators": ["a"], "relators": [["a", 1]]},
+])
+def test_simplify_malformed_presentation_exit_2(tmp_path, capsys, doc):
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps(doc))
+    assert run(["simplify", str(pres)]) == 2
+    captured = capsys.readouterr()
+    assert "bad presentation file" in captured.err and captured.out == ""
+    assert "list indices" not in captured.err
 
 
 def _write_wheel_front(path, n, m):

@@ -1,8 +1,13 @@
-"""The worker pool of ``run_suite`` against its serial path."""
+"""The worker pool of ``run_suite`` against its serial path, and the
+contractibility memo against the per-case code it replaces."""
 
 import pytest
 
-from corkcalc import suites
+from corkcalc import families, suites
+from corkcalc.datum import make_datum, two_handle
+from corkcalc.invariants import homology
+from corkcalc.presentations import pi1_presentation, tietze_simplify
+from corkcalc.words import parse_word
 
 
 @pytest.mark.parametrize("name", suites.SUITE_NAMES)
@@ -23,6 +28,10 @@ def test_pool_with_more_workers_than_cases():
     assert pooled == suites.run_suite("lemma-2-2", grid, jobs=1)
 
 
+def test_a_zero_grid_value_is_not_read_as_absent():
+    assert suites.iter_cases("thm-1-7-arith", {"l": 0, "n": 0}) == [("pair", 0, 0)]
+
+
 def test_serial_path_calls_run_case_once_per_case(monkeypatch):
     calls = []
     real = suites.run_case
@@ -35,3 +44,97 @@ def test_serial_path_calls_run_case_once_per_case(monkeypatch):
     grid = {"n_max": 3}
     result = suites.run_suite("cork-order", grid)
     assert len(calls) == len(suites.iter_cases("cork-order", grid)) == len(result.cases)
+
+
+# --- the contractibility memo ---------------------------------------------------
+
+@pytest.fixture
+def homology_calls(monkeypatch):
+    """An empty memo, and the list of data that ``suites.homology`` is called on
+    (the attribute the benchmark's tracer wraps)."""
+    monkeypatch.setattr(suites, "_CONTRACTIBLE", {})
+    calls = []
+    real = suites.homology
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(suites, "homology", counting)
+    return calls
+
+
+def _datum(ones=("a", "b"), v_word=("b",), v_framing=0, lk=1, meta=None):
+    handles = [two_handle("u", parse_word(["a"]), 0),
+               two_handle("v", parse_word(v_word), v_framing)]
+    return make_datum(ones, handles, 0, meta, {("u", "v"): lk})
+
+
+@pytest.mark.parametrize("change, budget", [
+    ({"v_word": ("b", "a")}, 10),
+    ({"v_framing": -1}, 10),
+    ({"lk": 2}, 10),
+    ({"ones": ("a", "b", "c")}, 10),
+    ({}, 11),
+])
+def test_memo_misses_on_any_content_or_budget_difference(homology_calls, change, budget):
+    suites._contractible(_datum(), 10)
+    suites._contractible(_datum(**change), budget)
+    assert len(homology_calls) == 2
+
+
+def test_memo_hits_across_meta(homology_calls):
+    wheels = [families.build_C(4, m) for m in (1, 2, 3)] + [families.build_E(4, 2)]
+    assert {suites._contractible(d, 10_000) for d in wheels} == {(homology(wheels[0]), True)}
+    suites._contractible(_datum(meta={"m": 1}), 10)
+    suites._contractible(_datum(meta={"m": 2, "family": "E"}), 10)
+    assert len(homology_calls) == 2
+
+
+def test_a_worker_batch_certifies_each_wheel_once(homology_calls):
+    batch = suites.iter_cases("lemma-2-2", {"n_max": 4, "m_max": 3})[0::2]
+    results = suites._run_batch(("lemma-2-2", batch))
+    assert len(results) == len(batch) and all(r.ok for r in results)
+    assert len(homology_calls) == len({(n, x) for n, _, x, _ in batch}) == 15
+
+
+def test_each_run_starts_from_an_empty_memo(homology_calls):
+    suites.run_suite("lemma-2-2", {"n_max": 3, "m_max": 2})
+    suites.run_suite("lemma-2-2", {"n_max": 2, "m_max": 2})
+    assert len(homology_calls) == 14 + 6 and len(suites._CONTRACTIBLE) == 6
+
+
+def _unmemoized_case(name, case):
+    """The per-case code without the memo: a homology SNF and a Tietze run for
+    every wheel case and every E case."""
+    if name == "lemma-2-2":
+        n, m, x, budget = case
+        cid = f"X({n},{m},{x})"
+        d = families.build_X(n, m, x)
+        profile = homology(d)
+        if not profile.is_contractible_homology:
+            return suites.CaseResult(cid, False, f"homology profile {profile}")
+        _, certified = tietze_simplify(pi1_presentation(d), budget)
+        if not certified:
+            return suites.CaseResult(cid, False, "fundamental group not certified trivial")
+        return suites.CaseResult(cid, True)
+    if case[0] == "e-contractible":
+        n, m = case[1]
+        d = families.build_E(n, m)
+        profile = homology(d)
+        _, certified = tietze_simplify(pi1_presentation(d), 10_000)
+        ok = profile.is_contractible_homology and certified
+        return suites.CaseResult(f"E({n},{m}) contractible", ok)
+    return suites.run_case(name, case)
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("lemma-2-2", {"n_max": 6, "m_max": 3, "budget": 0}),
+    ("lemma-2-2", {"n_max": 6, "m_max": 3, "budget": 1}),
+    ("lemma-2-2", {"n_max": 6, "m_max": 3, "budget": 10_000}),
+    ("prop-2-6", {}),
+])
+def test_memo_matches_the_unmemoized_cases(name, grid):
+    expected = sorted((_unmemoized_case(name, c) for c in suites.iter_cases(name, grid)),
+                      key=lambda r: r.case)
+    assert suites.run_suite(name, grid).cases == tuple(expected)
