@@ -9,6 +9,11 @@ whole state.  Each linking number is stored once: a 2-handle pair's in the
 as the exponent sum of its word, and dotted circles (an unlink) never link
 each other.  ``KirbyDatum.lk`` reads all three.
 
+A wheel datum's ``meta`` names its ``{*,0}``-sequence.  ``wheel_sequence``
+reads it, and ``validate`` checks it against the circle pairs that
+``sequences.pair_ids`` names; both apply the one rule of
+``_wheel_violations``.
+
 Canonical serialization (sorted handles, normalized words, canonical JSON)
 is the basis for file round-trips and trace hashing.  The ``/1`` format
 lists every linking of a 2-handle on its record, so each pair is written on
@@ -27,6 +32,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import DatumFormatError
 from .linalg import IntMatrix
+from .sequences import STAR, ZERO, pair_ids
 from .words import Word, parse_word
 
 DATUM_FORMAT = "corkcalc-datum/1"
@@ -167,26 +173,33 @@ def validate(d: KirbyDatum) -> ValidationReport:
                                  f"linking of {x} and {y} names {', '.join(unknown)}, "
                                  "which is not a 2-handle", (x, y)))
 
-    out.extend(_validate_wheel_meta(d, gens))
+    out.extend(_wheel_violations(d))
     return ValidationReport(tuple(out))
 
 
-def _validate_wheel_meta(d: KirbyDatum, gens) -> list[Violation]:
+def _wheel_violations(d: KirbyDatum) -> list[Violation]:
+    """The one validity rule of wheel metadata, empty for a datum without a
+    ``sequence``: the sequence is a nonempty string over ``*0``, ``n`` is an
+    integer (not a boolean) equal to its length, and each pair j has the
+    dotted circle and the 0-framed 2-handle passing it once that
+    ``pair_ids(j, sequence[j])`` names."""
     meta = d.meta_map
-    seq = meta.get("sequence")
+    seq, n = meta.get("sequence"), meta.get("n")
     if seq is None:
         return []
-    out = []
-    n = meta.get("n")
-    if not isinstance(seq, str) or n != len(seq) or any(c not in "*0" for c in seq):
+    if (not isinstance(seq, str) or not seq or not set(seq) <= {STAR, ZERO}
+            or not isinstance(n, int) or isinstance(n, bool) or n != len(seq)):
         return [Violation("META_INCONSISTENT", f"bad wheel metadata {meta}")]
+    gens = set(d.one_handles)
+    handles = {h.id: h for h in d.two_handles}
+    out = []
     for j, sym in enumerate(seq):
-        dotted, framed = (f"a{j}", f"b{j}") if sym == "*" else (f"b{j}", f"a{j}")
+        dotted, framed = pair_ids(j, sym)
         if dotted not in gens:
             out.append(Violation("META_INCONSISTENT",
                                  f"pair {j}: expected dotted circle {dotted}", (dotted,)))
             continue
-        h = d.handle(framed)
+        h = handles.get(framed)
         if h is None:
             out.append(Violation("META_INCONSISTENT",
                                  f"pair {j}: expected 2-handle {framed}", (framed,)))
@@ -198,6 +211,13 @@ def _validate_wheel_meta(d: KirbyDatum, gens) -> list[Violation]:
             out.append(Violation("META_INCONSISTENT",
                                  f"pair {j}: {framed} must have framing 0", (framed,)))
     return out
+
+
+def wheel_sequence(d: KirbyDatum) -> str | None:
+    """The datum's wheel sequence, or None when its metadata names no wheel
+    or breaks the rule that ``validate`` reports as META_INCONSISTENT."""
+    seq = d.meta_map.get("sequence")
+    return None if seq is None or _wheel_violations(d) else seq
 
 
 # --- cork pairs ---------------------------------------------------------------

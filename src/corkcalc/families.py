@@ -3,17 +3,18 @@
 A wheel datum has n circle pairs (radial circle ``a{j}``, circular circle
 ``b{j}``, linking number one inside the pair, all cross-pair linkings zero).
 A {*,0}-sequence selects the dotted member of each pair: ``*`` dots the
-radial circle and 0-frames the circular one, ``0`` the other way round.
+radial circle and 0-frames the circular one, ``0`` the other way round
+(``sequences.pair_ids``).
 The -m twist boxes of the planar picture are invisible at this fidelity;
 m rides along as metadata and re-enters in the Legendrian front data.
 """
 
 from __future__ import annotations
 
-from .datum import KirbyDatum, make_datum, two_handle
+from .datum import KirbyDatum, make_datum, two_handle, wheel_sequence
 from .errors import BadIndexError, LengthMismatchError
-from .moves import twist_wheel
-from .sequences import STAR, check_sequence
+from .moves import twist_pairs, twist_wheel
+from .sequences import STAR, ZERO, check_sequence, pair_ids
 from .words import single
 
 
@@ -29,12 +30,9 @@ def build_X(n: int, m: int, x: str, family: str = "X") -> KirbyDatum:
     ones = []
     handles = []
     for j, sym in enumerate(x):
-        if sym == STAR:
-            ones.append(f"a{j}")
-            handles.append(two_handle(f"b{j}", single(f"a{j}"), 0))
-        else:
-            ones.append(f"b{j}")
-            handles.append(two_handle(f"a{j}", single(f"b{j}"), 0))
+        dotted, framed = pair_ids(j, sym)
+        ones.append(dotted)
+        handles.append(two_handle(framed, single(dotted), 0))
     meta = {"family": family, "n": n, "m": m, "sequence": x}
     return make_datum(ones, handles, 0, meta)
 
@@ -77,17 +75,10 @@ def build_Cm(m: int) -> KirbyDatum:
 
 def dot_zero_exchange(d: KirbyDatum) -> KirbyDatum:
     """Exchange all dots and 0s of a bare wheel datum (twist every pair)."""
-    seq = d.meta_map.get("sequence")
-    if not isinstance(seq, str):
+    seq = wheel_sequence(d)
+    if seq is None:
         raise BadIndexError("dot-zero exchange needs wheel metadata")
-    complement = "".join(STAR if c == "0" else "0" for c in seq)
-    from .moves import _flip_pair
-    current = d
-    for j, sym in enumerate(seq):
-        dotted, framed = (f"a{j}", f"b{j}") if sym == STAR else (f"b{j}", f"a{j}")
-        current = _flip_pair(current, dotted, framed)
-    assert current.meta_map.get("sequence") == complement
-    return current
+    return twist_pairs(d, range(len(seq)))
 
 
 # --- decorated families ----------------------------------------------------------
@@ -100,8 +91,9 @@ def build_W(n: int, m: int) -> KirbyDatum:
     d = build_C(n, m)
     handles = list(d.two_handles)
     for j in range(1, n):
+        circular, _ = pair_ids(j, ZERO)  # pair j > 0 of C(n) is a 0 pair
         for k in range(1, j + 1):
-            handles.append(two_handle(f"m{j}_{k}", single(f"b{j}"), -1))
+            handles.append(two_handle(f"m{j}_{k}", single(circular), -1))
     return make_datum(d.one_handles, handles, 0, d.meta_map | {"family": "W"})
 
 
@@ -125,7 +117,8 @@ def build_Z(n: int, m: int, i: int) -> KirbyDatum:
     if not 0 < i < n:
         raise BadIndexError(f"need 0 < i < n, got i={i}")
     d = build_C(n, m)
-    handles = list(d.two_handles) + [two_handle("z", single(f"b{n - i}"), -1)]
+    circular, _ = pair_ids(n - i, ZERO)  # pair n-i > 0 of C(n) is a 0 pair
+    handles = list(d.two_handles) + [two_handle("z", single(circular), -1)]
     return make_datum(d.one_handles, handles, 0,
                       d.meta_map | {"family": "Z", "i": i})
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datum import KirbyDatum, link_key, linking_records
+from .datum import KirbyDatum, link_key, linking_records, wheel_sequence
 from .errors import SearchBudgetExceededError
+from .sequences import pair_ids
 from .words import Word
 
 DEFAULT_MAX_HANDLES = 24
@@ -86,16 +87,12 @@ def _mapped_word(word: Word, gmap: dict[str, str], gsign: dict[str, int]) -> Wor
     return Word(tuple(letters))
 
 
-def _wheel_meta(d: KirbyDatum):
-    meta = d.meta_map
-    seq = meta.get("sequence")
-    n = meta.get("n")
-    if not isinstance(seq, str) or not isinstance(n, int) or n != len(seq):
+def _bare_wheel_sequence(d: KirbyDatum) -> str | None:
+    """The sequence of a bare wheel datum (its pairs and nothing else) with
+    at least two pairs; a single pair has no radial/circular distinction."""
+    seq = wheel_sequence(d)
+    if seq is None or not 2 <= len(seq) == len(d.one_handles) == len(d.two_handles):
         return None
-    if len(d.two_handles) != n or len(d.one_handles) != n:
-        return None  # wheel mode only for bare family data
-    if n < 2:
-        return None  # a single pair has no radial/circular distinction
     return seq
 
 
@@ -116,27 +113,21 @@ def datum_isomorphic(d1: KirbyDatum, d2: KirbyDatum,
     if len(d1.two_handles) != len(d2.two_handles):
         return None
 
-    seq1, seq2 = _wheel_meta(d1), _wheel_meta(d2)
-    if seq1 is not None and seq2 is not None:
+    seq1 = _bare_wheel_sequence(d1)
+    seq2 = seq1 and _bare_wheel_sequence(d2)
+    if seq2:
         return _wheel_isomorphic(d1, seq1, d2, seq2)
     return _general_isomorphic(d1, d2)
 
 
 def _wheel_isomorphic(d1, seq1, d2, seq2) -> IsoWitness | None:
-    n = len(seq1)
-    if n != len(seq2):
-        return None
+    n = len(seq1)  # both data are bare wheels with the same handle counts
     for r in range(n):
         if all(seq2[(j + r) % n] == seq1[j] for j in range(n)):
             gmap, hmap = {}, {}
-            for j in range(n):
-                k = (j + r) % n
-                if seq1[j] == "*":
-                    gmap[f"a{j}"] = f"a{k}"
-                    hmap[f"b{j}"] = f"b{k}"
-                else:
-                    gmap[f"b{j}"] = f"b{k}"
-                    hmap[f"a{j}"] = f"a{k}"
+            for j, sym in enumerate(seq1):
+                (g1, h1), (g2, h2) = pair_ids(j, sym), pair_ids((j + r) % n, sym)
+                gmap[g1], hmap[h1] = g2, h2
             witness = IsoWitness(tuple(sorted(gmap.items())), tuple(sorted(hmap.items())),
                                  tuple((g, 1) for g in sorted(gmap)),
                                  tuple((h, 1) for h in sorted(hmap)))

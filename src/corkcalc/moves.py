@@ -25,7 +25,8 @@ update: every survivor pair loses ``eps*lk(x,e)*lk(y,e)`` and every framing
 
 Cork twists exchange the roles inside a (dotted circle, 0-framed handle)
 pair.  ``cork_twist_pair`` requires the pair to be algebraically separated;
-``twist_wheel`` twists a whole wheel-family datum by a rotation power,
+``twist_pairs`` twists chosen pairs of a wheel-family datum and
+``twist_wheel`` twists the whole wheel by a rotation power, both
 rewriting external handles that hang on the affected pairs (letters through
 a circle losing its dot become linkings with the new 0-framed handle, and
 vice versa; re-entered letters append at the word end, the only convention
@@ -40,12 +41,12 @@ import json
 from dataclasses import dataclass
 
 from .datum import (KirbyDatum, TwoHandle, datum_hash, link_key, make_datum,
-                    validate, validate_cork_pair, CorkPair)
+                    validate_cork_pair, wheel_sequence, CorkPair)
 from .errors import (BadLinkingError, CorkCalcError, DuplicateIdError,
                      HandleNotFoundError, HashMismatchError, IllegalMoveError,
                      NotBlowdownableError, NotCancellableError, NotSeparatedError,
                      NotSplitError, NotWheelFamilyError, UnknownGeneratorError)
-from .sequences import check_sequence, shift
+from .sequences import STAR, ZERO, pair_ids, shift
 from .words import Word, parse_word, single
 
 FRONT = "front"
@@ -65,28 +66,18 @@ def _require_generator(d: KirbyDatum, g: str) -> str:
     return g
 
 
-def _wheel_state(d: KirbyDatum):
-    meta = d.meta_map
-    seq = meta.get("sequence")
-    n = meta.get("n")
-    if not isinstance(seq, str) or not isinstance(n, int) or n != len(seq):
-        raise NotWheelFamilyError("datum carries no wheel-family metadata")
-    check_sequence(seq)
-    stale = [v for v in validate(d).violations if v.code == "META_INCONSISTENT"]
-    if stale:
-        raise NotWheelFamilyError(f"wheel metadata is stale: {stale[0].message}")
-    return seq, n, meta
-
-
-def _wheel_member_ids(meta: dict) -> set[str]:
-    seq = meta.get("sequence")
-    n = len(seq) if isinstance(seq, str) else 0
-    return {f"{c}{j}" for j in range(n) for c in "ab"}
+def _require_wheel(d: KirbyDatum) -> str:
+    seq = wheel_sequence(d)
+    if seq is None:
+        raise NotWheelFamilyError("datum carries no valid wheel-family metadata")
+    return seq
 
 
 def _drop_wheel_meta_if_touched(d: KirbyDatum, touched_ids: set[str]) -> dict:
     meta = d.meta_map
-    if touched_ids & _wheel_member_ids(meta):
+    seq = wheel_sequence(d)
+    if seq is not None and any(touched_ids.intersection(pair_ids(j, sym))
+                               for j, sym in enumerate(seq)):
         for key in ("family", "sequence", "n", "m", "i"):
             meta.pop(key, None)
     return meta
@@ -279,7 +270,8 @@ def minus_one_sphere_present(d: KirbyDatum) -> bool:
 def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
     """Exchange roles in a (dotted circle, 0-framed single-pass handle) pair,
     rewriting external attachments.  Geometric linking numbers are preserved;
-    only words and the dotted/framed role sets change."""
+    only words and the dotted/framed role sets change, and a wheel pair's
+    sequence entry flips with its roles."""
     _require_generator(d, dotted)
     h0 = _require_handle(d, framed)
     if h0.framing != 0:
@@ -301,14 +293,10 @@ def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
 
     ones = tuple(u for u in d.one_handles if u != dotted) + (framed,)
     meta = d.meta_map
-    seq = meta.get("sequence")
-    if isinstance(seq, str):
-        for j in range(len(seq)):
-            pair = {f"a{j}", f"b{j}"}
-            if {dotted, framed} == pair:
-                flipped = "0" if seq[j] == "*" else "*"
-                meta["sequence"] = seq[:j] + flipped + seq[j + 1:]
-                break
+    seq = wheel_sequence(d)
+    for j, sym in enumerate(seq or ""):
+        if pair_ids(j, sym) == (dotted, framed):
+            meta["sequence"] = seq[:j] + (ZERO if sym == STAR else STAR) + seq[j + 1:]
     return _rebuild(d, new_handles, one_handles=ones, meta=meta, links=links)
 
 
@@ -320,22 +308,24 @@ def cork_twist_pair(d: KirbyDatum, pair: CorkPair) -> KirbyDatum:
     return _flip_pair(d, pair.dotted, pair.zero_handle)
 
 
+def twist_pairs(d: KirbyDatum, positions) -> KirbyDatum:
+    """Cork-twist the wheel pairs at the given distinct positions, one after
+    another; handles attached to the twisted pairs are rewritten."""
+    seq = _require_wheel(d)
+    for j in positions:
+        d = _flip_pair(d, *pair_ids(j, seq[j]))
+    return d
+
+
 def twist_wheel(d: KirbyDatum, i: int) -> KirbyDatum:
     """Cork twist of a wheel-family datum by the i-th rotation power.
 
     Realized as the composite of pair twists at every position where the
-    shifted dot pattern disagrees with the current one; handles attached to
-    the twisted pairs are rewritten accordingly.
+    shifted dot pattern disagrees with the current one.
     """
-    seq, n, meta = _wheel_state(d)
+    seq = _require_wheel(d)
     target = shift(seq, i)
-    current = d
-    for j in range(n):
-        if target[j] != seq[j]:
-            sym = seq[j]
-            dotted, framed = (f"a{j}", f"b{j}") if sym == "*" else (f"b{j}", f"a{j}")
-            current = _flip_pair(current, dotted, framed)
-    return current
+    return twist_pairs(d, [j for j, sym in enumerate(seq) if target[j] != sym])
 
 
 def rotate(d: KirbyDatum, i: int):
@@ -344,13 +334,11 @@ def rotate(d: KirbyDatum, i: int):
     The result is the datum of the shifted sequence; the rotation is an
     automorphism exactly when the shift fixes the sequence.
     """
-    seq, n, meta = _wheel_state(d)
-    i %= n
+    seq = _require_wheel(d)
+    i %= len(seq)
     mapping = {}
-    for j in range(n):
-        k = (j + i) % n
-        mapping[f"a{j}"] = f"a{k}"
-        mapping[f"b{j}"] = f"b{k}"
+    for j, sym in enumerate(seq):
+        mapping.update(zip(pair_ids(j, sym), pair_ids((j + i) % len(seq), sym)))
 
     def rename(x: str) -> str:
         return mapping.get(x, x)
@@ -359,7 +347,7 @@ def rotate(d: KirbyDatum, i: int):
     handles = [TwoHandle(rename(h.id), h.word.rename(mapping), h.framing)
                for h in d.two_handles]
     links = {(rename(x), rename(y)): v for (x, y), v in d.links}
-    meta["sequence"] = shift(seq, i)
+    meta = d.meta_map | {"sequence": shift(seq, i)}
     return _rebuild(d, handles, one_handles=ones, meta=meta, links=links), mapping
 
 

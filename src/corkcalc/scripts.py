@@ -24,18 +24,18 @@ from .errors import BadIndexError
 from .families import build_Cm, build_X
 from .isomorphism import datum_isomorphic
 from .moves import MoveTrace, Recorder, replay
-from .sequences import STAR, check_sequence, is_constant
+from .sequences import STAR, check_sequence, is_constant, pair_ids
 
 
 def _delete_steps(rec: Recorder, pair_index: int, symbol: str) -> None:
-    a, b = f"a{pair_index}", f"b{pair_index}"
+    dotted, framed = pair_ids(pair_index, symbol)
     if symbol == STAR:
-        rec.apply("attach_2handle", id="del", word=[a], framing=0, linking={})
-        rec.apply("cancel_1_2", g=a, h="del")
-        rec.apply("remove_split_zero_handle", h=b)
+        rec.apply("attach_2handle", id="del", word=[dotted], framing=0, linking={})
+        rec.apply("cancel_1_2", g=dotted, h="del")
+        rec.apply("remove_split_zero_handle", h=framed)
     else:
-        rec.apply("attach_2handle", id="del", word=[], framing=0, linking={a: 1})
-        rec.apply("cancel_1_2", g=b, h=a)
+        rec.apply("attach_2handle", id="del", word=[], framing=0, linking={framed: 1})
+        rec.apply("cancel_1_2", g=dotted, h=framed)
         rec.apply("remove_split_zero_handle", h="del")
 
 
@@ -127,8 +127,7 @@ def verify_deletion(n: int, m: int, x: str, i: int) -> bool:
     trace = deletion_script(n, m, x, i)
     start = build_X(n, m, x)
     result = replay(start, trace)
-    expected_dotted = {(f"a{j}" if x[j] == STAR else f"b{j}")
-                       for j in range(n) if j != i}
+    expected_dotted = {pair_ids(j, sym)[0] for j, sym in enumerate(x) if j != i}
     if set(result.one_handles) != expected_dotted:
         return False
     expected = build_X(n - 1, m, deleted_sequence(x, i))

@@ -1,8 +1,9 @@
-"""Cyclic {*,0}-sequence combinatorics.
+"""Cyclic {*,0}-sequence combinatorics and the wheel's pair convention.
 
-A sequence is a nonempty string over the alphabet ``*`` and ``0``.  Entry i
-selects which member of the i-th circle pair of a wheel datum carries the
-dot; cyclic shifts model rotating the wheel.  Cork-order computation rests
+A sequence is a nonempty string over the alphabet ``*`` and ``0``.  Entry j
+selects which member of the j-th circle pair of a wheel datum carries the
+dot (``pair_ids`` is the one place that names the pair's circles); cyclic
+shifts model rotating the wheel.  Cork-order computation rests
 on the (documented) composability axiom: if two boundary self-maps of a
 manifold each extend over the interior, so does their composite, hence a
 rotation extends whenever some power fixing the sequence does.
@@ -24,6 +25,14 @@ def check_sequence(x: str) -> str:
         if ch not in (STAR, ZERO):
             raise ValueError(f"invalid sequence symbol {ch!r}")
     return x
+
+
+def pair_ids(j: int, symbol: str) -> tuple[str, str]:
+    """The (dotted, framed) ids of wheel pair j under ``symbol``: pair j is
+    the radial circle ``a{j}`` and the circular circle ``b{j}``, and ``*``
+    dots the radial one, ``0`` the circular one."""
+    radial, circular = f"a{j}", f"b{j}"
+    return (radial, circular) if symbol == STAR else (circular, radial)
 
 
 def shift(x: str, i: int) -> str:

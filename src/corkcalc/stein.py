@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from .datum import KirbyDatum
 from .errors import (CorrespondenceIncompleteError, FrontFormatError,
                      OddCuspImbalanceError)
+from .families import c_sequence
+from .sequences import pair_ids
 
 LCUSP = "lcusp"
 RCUSP = "rcusp"
@@ -377,7 +379,7 @@ def wheel_front_events(n: int, m: int) -> tuple[list[FrontEvent], dict[str, str]
     Returns (events, handle-to-component correspondence)."""
     events: list[FrontEvent] = []
     corr: dict[str, str] = {}
-    handle_ids = ["b0"] + [f"a{j}" for j in range(1, n)]
+    handle_ids = [pair_ids(j, sym)[1] for j, sym in enumerate(c_sequence(n))]
     for idx, hid in enumerate(handle_ids):
         comp = f"k{idx}"
         corr[hid] = comp

@@ -1,19 +1,22 @@
 """Named verification suites behind the CLI ``verify`` command.
 
 Every suite expands a parameter grid into independent pure cases; results
-are sorted before aggregation so worker-pool execution is order-free.
+are sorted before aggregation so worker-pool execution is order-free.  A
+suite's case builder names the grid keys it reads as keyword parameters,
+with their defaults; a grid that gives any other key a value is refused.
 Suite ids are stable interface strings; each also has a descriptive alias.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
 
 from . import families, scripts, sequences, stein
 from .datum import (CorkPair, KirbyDatum, content_digest, full_linking_matrix,
-                    validate, validate_cork_pair)
+                    validate, validate_cork_pair, wheel_sequence)
 from .errors import CorkCalcError
 from .invariants import (HomologyProfile, boundary_h1, char_numbers_from_datum,
                          connected_sum, cp2, cp2_bar, homology, intersection_form)
@@ -53,11 +56,6 @@ class SuiteResult:
                 "cases": [c.to_dict() for c in self.cases]}
 
 
-def _grid_value(grid: dict, key: str, default):
-    value = grid.get(key)
-    return default if value is None else value
-
-
 # --- contractibility sweep ---------------------------------------------------
 
 # (content_digest, budget) -> (homology profile, pi1 certified trivial).
@@ -82,10 +80,7 @@ def _contractible(d: KirbyDatum, budget: int) -> tuple[HomologyProfile, bool]:
     return known
 
 
-def _cases_contractibility(grid):
-    n_max = _grid_value(grid, "n_max", 6)
-    m_max = _grid_value(grid, "m_max", 3)
-    budget = _grid_value(grid, "budget", 10_000)
+def _cases_contractibility(n_max=6, m_max=3, budget=10_000):
     return [(n, m, x, budget)
             for n in range(1, n_max + 1)
             for m in range(1, m_max + 1)
@@ -105,8 +100,7 @@ def _run_contractibility(case):
 
 # --- cork-order tables ---------------------------------------------------------
 
-def _cases_cork_order(grid):
-    n_max = _grid_value(grid, "n_max", 8)
+def _cases_cork_order(n_max=8):
     cases = [("seq", x) for n in range(1, n_max + 1) for x in sequences.all_sequences(n)]
     cases.append(("head", n_max))
     cases.append(("alternating", 0))
@@ -142,15 +136,13 @@ def _run_cork_order(case):
 
 # --- small-family equalities ----------------------------------------------------
 
-def _cases_family_equality(grid):
-    m_max = _grid_value(grid, "m_max", 3)
-    e_n_max = _grid_value(grid, "n_max", 6)
+def _cases_family_equality(n_max=6, m_max=3):
     cases = [("equal2", m) for m in range(1, m_max + 1)]
     cases += [("distinct3", m) for m in range(1, m_max + 1)]
     cases += [("e-contractible", (n, m))
-              for n in range(1, e_n_max + 1) for m in range(1, m_max + 1)]
+              for n in range(1, n_max + 1) for m in range(1, m_max + 1)]
     cases += [("e-pairs", (n, m))
-              for n in range(1, e_n_max + 1) for m in range(1, m_max + 1)]
+              for n in range(1, n_max + 1) for m in range(1, m_max + 1)]
     return cases
 
 
@@ -173,20 +165,17 @@ def _run_family_equality(case):
         return CaseResult(f"E({n},{m}) contractible", certified)
     n, m = arg
     d = families.build_E(n, m)
-    seq = d.meta_map.get("sequence", "")
-    problems = []
-    for j, sym in enumerate(seq):
-        dotted, framed = (f"a{j}", f"b{j}") if sym == "*" else (f"b{j}", f"a{j}")
-        problems += validate_cork_pair(d, CorkPair(dotted, framed, m))
+    seq = wheel_sequence(d)
+    problems = ["no valid wheel metadata"] if seq is None else []
+    for j, sym in enumerate(seq or ""):
+        problems += validate_cork_pair(d, CorkPair(*sequences.pair_ids(j, sym), m))
     return CaseResult(f"E({n},{m}) pairs are separated cork pairs",
                       not problems, "; ".join(problems))
 
 
 # --- deletion scripts -------------------------------------------------------------
 
-def _cases_deletion(grid):
-    n_max = _grid_value(grid, "n_max", 5)
-    m_max = _grid_value(grid, "m_max", 2)
+def _cases_deletion(n_max=5, m_max=2):
     cases = []
     for n in range(2, n_max + 1):
         for m in range(1, m_max + 1):
@@ -210,9 +199,7 @@ def _run_deletion(case):
 
 # --- decorated wheel family ---------------------------------------------------------
 
-def _cases_w_family(grid):
-    n_max = _grid_value(grid, "n_max", 6)
-    m_max = _grid_value(grid, "m_max", 2)
+def _cases_w_family(n_max=6, m_max=2):
     cases = []
     for n in range(2, n_max + 1):
         for m in range(1, m_max + 1):
@@ -266,9 +253,7 @@ def _run_w_family(case):
 
 # --- framing checks -------------------------------------------------------------------
 
-def _cases_stein(grid):
-    n_max = _grid_value(grid, "n_max", 4)
-    m_max = _grid_value(grid, "m_max", 3)
+def _cases_stein(n_max=4, m_max=3):
     cases = [("front", n, m) for n in range(1, n_max + 1) for m in range(1, m_max + 1)]
     cases.append(("reference", 0, 0))
     return cases
@@ -295,9 +280,9 @@ def surface_sum_precondition(l: int, n: int) -> bool:
     return l >= math.ceil((2 * n + 1) / 3)
 
 
-def _cases_surface_sum(grid):
-    ls = [grid["l"]] if grid.get("l") is not None else list(range(1, 5))
-    ns = [grid["n"]] if grid.get("n") is not None else list(range(1, 6))
+def _cases_surface_sum(l=None, n=None):
+    ls = list(range(1, 5)) if l is None else [l]
+    ns = list(range(1, 6)) if n is None else [n]
     return [("pair", l, n) for l in ls for n in ns]
 
 
@@ -327,7 +312,7 @@ _AUDIT_STARTS = (
 )
 
 
-def _cases_move_audit(grid):
+def _cases_move_audit():
     return list(range(AUDIT_WALKS))
 
 
@@ -335,7 +320,7 @@ def _audit_options(d) -> list[str]:
     options = ["slide"] if len(d.handle_ids) >= 2 else []
     if any(len(h.word) == 1 for h in d.two_handles):
         options.append("cancel")
-    if isinstance(d.meta_map.get("sequence"), str):
+    if wheel_sequence(d) is not None:
         options += ["rotate", "twist"]
     if any(not h.word and h.framing in (1, -1) for h in d.two_handles):
         options.append("blow_down")
@@ -379,10 +364,10 @@ def _run_move_audit(k):
                         for h in d.two_handles if len(h.word) == 1)
             out = apply_move(d, "cancel_1_2", {"g": g, "h": h})
         elif kind == "rotate":
-            out = apply_move(d, "rotate", {"i": rng.randrange(d.meta_map["n"])})
+            out = apply_move(d, "rotate", {"i": rng.randrange(len(wheel_sequence(d)))})
         elif kind == "twist":
             try:
-                out = apply_move(d, "twist_wheel", {"i": rng.randrange(d.meta_map["n"])})
+                out = apply_move(d, "twist_wheel", {"i": rng.randrange(len(wheel_sequence(d)))})
             except CorkCalcError:
                 refused += 1
                 continue
@@ -446,8 +431,17 @@ def resolve_suite(name: str) -> str:
 
 
 def iter_cases(name: str, grid: dict) -> list:
-    builder, _ = _SUITES[resolve_suite(name)]
-    return builder(grid)
+    """The cases of a grid; a key the suite does not read raises
+    ``CorkCalcError`` unless its value is None."""
+    resolved = resolve_suite(name)
+    builder, _ = _SUITES[resolved]
+    given = {k: v for k, v in grid.items() if v is not None}
+    reads = inspect.signature(builder).parameters
+    unread = [k for k in sorted(given) if k not in reads]
+    if unread:
+        raise CorkCalcError(f"suite {resolved} does not read {', '.join(unread)}; "
+                            f"its grid keys: {', '.join(reads) or 'none'}")
+    return builder(**given)
 
 
 def run_case(name: str, case) -> CaseResult:

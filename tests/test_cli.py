@@ -150,6 +150,16 @@ def test_budget_zero_is_legal_and_negative_exit_2(tmp_path, capsys):
         assert "--budget" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("args, unread", [
+    (["prop-2-6", "--budget", "0"], "budget"),
+    (["cork-order", "--n-max", "2", "--l", "3", "--budget", "0"], "budget, l"),
+], ids=["prop-2-6-budget", "cork-order-l-budget"])
+def test_verify_flag_the_suite_does_not_read_exit_2(capsys, args, unread):
+    assert run(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert f"does not read {unread}" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("suite", ["lemma-3-4-scripts", "w-family"])
 def test_verify_empty_grid_exit_2(capsys, suite):
     assert run(["verify", suite, "--n-max", "1"]) == 2
@@ -208,6 +218,23 @@ def _replay_c21(tmp_path, trace_lines):
 def _c21_header(**extra):
     return {"format": "corkcalc-trace/1", "initial": datum_io.datum_hash(build_C(2, 1)),
             "target": None, **extra}
+
+
+@pytest.mark.parametrize("move", ["twist_wheel", "rotate"])
+def test_replay_empty_wheel_sequence_exit_2(tmp_path, capsys, move):
+    # the datum fails validation on load, before any move reads its sequence
+    c11 = build_C(1, 1)
+    d = c11.replace(meta=c11.meta_map | {"sequence": "", "n": 0})
+    datum_path = tmp_path / "c11.json"
+    datum_path.write_text(datum_io.dumps(d))
+    start = datum_io.datum_hash(d)
+    header = {"format": "corkcalc-trace/1", "initial": start, "target": None}
+    step = {"move": move, "params": {"i": 1}, "pre": start, "post": start}
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text("\n".join(json.dumps(line) for line in (header, step)) + "\n")
+    assert run(["replay", str(datum_path), str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert "META_INCONSISTENT" in captured.err and captured.out == ""
 
 
 def test_replay_header_not_an_object_exit_2(tmp_path, capsys):

@@ -80,9 +80,13 @@ def test_duplicate_ids_are_flagged():
     assert any(v.code == "DUPLICATE_ID" for v in validate(d).violations)
 
 
-def test_wheel_meta_consistency_checked():
-    d = build_X(2, 1, "*0")
-    broken = d.replace(meta=tuple(sorted((d.meta_map | {"sequence": "00"}).items())))
+@pytest.mark.parametrize("d, change", [
+    (build_X(2, 1, "*0"), {"sequence": "00"}),
+    (build_C(1, 1), {"n": 1.0}),
+    (build_C(1, 1), {"n": True}),
+], ids=["stale-sequence", "float-n", "bool-n"])
+def test_wheel_meta_consistency_checked(d, change):
+    broken = d.replace(meta=tuple(sorted((d.meta_map | change).items())))
     assert any(v.code == "META_INCONSISTENT" for v in validate(broken).violations)
 
 

@@ -1,7 +1,8 @@
 import pytest
 
 from corkcalc import datum as datum_io
-from corkcalc.datum import CorkPair, canonical_json, validate, validate_cork_pair
+from corkcalc.datum import (CorkPair, canonical_json, validate, validate_cork_pair,
+                            wheel_sequence)
 from corkcalc.errors import BadIndexError, LengthMismatchError
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F,
                                build_W, build_W_twisted, build_X, build_Z,
@@ -9,10 +10,13 @@ from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F,
                                load_elliptic_surface)
 from corkcalc.invariants import boundary_h1, homology
 from corkcalc.isomorphism import datum_isomorphic
-from corkcalc.moves import blow_down, minus_one_sphere_present, rotate
-from corkcalc.sequences import all_sequences, period
+from corkcalc.moves import (blow_down, cancel_1_2, cork_twist_pair,
+                            minus_one_sphere_present, rotate, slide_2_over_1,
+                            twist_wheel)
+from corkcalc.sequences import STAR, ZERO, all_sequences, pair_ids, period, shift
 from corkcalc.linalg import det
 from corkcalc.datum import full_linking_matrix
+from corkcalc.words import single
 from corkcalc.stein import (FrontDocument, LegendrianFront, front_from_text,
                             front_to_text, max_tb_reference_events, wheel_front_events)
 
@@ -108,10 +112,8 @@ def test_e_family_loads_and_checks():
         for m in (1, 2):
             d = build_E(n, m)
             assert homology(d).is_contractible_homology
-            seq = d.meta_map["sequence"]
-            for j, sym in enumerate(seq):
-                dotted, framed = (f"a{j}", f"b{j}") if sym == "*" else (f"b{j}", f"a{j}")
-                assert validate_cork_pair(d, CorkPair(dotted, framed, m)) == []
+            for j, sym in enumerate(wheel_sequence(d)):
+                assert validate_cork_pair(d, CorkPair(*pair_ids(j, sym), m)) == []
 
 
 def test_e_family_rotation_has_full_order():
@@ -138,3 +140,31 @@ def test_generated_documents_round_trip():
         assert canonical_json(datum_io.loads(datum_io.dumps(d))) == canonical_json(d)
     trefoil = FrontDocument(LegendrianFront(tuple(max_tb_reference_events("trefoil"))))
     assert front_from_text(front_to_text(trefoil)) == trefoil
+
+
+def test_wheel_convention_is_kept_by_every_wheel_move():
+    for n in range(1, 7):
+        for x in all_sequences(n):
+            d = build_X(n, 1, x)
+            pairs = [pair_ids(j, sym) for j, sym in enumerate(x)]
+            assert set(d.one_handles) == {dotted for dotted, _ in pairs}
+            assert all(d.handle(framed).word == single(dotted) for dotted, framed in pairs)
+            assert wheel_sequence(d) == x
+            for i in range(n):
+                assert wheel_sequence(twist_wheel(d, i)) == shift(x, i)
+                assert wheel_sequence(rotate(d, i)[0]) == shift(x, i)
+            for j, (dotted, framed) in enumerate(pairs):
+                flipped = x[:j] + (ZERO if x[j] == STAR else STAR) + x[j + 1:]
+                assert wheel_sequence(cork_twist_pair(d, CorkPair(dotted, framed))) == flipped
+                assert wheel_sequence(slide_2_over_1(d, framed, dotted, 1)) is None
+                assert wheel_sequence(cancel_1_2(d, dotted, framed)) is None
+
+
+def test_wheels_are_isomorphic_exactly_when_their_sequences_are_shifts():
+    # from two pairs on: X(1, m, "*") and X(1, m, "0") are the same cork
+    for n in range(2, 6):
+        for x in all_sequences(n):
+            shifts = {shift(x, i) for i in range(n)}
+            for y in all_sequences(n):
+                witness = datum_isomorphic(build_X(n, 1, x), build_X(n, 1, y))
+                assert (witness is not None) == (y in shifts), (x, y)
