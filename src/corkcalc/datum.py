@@ -307,17 +307,6 @@ def canonical_form(d: KirbyDatum) -> dict:
             "meta": {k: v for k, v in d.meta}}
 
 
-def content_digest(d: KirbyDatum) -> bytes:
-    """SHA-256 of everything in the datum but ``meta``: the dotted ids, each
-    2-handle's (id, word letters, framing), the 3-handle count and the pair
-    store.  The ``repr`` of these tuples of strings and integers is an
-    injective encoding.  A key within one process; never written out."""
-    content = (d.one_handles,
-               tuple((h.id, h.word.letters, h.framing) for h in d.two_handles),
-               d.three_handles, d.links)
-    return hashlib.sha256(repr(content).encode("utf-8")).digest()
-
-
 def canonical_json(d: KirbyDatum) -> str:
     return json.dumps(canonical_form(d), sort_keys=True, separators=(",", ":"))
 

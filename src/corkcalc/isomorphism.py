@@ -21,7 +21,7 @@ from .errors import SearchBudgetExceededError
 from .sequences import pair_ids
 from .words import Word
 
-DEFAULT_MAX_HANDLES = 24
+MAX_HANDLES = 24  # larger data are refused, not searched
 _NODE_BUDGET = 2_000_000
 
 
@@ -96,16 +96,15 @@ def _bare_wheel_sequence(d: KirbyDatum) -> str | None:
     return seq
 
 
-def datum_isomorphic(d1: KirbyDatum, d2: KirbyDatum,
-                     max_handles: int = DEFAULT_MAX_HANDLES) -> IsoWitness | None:
+def datum_isomorphic(d1: KirbyDatum, d2: KirbyDatum) -> IsoWitness | None:
     """Search for a witnessing relabeling; None when the search exhausts.
 
-    Raises SearchBudgetExceededError when either datum is larger than
-    ``max_handles`` 2-handles.
+    Raises SearchBudgetExceededError when either datum has more than
+    ``MAX_HANDLES`` 2-handles.
     """
-    if len(d1.two_handles) > max_handles or len(d2.two_handles) > max_handles:
+    if len(d1.two_handles) > MAX_HANDLES or len(d2.two_handles) > MAX_HANDLES:
         raise SearchBudgetExceededError(
-            f"datum exceeds the {max_handles}-handle search bound")
+            f"datum exceeds the {MAX_HANDLES}-handle search bound")
     if d1.three_handles != d2.three_handles:
         return None
     if len(d1.one_handles) != len(d2.one_handles):

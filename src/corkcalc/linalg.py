@@ -417,7 +417,10 @@ def _split_minus_one(current: list[list[int]], basis: list[tuple[int, ...]], i: 
     return form, new_basis
 
 
-def is_diag_minus_one(q: IntMatrix, height: int = 4) -> DiagMinusOneResult:
+SEARCH_HEIGHT = 4  # coefficient bound of the norm -1 vector search
+
+
+def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
     """Decide whether symmetric q is unimodularly congruent to -Identity.
 
     Greedy: peel off norm -1 vectors and recurse on the orthogonal complement
@@ -426,7 +429,7 @@ def is_diag_minus_one(q: IntMatrix, height: int = 4) -> DiagMinusOneResult:
     the one-row SNF kernel the general step computes, so verdicts and
     witnesses are the same.  Only when no diagonal entry is -1 does the
     lattice search run, for a norm -1 vector with coefficients bounded by
-    ``height``, followed by an SNF kernel and a congruence.  Returns a
+    ``SEARCH_HEIGHT``, followed by an SNF kernel and a congruence.  Returns a
     definite False on any definiteness or determinant obstruction; an
     exhausted search without obstruction is inconclusive, never False.  A
     True verdict carries a witness W with W^T q W == -I, checked here.
@@ -454,7 +457,7 @@ def is_diag_minus_one(q: IntMatrix, height: int = 4) -> DiagMinusOneResult:
             current, basis = _split_minus_one(current, basis, i)
             continue
         p_rows = [[Fraction(-x) for x in row] for row in current]
-        vec = next(_norm_one_vectors(p_rows, height), None)
+        vec = next(_norm_one_vectors(p_rows, SEARCH_HEIGHT), None)
         if vec is None:
             return DiagMinusOneResult(None, None, "search budget exhausted")
         ambient = tuple(sum(vec[k] * basis[k][i] for k in range(m)) for i in range(n))

@@ -46,7 +46,7 @@ from .errors import (BadLinkingError, CorkCalcError, DuplicateIdError,
                      HandleNotFoundError, HashMismatchError, IllegalMoveError,
                      NotBlowdownableError, NotCancellableError, NotSeparatedError,
                      NotSplitError, NotWheelFamilyError, UnknownGeneratorError)
-from .sequences import STAR, ZERO, pair_ids, shift
+from .sequences import STAR, ZERO, check_sequence, pair_ids, shift
 from .words import Word, parse_word, single
 
 FRONT = "front"
@@ -210,10 +210,10 @@ def remove_split_zero_handle(d: KirbyDatum, h: str) -> KirbyDatum:
 
 def attach_2handle(d: KirbyDatum, hid: str, letters, framing: int,
                    linking: dict[str, int] | None = None) -> KirbyDatum:
-    """Attach a new 2-handle along a word with prescribed framing/linkings."""
+    """Attach a new 2-handle along a token word with prescribed framing/linkings."""
     if d.handle(hid) is not None or hid in d.one_handles:
         raise DuplicateIdError(f"id {hid} already in use")
-    w = parse_word(letters) if letters and isinstance(letters[0], str) else Word(tuple(letters))
+    w = parse_word(letters)
     unknown = w.generators() - set(d.one_handles)
     if unknown:
         raise UnknownGeneratorError(f"word uses unknown generators {sorted(unknown)}")
@@ -448,15 +448,14 @@ class Recorder:
     def __init__(self, initial: KirbyDatum, target: dict | None = None):
         self.current = initial
         self._steps: list[MoveStep] = []
-        self._initial_hash = datum_hash(initial)
+        self._initial_hash = self._current_hash = datum_hash(initial)
         self._target = target
 
     def apply(self, move: str, **params) -> KirbyDatum:
-        pre = datum_hash(self.current)
         result = apply_move(self.current, move, params)
         post = datum_hash(result)
-        self._steps.append(MoveStep(move, _canonical(params), pre, post))
-        self.current = result
+        self._steps.append(MoveStep(move, _canonical(params), self._current_hash, post))
+        self.current, self._current_hash = result, post
         return result
 
     def trace(self) -> MoveTrace:
@@ -467,20 +466,23 @@ class Recorder:
 def replay(initial: KirbyDatum, trace: MoveTrace) -> KirbyDatum:
     """Deterministically re-run a trace, verifying the hash chain.
 
+    Each state is hashed once; a step's ``pre`` must equal the hash last verified.
     A move the datum refuses re-raises its ``CorkCalcError`` with the
     ``step_index`` of the refused step set."""
     current = initial
-    if datum_hash(current) != trace.initial:
+    verified = datum_hash(current)
+    if verified != trace.initial:
         raise HashMismatchError("initial datum does not match trace header", -1)
     for idx, step in enumerate(trace.steps):
-        if datum_hash(current) != step.pre:
+        if verified != step.pre:
             raise HashMismatchError(f"pre-hash mismatch at step {idx}", idx)
         try:
             current = apply_move(current, step.move, step.params_dict)
         except CorkCalcError as e:
             e.step_index = idx
             raise
-        if datum_hash(current) != step.post:
+        verified = datum_hash(current)
+        if verified != step.post:
             raise HashMismatchError(f"post-hash mismatch at step {idx}", idx)
     return current
 
@@ -521,11 +523,13 @@ def trace_from_text(text: str) -> MoveTrace:
     _require_keys(header, ("initial",), "trace header")
     target = header.get("target")
     if target is not None:
-        if not (isinstance(target, dict) and isinstance(target.get("n"), int)
-                and isinstance(target.get("m"), int)
-                and isinstance(target.get("sequence"), str)):
-            raise CorkCalcError("trace target must be an object with integer "
-                                "n and m and a string sequence")
+        if not (isinstance(target, dict) and _is_int(target.get("n"))
+                and _is_int(target.get("m"))):
+            raise CorkCalcError("trace target must be an object with integer n and m")
+        try:
+            check_sequence(target.get("sequence"))
+        except ValueError as e:
+            raise CorkCalcError(f"trace target: {e}") from None
         target = _canonical(target)
     steps = []
     for idx, ln in enumerate(lines[1:]):

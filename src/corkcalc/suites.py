@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 
 from . import families, scripts, sequences, stein
-from .datum import (CorkPair, KirbyDatum, content_digest, full_linking_matrix,
-                    validate, validate_cork_pair, wheel_sequence)
+from .datum import (CorkPair, KirbyDatum, full_linking_matrix, validate,
+                    validate_cork_pair, wheel_sequence)
 from .errors import CorkCalcError
 from .invariants import (HomologyProfile, boundary_h1, char_numbers_from_datum,
                          connected_sum, cp2, cp2_bar, homology, intersection_form)
@@ -58,19 +58,23 @@ class SuiteResult:
 
 # --- contractibility sweep ---------------------------------------------------
 
-# (content_digest, budget) -> (homology profile, pi1 certified trivial).
+# (content repr, budget) -> (homology profile, pi1 certified trivial).
 # A wheel's twist parameter m lives only in ``meta``, so the data of one
 # sequence recur for every m (and E(n, .) is C(n, .) under another tag).
 # Cleared by ``run_suite``: it lives for one grid, and a forked pool worker
 # inherits it empty.
-_CONTRACTIBLE: dict[tuple[bytes, int], tuple[HomologyProfile, bool]] = {}
+_CONTRACTIBLE: dict[tuple[str, int], tuple[HomologyProfile, bool]] = {}
 
 
 def _contractible(d: KirbyDatum, budget: int) -> tuple[HomologyProfile, bool]:
     """The homology profile of d and whether a Tietze run within ``budget``
     certifies its fundamental group trivial; the run is skipped (False)
     when the homology already rules out a ball."""
-    key = (content_digest(d), budget)
+    # the repr of d's fields but meta: an exact key that, unlike the fields
+    # themselves, does not keep every distinct datum of the grid alive
+    content = (d.one_handles, [(h.id, h.word.letters, h.framing) for h in d.two_handles],
+               d.three_handles, d.links)
+    key = (repr(content), budget)
     known = _CONTRACTIBLE.get(key)
     if known is None:
         profile = homology(d)

@@ -184,7 +184,8 @@ def test_replay_with_declared_target(tmp_path, capsys):
                 "--out-datum", str(out_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["integrity"] == "ok" and report["target_isomorphic"]
-    assert datum_io.loads(out_path.read_text()).two_handles
+    result = datum_io.loads(out_path.read_text())
+    assert result.two_handles and report["final_hash"] == datum_io.datum_hash(result)
 
 
 def test_replay_tampered_trace_exit_1(tmp_path, capsys):
@@ -254,6 +255,23 @@ def test_replay_target_missing_m_exit_2(tmp_path, capsys):
     header = _c21_header(target={"family": "C", "n": 2, "sequence": "*0"})
     assert _replay_c21(tmp_path, [header]) == 2
     assert "trace target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", [
+    {"family": "C", "n": True, "m": True, "sequence": "*"},
+    {"family": "C", "n": 1, "m": 1, "sequence": "x"},
+], ids=["boolean-n-and-m", "bad-sequence-symbol"])
+def test_replay_malformed_target_exit_2(tmp_path, capsys, target):
+    # an empty trace on the datum of gen C 1 1, which the target would match
+    datum_path = tmp_path / "c11.json"
+    datum_path.write_text(datum_io.dumps(build_C(1, 1)))
+    header = {"format": "corkcalc-trace/1", "target": target,
+              "initial": datum_io.datum_hash(build_C(1, 1))}
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text(json.dumps(header) + "\n")
+    assert run(["replay", str(datum_path), str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert "trace target" in captured.err and captured.out == ""
 
 
 def test_simplify_command(tmp_path, capsys):

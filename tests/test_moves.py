@@ -1,12 +1,15 @@
 """Move-engine contracts plus the congruence/invariance oracles."""
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from corkcalc import moves
 from corkcalc.datum import (CorkPair, canonical_json, datum_hash,
                             full_linking_matrix, make_datum, two_handle, validate)
-from corkcalc.errors import (BadLinkingError, DuplicateIdError, HashMismatchError,
+from corkcalc.errors import (BadLinkingError, CorkCalcError, DuplicateIdError, HashMismatchError,
                              HandleNotFoundError, IllegalMoveError,
                              NotBlowdownableError, NotCancellableError,
                              NotSeparatedError, NotSplitError,
@@ -14,11 +17,13 @@ from corkcalc.errors import (BadLinkingError, DuplicateIdError, HashMismatchErro
 from corkcalc.families import build_Cm, build_W, build_X
 from corkcalc.invariants import boundary_h1, homology
 from corkcalc.linalg import IntMatrix
-from corkcalc.moves import (MoveTrace, Recorder, attach_2handle, blow_down,
+from corkcalc.moves import (MoveTrace, Recorder, apply_move, attach_2handle, blow_down,
                             blow_up, cancel_1_2, cork_twist_pair,
                             minus_one_sphere_present, remove_split_zero_handle,
                             replay, rotate, slide_2_over_1, slide_2_over_2,
                             trace_from_text, trace_to_text, twist_wheel)
+from corkcalc.scripts import deletion_chain, deletion_script, verify_deletion
+from corkcalc.sequences import all_sequences
 
 
 def two_zero_framed_linked():
@@ -411,6 +416,108 @@ def test_trace_text_keeps_params():
         rec.apply(move, **p)
     parsed = trace_from_text(trace_to_text(rec.trace()))
     assert [(s.move, s.params_dict) for s in parsed.steps] == params
+
+
+# --- hashing each state once ----------------------------------------------------------------------
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The data that the trace layer hashes, in call order."""
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return datum_hash(d)
+
+    monkeypatch.setattr(moves, "datum_hash", counting)
+    return calls
+
+
+def test_recording_and_replaying_k_moves_hash_k_plus_one_states(hashed):
+    d = build_W(3, 1)
+    rec = Recorder(d)
+    for move, params in (("twist_wheel", {"i": 2}), ("blow_down", {"h": "m2_1"}),
+                         ("blow_down", {"h": "m2_2"})):
+        rec.apply(move, **params)
+    assert len(hashed) == 4
+    replay(d, rec.trace())
+    assert len(hashed) == 8
+
+
+def test_a_verified_deletion_hashes_eight_states(hashed):
+    assert verify_deletion(4, 1, "*0*0", 1)
+    assert len(hashed) == 8  # 4 while recording 3 moves, 4 while replaying them
+
+
+def reference_replay(initial, trace):
+    """Oracle: ``replay`` as it was when it hashed every pre-state again."""
+    current = initial
+    if datum_hash(current) != trace.initial:
+        raise HashMismatchError("initial datum does not match trace header", -1)
+    for idx, step in enumerate(trace.steps):
+        if datum_hash(current) != step.pre:
+            raise HashMismatchError(f"pre-hash mismatch at step {idx}", idx)
+        try:
+            current = apply_move(current, step.move, step.params_dict)
+        except CorkCalcError as e:
+            e.step_index = idx
+            raise
+        if datum_hash(current) != step.post:
+            raise HashMismatchError(f"post-hash mismatch at step {idx}", idx)
+    return current
+
+
+def _outcome(replayer, start, trace):
+    try:
+        return "ok", datum_hash(replayer(start, trace))
+    except CorkCalcError as e:
+        return type(e), str(e), e.step_index
+
+
+def _tampered(trace):
+    """One field changed at a time: the header's initial hash, each step's
+    pre and post hash, and one parameter of each step (its first string or
+    integer parameter: an id becomes unknown, an integer grows by one)."""
+    bogus = "0" * 64
+    yield replace(trace, initial=bogus)
+    for k, step in enumerate(trace.steps):
+        for field in ("pre", "post"):
+            steps = list(trace.steps)
+            steps[k] = replace(step, **{field: bogus})
+            yield replace(trace, steps=tuple(steps))
+        params = step.params_dict
+        key = next(key for key in sorted(params) if isinstance(params[key], (str, int)))
+        params[key] = "ghost" if isinstance(params[key], str) else params[key] + 1
+        steps = list(trace.steps)
+        steps[k] = replace(step, params=json.dumps(params, sort_keys=True))
+        yield replace(trace, steps=tuple(steps))
+
+
+def _recorded_traces():
+    """(start datum, trace): every deletion script with n <= 4, and each step
+    of one deletion chain from the datum it starts from."""
+    for n in (2, 3, 4):
+        for x in all_sequences(n):
+            for i in range(n):
+                yield build_X(n, 1, x), deletion_script(n, 1, x, i)
+    current = build_X(5, 2, "*0*00")
+    for step in deletion_chain(5, 2, "*0*00"):
+        yield current, step.trace
+        current = reference_replay(current, step.trace)
+
+
+def test_replay_matches_the_reference_on_recorded_and_tampered_traces():
+    checked = 0
+    for start, trace in _recorded_traces():
+        expected = _outcome(reference_replay, start, trace)
+        assert expected == ("ok", trace.final)
+        assert _outcome(replay, start, trace) == expected
+        for bad in _tampered(trace):
+            expected = _outcome(reference_replay, start, bad)
+            assert expected[0] != "ok"
+            assert _outcome(replay, start, bad) == expected
+            checked += 1
+    assert checked == 96 * 10 + 4 * 10
 
 
 # --- the move-audit suite ----------------------------------------------------------------------------------

@@ -91,6 +91,20 @@ def test_memo_hits_across_meta(homology_calls):
     assert len(homology_calls) == 2
 
 
+def test_the_memo_keeps_no_datum_alive(monkeypatch):
+    # a grid holds thousands of distinct data; the memo keeps their results only
+    import gc
+    import weakref
+
+    monkeypatch.setattr(suites, "_CONTRACTIBLE", {})
+    d = families.build_X(3, 1, "*00")
+    handle = weakref.ref(d.two_handles[0])
+    suites._contractible(d, 10_000)
+    del d
+    gc.collect()
+    assert handle() is None and len(suites._CONTRACTIBLE) == 1
+
+
 def test_a_worker_batch_certifies_each_wheel_once(homology_calls):
     batch = suites.iter_cases("lemma-2-2", {"n_max": 4, "m_max": 3})[0::2]
     results = suites._run_batch(("lemma-2-2", batch))
