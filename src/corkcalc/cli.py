@@ -13,13 +13,13 @@ import sys
 from pathlib import Path
 
 from . import datum as datum_io
-from . import families, stein, suites
+from . import families, scripts, stein, suites
 from .errors import CorkCalcError, DatumFormatError, FrontFormatError
 from .invariants import boundary_h1, homology, intersection_form
-from .isomorphism import datum_isomorphic
 from .linalg import is_diag_minus_one
-from .moves import replay, trace_from_text
-from .presentations import GroupPresentation, tietze_simplify, pi1_presentation
+from .moves import trace_from_text
+from .presentations import (TIETZE_BUDGET, GroupPresentation, pi1_presentation,
+                            tietze_simplify)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -94,35 +94,30 @@ def _markdown(obj: dict, title: str = "report") -> str:
 
 # --- gen -----------------------------------------------------------------------
 
-_FAMILIES = ("C", "D", "E", "F", "W", "X", "Z", "Cm")
+def _needs(args, option: str):
+    """The value of ``--option``, which the family of ``args`` requires."""
+    value = getattr(args, option)
+    if value is None or value == "":
+        raise _CliError(f"family {args.family} needs --{option}", EXIT_USAGE)
+    return value
+
+
+# family letter -> its datum built from the parsed arguments
+_FAMILIES = {
+    "C": lambda a: families.build_C(a.n, a.m),
+    "D": lambda a: families.build_D(a.n, a.m),
+    "E": lambda a: families.build_E(a.n, a.m),
+    "F": lambda a: families.build_F(a.n, a.m),
+    "W": lambda a: families.build_W(a.n, a.m),
+    "X": lambda a: families.build_X(a.n, a.m, _needs(a, "seq")),
+    "Z": lambda a: families.build_Z(a.n, a.m, _needs(a, "i")),
+    "Cm": lambda a: families.build_Cm(a.m),
+}
 
 
 def _generate(args) -> int:
-    family = args.family
-    n, m = args.n, args.m
     try:
-        if family == "X":
-            if not args.seq:
-                raise _CliError("family X needs --seq", EXIT_USAGE)
-            d = families.build_X(n, m, args.seq)
-        elif family == "C":
-            d = families.build_C(n, m)
-        elif family == "Cm":
-            d = families.build_Cm(m)
-        elif family == "D":
-            d = families.build_D(n, m)
-        elif family == "E":
-            d = families.build_E(n, m)
-        elif family == "F":
-            d = families.build_F(n, m)
-        elif family == "W":
-            d = families.build_W(n, m)
-        elif family == "Z":
-            if args.i is None:
-                raise _CliError("family Z needs --i", EXIT_USAGE)
-            d = families.build_Z(n, m, args.i)
-        else:
-            raise _CliError(f"unknown family {family}", EXIT_USAGE)
+        d = _FAMILIES[args.family](args)
     except (CorkCalcError, ValueError) as e:
         raise _CliError(str(e), EXIT_USAGE) from e
     _write_text(args.out, datum_io.dumps(d))
@@ -180,28 +175,11 @@ def _replay(args) -> int:
         trace = trace_from_text(text)
     except CorkCalcError as e:
         raise _CliError(f"{args.trace}: bad trace file: {e}", EXIT_USAGE) from e
-    try:
-        result = replay(d, trace)
-    except CorkCalcError as e:
-        report = {"integrity": "failed", "error": str(e),
-                  "step": getattr(e, "step_index", None)}
-        _emit(report, args.format, None)
-        return EXIT_VERIFY_FAILED
-    report = {"integrity": "ok", "final_hash": trace.final}  # checked by replay
-    target = trace.target_dict
-    if target is not None:
-        expected = families.build_X(target["n"], target["m"], target["sequence"],
-                                    family=target.get("family", "X"))
-        witness = datum_isomorphic(result, expected)
-        report["target"] = target
-        report["target_isomorphic"] = witness is not None
-        if witness is None:
-            _emit(report, args.format, args.out)
-            return EXIT_VERIFY_FAILED
-    if args.out_datum:
+    report, result = scripts.check_trace(d, trace)
+    if result is not None and args.out_datum:
         _write_text(args.out_datum, datum_io.dumps(result))
     _emit(report, args.format, args.out)
-    return EXIT_OK
+    return EXIT_OK if result is not None else EXIT_VERIFY_FAILED
 
 
 # --- simplify ----------------------------------------------------------------------
@@ -210,7 +188,7 @@ def _simplify(args) -> int:
     text = _read_text(args.presentation)
     try:
         pres = GroupPresentation.from_dict(json.loads(text))
-    except (json.JSONDecodeError, CorkCalcError) as e:
+    except (ValueError, RecursionError, CorkCalcError) as e:  # ValueError: JSON too
         raise _CliError(f"{args.presentation}: bad presentation file: {e}",
                         EXIT_USAGE) from e
     simplified, certified = tietze_simplify(pres, args.budget)
@@ -276,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     inv = sub.add_parser("invariants", help="homology/boundary/form report for a datum file")
     inv.add_argument("datum")
-    inv.add_argument("--budget", type=_nonnegative_int, default=10_000)
+    inv.add_argument("--budget", type=_nonnegative_int, default=TIETZE_BUDGET)
     inv.add_argument("--format", choices=("json", "md"), default="json")
     inv.add_argument("-o", "--out", default=None)
 
@@ -300,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simp = sub.add_parser("simplify", help="Tietze-simplify a presentation file")
     simp.add_argument("presentation")
-    simp.add_argument("--budget", type=_nonnegative_int, default=10_000)
+    simp.add_argument("--budget", type=_nonnegative_int, default=TIETZE_BUDGET)
     simp.add_argument("--format", choices=("json", "md"), default="json")
     simp.add_argument("-o", "--out", default=None)
 

@@ -242,7 +242,7 @@ def validate_cork_pair(d: KirbyDatum, pair: CorkPair) -> list[str]:
         return problems + [f"{pair.zero_handle} is not a 2-handle"]
     if h.framing != 0:
         problems.append(f"{h.id} has framing {h.framing}, expected 0")
-    if len(h.word) != 1 or h.word.letters[0][0] != pair.dotted:
+    if not h.word.is_single(pair.dotted):
         problems.append(f"word of {h.id} is not a single pass through {pair.dotted}")
     for other in d.two_handles:
         if other.id != h.id and pair.dotted in other.word.generators():
@@ -389,6 +389,8 @@ def loads(text: str) -> KirbyDatum:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DatumFormatError(f"invalid JSON: {e.msg}", line=e.lineno) from e
+    except (ValueError, RecursionError) as e:  # an overlong integer, deep nesting
+        raise DatumFormatError(f"invalid JSON: {e}") from None
     return from_canonical(obj)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .datum import KirbyDatum, link_key, linking_records, wheel_sequence
 from .errors import SearchBudgetExceededError
-from .sequences import pair_ids
+from .sequences import rotation_ids, shift
 from .words import Word
 
 MAX_HANDLES = 24  # larger data are refused, not searched
@@ -122,14 +122,12 @@ def datum_isomorphic(d1: KirbyDatum, d2: KirbyDatum) -> IsoWitness | None:
 def _wheel_isomorphic(d1, seq1, d2, seq2) -> IsoWitness | None:
     n = len(seq1)  # both data are bare wheels with the same handle counts
     for r in range(n):
-        if all(seq2[(j + r) % n] == seq1[j] for j in range(n)):
-            gmap, hmap = {}, {}
-            for j, sym in enumerate(seq1):
-                (g1, h1), (g2, h2) = pair_ids(j, sym), pair_ids((j + r) % n, sym)
-                gmap[g1], hmap[h1] = g2, h2
-            witness = IsoWitness(tuple(sorted(gmap.items())), tuple(sorted(hmap.items())),
-                                 tuple((g, 1) for g in sorted(gmap)),
-                                 tuple((h, 1) for h in sorted(hmap)))
+        if shift(seq1, r) == seq2:
+            ids = rotation_ids(n, r)
+            gmap = sorted((g, ids[g]) for g in d1.one_handles)
+            hmap = sorted((h, ids[h]) for h in d1.handle_ids)
+            witness = IsoWitness(tuple(gmap), tuple(hmap), tuple((g, 1) for g, _ in gmap),
+                                 tuple((h, 1) for h, _ in hmap))
             if check_witness(d1, d2, witness):
                 return witness
     return None

@@ -38,6 +38,7 @@ All moves are pure: they return fresh data and never mutate inputs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .datum import (KirbyDatum, TwoHandle, datum_hash, link_key, make_datum,
@@ -46,7 +47,7 @@ from .errors import (BadLinkingError, CorkCalcError, DuplicateIdError,
                      HandleNotFoundError, HashMismatchError, IllegalMoveError,
                      NotBlowdownableError, NotCancellableError, NotSeparatedError,
                      NotSplitError, NotWheelFamilyError, UnknownGeneratorError)
-from .sequences import STAR, ZERO, check_sequence, pair_ids, shift
+from .sequences import STAR, ZERO, check_sequence, pair_ids, rotation_ids, shift
 from .words import Word, parse_word, single
 
 FRONT = "front"
@@ -161,7 +162,7 @@ def cancel_1_2(d: KirbyDatum, g: str, h: str) -> KirbyDatum:
     """
     _require_generator(d, g)
     handle = _require_handle(d, h)
-    if len(handle.word) != 1 or handle.word.letters[0][0] != g:
+    if not handle.word.is_single(g):
         raise NotCancellableError(
             f"word of {h} does not reduce to a single pass through {g}")
     s0 = handle.word.letters[0][1]
@@ -276,7 +277,7 @@ def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
     h0 = _require_handle(d, framed)
     if h0.framing != 0:
         raise NotSeparatedError(f"{framed} must have framing 0 to twist")
-    if len(h0.word) != 1 or h0.word.letters[0][0] != dotted:
+    if not h0.word.is_single(dotted):
         raise NotSeparatedError(f"{framed} must pass {dotted} exactly once to twist")
     sigma = h0.word.letters[0][1]
 
@@ -335,10 +336,7 @@ def rotate(d: KirbyDatum, i: int):
     automorphism exactly when the shift fixes the sequence.
     """
     seq = _require_wheel(d)
-    i %= len(seq)
-    mapping = {}
-    for j, sym in enumerate(seq):
-        mapping.update(zip(pair_ids(j, sym), pair_ids((j + i) % len(seq), sym)))
+    mapping = rotation_ids(len(seq), i)
 
     def rename(x: str) -> str:
         return mapping.get(x, x)
@@ -499,7 +497,7 @@ def trace_to_text(trace: MoveTrace) -> str:
 def _json_object(line: str, what: str) -> dict:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also an overlong integer, deep nesting
         raise CorkCalcError(f"{what} is not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise CorkCalcError(f"{what} must be a JSON object")
@@ -512,6 +510,35 @@ def _require_keys(obj: dict, keys, what: str) -> None:
         raise CorkCalcError(f"{what} lacks {', '.join(missing)}")
 
 
+_HASH = re.compile("[0-9a-f]{64}")  # what datum_hash writes
+
+
+def _require_hashes(obj: dict, keys, what: str) -> None:
+    for key in keys:
+        if not (isinstance(obj[key], str) and _HASH.fullmatch(obj[key])):
+            raise CorkCalcError(f"{what}: {key} must be a datum hash "
+                                "(64 lowercase hex digits)")
+
+
+def _target(target) -> str:
+    """The canonical JSON of a declared target wheel: integer ``n`` and
+    ``m`` with n the length of ``sequence`` and m >= 1, and an optional
+    ``family`` string."""
+    if not (isinstance(target, dict) and set(target) <= {"family", "n", "m", "sequence"}
+            and isinstance(target.get("family", ""), str)
+            and _is_int(target.get("n")) and _is_int(target.get("m"))):
+        raise CorkCalcError("trace target must be an object with integer n and m, "
+                            "a sequence and an optional family string, and no other key")
+    try:
+        check_sequence(target.get("sequence"))
+    except ValueError as e:
+        raise CorkCalcError(f"trace target: {e}") from None
+    if target["n"] != len(target["sequence"]) or target["m"] < 1:
+        raise CorkCalcError("trace target needs n equal to the length of its "
+                            "sequence and m at least 1")
+    return _canonical(target)
+
+
 def trace_from_text(text: str) -> MoveTrace:
     """Parse a trace file; any malformed line raises ``CorkCalcError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -521,21 +548,15 @@ def trace_from_text(text: str) -> MoveTrace:
     if header.get("format") != TRACE_FORMAT:
         raise CorkCalcError(f"unsupported trace format {header.get('format')!r}")
     _require_keys(header, ("initial",), "trace header")
+    _require_hashes(header, ("initial",), "trace header")
     target = header.get("target")
-    if target is not None:
-        if not (isinstance(target, dict) and _is_int(target.get("n"))
-                and _is_int(target.get("m"))):
-            raise CorkCalcError("trace target must be an object with integer n and m")
-        try:
-            check_sequence(target.get("sequence"))
-        except ValueError as e:
-            raise CorkCalcError(f"trace target: {e}") from None
-        target = _canonical(target)
+    target = None if target is None else _target(target)
     steps = []
     for idx, ln in enumerate(lines[1:]):
         what = f"trace step {idx}"
         obj = _json_object(ln, what)
         _require_keys(obj, ("move", "params", "pre", "post"), what)
+        _require_hashes(obj, ("pre", "post"), what)
         move, params = obj["move"], obj["params"]
         if not isinstance(move, str) or move not in MOVES:
             raise CorkCalcError(f"{what}: unknown move {move!r}")

@@ -85,7 +85,10 @@ def pi1_presentation(d: KirbyDatum) -> GroupPresentation:
                              tuple(h.word for h in d.two_handles))
 
 
-def tietze_simplify(p: GroupPresentation, budget: int = 10_000):
+TIETZE_BUDGET = 10_000  # moves allowed per presentation unless a caller says otherwise
+
+
+def tietze_simplify(p: GroupPresentation, budget: int = TIETZE_BUDGET):
     """Greedy sound simplification; returns (presentation, certified_trivial).
 
     certified_trivial is True only when every generator is eliminated.  On

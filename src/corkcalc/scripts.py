@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadIndexError
+from .datum import KirbyDatum
+from .errors import BadIndexError, CorkCalcError
 from .families import build_Cm, build_X
 from .isomorphism import datum_isomorphic
 from .moves import MoveTrace, Recorder, replay
@@ -120,18 +121,36 @@ def deletion_chain(n: int, m: int, x: str) -> list[ChainStep]:
 
 # --- verification -------------------------------------------------------------
 
+def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum | None]:
+    """Replay a trace and compare the result with the wheel it declares as
+    its target, if any: the report that ``corkcalc replay`` prints, and the
+    result, or None when the hash chain, a move or the target fails."""
+    try:
+        result = replay(start, trace)
+    except CorkCalcError as e:
+        return {"integrity": "failed", "error": str(e),
+                "step": getattr(e, "step_index", None)}, None
+    report = {"integrity": "ok", "final_hash": trace.final}  # checked by replay
+    target = trace.target_dict
+    if target is not None:
+        expected = build_X(target["n"], target["m"], target["sequence"],
+                           family=target.get("family", "X"))
+        report["target"] = target
+        report["target_isomorphic"] = datum_isomorphic(result, expected) is not None
+        if not report["target_isomorphic"]:
+            return report, None
+    return report, result
+
+
 def verify_deletion(n: int, m: int, x: str, i: int) -> bool:
-    """Replay the deletion script and check the postcondition sharply:
-    surviving dotted roles are exactly prescribed by the sequence, and the
-    result is isomorphic to the generated smaller wheel."""
+    """Check the deletion script sharply: its trace replays to the smaller
+    wheel it declares, and the surviving dotted roles are exactly those the
+    sequence prescribes."""
     trace = deletion_script(n, m, x, i)
-    start = build_X(n, m, x)
-    result = replay(start, trace)
+    report, result = check_trace(build_X(n, m, x), trace)
     expected_dotted = {pair_ids(j, sym)[0] for j, sym in enumerate(x) if j != i}
-    if set(result.one_handles) != expected_dotted:
-        return False
-    expected = build_X(n - 1, m, deleted_sequence(x, i))
-    return datum_isomorphic(result, expected) is not None
+    return (report.get("target_isomorphic") is True
+            and set(result.one_handles) == expected_dotted)
 
 
 def verify_chain(n: int, m: int, x: str) -> bool:

@@ -3,10 +3,11 @@
 A sequence is a nonempty string over the alphabet ``*`` and ``0``.  Entry j
 selects which member of the j-th circle pair of a wheel datum carries the
 dot (``pair_ids`` is the one place that names the pair's circles); cyclic
-shifts model rotating the wheel.  Cork-order computation rests
-on the (documented) composability axiom: if two boundary self-maps of a
-manifold each extend over the interior, so does their composite, hence a
-rotation extends whenever some power fixing the sequence does.
+shifts model rotating the wheel, whose circles ``rotation_ids`` relabels.
+Cork-order computation rests on the (documented) composability axiom: if
+two boundary self-maps of a manifold each extend over the interior, so does
+their composite, hence a rotation extends whenever some power fixing the
+sequence does.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def pair_ids(j: int, symbol: str) -> tuple[str, str]:
     dots the radial one, ``0`` the circular one."""
     radial, circular = f"a{j}", f"b{j}"
     return (radial, circular) if symbol == STAR else (circular, radial)
+
+
+def rotation_ids(n: int, i: int) -> dict[str, str]:
+    """The circle relabeling of rotating an n-pair wheel by i: each circle
+    of pair j goes to the same circle of pair j + i mod n, whatever the
+    sequence, which rotates with it (``shift``)."""
+    return {old: new for j in range(n)
+            for old, new in zip(pair_ids(j, STAR), pair_ids((j + i) % n, STAR))}
 
 
 def shift(x: str, i: int) -> str:
@@ -73,11 +82,10 @@ def rotation_map_order(n: int) -> int:
     """Order of the one-step wheel rotation as a permutation of 2n circles."""
     if n < 1:
         raise ValueError("wheel size must be >= 1")
-    perm = {j: (j - 1) % n for j in range(n)}
-    order = 1
-    current = perm
-    while any(current[j] != j for j in range(n)):
-        current = {j: perm[current[j]] for j in range(n)}
+    step = rotation_ids(n, 1)
+    order, current = 1, step
+    while any(old != new for old, new in current.items()):
+        current = {old: step[new] for old, new in current.items()}
         order += 1
     return order
 

@@ -356,16 +356,8 @@ def unknot_events(component: str) -> list[FrontEvent]:
 def framed_zero_component_events(component: str, m: int) -> list[FrontEvent]:
     """A tb = 1 component carrying the (-m+1)-twist box of the basic cork
     handle; the box contributes zero net tb, so every m passes framing 0."""
-    return (
-        [FrontEvent(LCUSP, 0, component, UP),
-         FrontEvent(LCUSP, 1, component, DOWN),
-         FrontEvent(XPOS, 1),
-         FrontEvent(XPOS, 1),
-         FrontEvent(XPOS, 1)]
-        + twist_box_events(component, 1, m - 1)
-        + [FrontEvent(RCUSP, 0, component, UP),
-           FrontEvent(RCUSP, 0, component, DOWN)]
-    )
+    trefoil = max_tb_reference_events(component)
+    return trefoil[:-2] + twist_box_events(component, 1, m - 1) + trefoil[-2:]
 
 
 def wheel_front_events(n: int, m: int) -> tuple[list[FrontEvent], dict[str, str]]:

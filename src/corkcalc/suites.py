@@ -23,7 +23,7 @@ from .invariants import (HomologyProfile, boundary_h1, char_numbers_from_datum,
 from .isomorphism import datum_isomorphic
 from .linalg import IntMatrix, is_diag_minus_one
 from .moves import apply_move, blow_down, minus_one_sphere_present, slide_2_over_2
-from .presentations import pi1_presentation, tietze_simplify
+from .presentations import TIETZE_BUDGET, pi1_presentation, tietze_simplify
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def _contractible(d: KirbyDatum, budget: int) -> tuple[HomologyProfile, bool]:
     return known
 
 
-def _cases_contractibility(n_max=6, m_max=3, budget=10_000):
+def _cases_contractibility(n_max=6, m_max=3, budget=TIETZE_BUDGET):
     return [(n, m, x, budget)
             for n in range(1, n_max + 1)
             for m in range(1, m_max + 1)
@@ -165,7 +165,7 @@ def _run_family_equality(case):
                           witness is None)
     if kind == "e-contractible":
         n, m = arg
-        _, certified = _contractible(families.build_E(n, m), 10_000)
+        _, certified = _contractible(families.build_E(n, m), TIETZE_BUDGET)
         return CaseResult(f"E({n},{m}) contractible", certified)
     n, m = arg
     d = families.build_E(n, m)
@@ -434,9 +434,14 @@ def resolve_suite(name: str) -> str:
     return resolved
 
 
+# the least value of each grid key; every grid value is an int
+_GRID_MINIMUM = {"n_max": 1, "m_max": 1, "l": 1, "n": 1, "budget": 0}
+
+
 def iter_cases(name: str, grid: dict) -> list:
-    """The cases of a grid; a key the suite does not read raises
-    ``CorkCalcError`` unless its value is None."""
+    """The cases of a grid; a key the suite does not read, or a value that
+    is not an int of at least the key's minimum, raises ``CorkCalcError``
+    unless the value is None."""
     resolved = resolve_suite(name)
     builder, _ = _SUITES[resolved]
     given = {k: v for k, v in grid.items() if v is not None}
@@ -445,6 +450,11 @@ def iter_cases(name: str, grid: dict) -> list:
     if unread:
         raise CorkCalcError(f"suite {resolved} does not read {', '.join(unread)}; "
                             f"its grid keys: {', '.join(reads) or 'none'}")
+    for key in sorted(given):
+        value, least = given[key], _GRID_MINIMUM[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise CorkCalcError(f"grid key {key} must be an integer of at least "
+                                f"{least}, got {value!r}")
     return builder(**given)
 
 

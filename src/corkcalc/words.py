@@ -55,6 +55,10 @@ class Word:
             out = out * base
         return out
 
+    def is_single(self, gen: str) -> bool:
+        """Whether the word is one letter on ``gen``, of either sign."""
+        return len(self.letters) == 1 and self.letters[0][0] == gen
+
     def exponent_sum(self, gen: str) -> int:
         return sum(s for g, s in self.letters if g == gen)
 

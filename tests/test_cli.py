@@ -3,6 +3,7 @@ import json
 import pytest
 
 from corkcalc import datum as datum_io
+from corkcalc import scripts
 from corkcalc.cli import main
 from corkcalc.families import build_C, build_W, build_X
 from corkcalc.moves import Recorder, trace_to_text
@@ -260,9 +261,16 @@ def test_replay_target_missing_m_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("target", [
     {"family": "C", "n": True, "m": True, "sequence": "*"},
     {"family": "C", "n": 1, "m": 1, "sequence": "x"},
-], ids=["boolean-n-and-m", "bad-sequence-symbol"])
-def test_replay_malformed_target_exit_2(tmp_path, capsys, target):
-    # an empty trace on the datum of gen C 1 1, which the target would match
+    {"family": 5, "n": 1, "m": 1, "sequence": "*"},
+    {"family": "C", "n": 1, "m": 1, "sequence": "*", "extra": 0},
+    {"family": "C", "n": 2, "m": 1, "sequence": "*"},
+    {"family": "C", "n": 1, "m": 0, "sequence": "*"},
+], ids=["boolean-n-and-m", "bad-sequence-symbol", "integer-family", "extra-key",
+        "n-not-the-sequence-length", "zero-m"])
+def test_replay_malformed_target_exit_2(tmp_path, capsys, target, monkeypatch):
+    # an empty trace on the datum of gen C 1 1, which the target would match;
+    # the file is refused before any replay
+    monkeypatch.setattr(scripts, "replay", None)
     datum_path = tmp_path / "c11.json"
     datum_path.write_text(datum_io.dumps(build_C(1, 1)))
     header = {"format": "corkcalc-trace/1", "target": target,
@@ -272,6 +280,40 @@ def test_replay_malformed_target_exit_2(tmp_path, capsys, target):
     assert run(["replay", str(datum_path), str(trace_path)]) == 2
     captured = capsys.readouterr()
     assert "trace target" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("initial", 5), ("initial", "abc"), ("initial", "A" * 64),
+    ("pre", 5), ("pre", None), ("post", []), ("post", "0" * 63 + "g"),
+], ids=["integer-initial", "short-initial", "uppercase-initial", "integer-pre",
+        "null-pre", "list-post", "non-hex-post"])
+def test_replay_malformed_hash_exit_2(tmp_path, capsys, field, value):
+    # a one-step trace on the datum of gen C 2 1 with one hash field malformed
+    c21 = build_C(2, 1)
+    rec = Recorder(c21)
+    rec.apply("rotate", i=1)
+    header, step = (json.loads(line) for line in trace_to_text(rec.trace()).splitlines())
+    (header if field == "initial" else step)[field] = value
+    assert _replay_c21(tmp_path, [header, step]) == 2
+    captured = capsys.readouterr()
+    assert f"{field} must be a datum hash" in captured.err and captured.out == ""
+
+
+def test_replay_report_goes_to_out_when_integrity_fails(tmp_path, capsys):
+    datum_path = tmp_path / "x.json"
+    datum_path.write_text(datum_io.dumps(build_X(3, 1, "*00")))
+    header, *steps = trace_to_text(deletion_script(3, 1, "*00", 2)).splitlines()
+    step = json.loads(steps[1])
+    step["post"] = "0" * 64
+    trace_path = tmp_path / "bad.trace"
+    trace_path.write_text("\n".join([header, steps[0], json.dumps(step), steps[2]]) + "\n")
+    out_path, datum_out = tmp_path / "report.json", tmp_path / "result.json"
+    assert run(["replay", str(datum_path), str(trace_path), "-o", str(out_path),
+                "--out-datum", str(datum_out)]) == 1
+    assert capsys.readouterr().out == ""
+    report = json.loads(out_path.read_text())
+    assert report["integrity"] == "failed" and report["step"] == 1
+    assert not datum_out.exists()
 
 
 def test_simplify_command(tmp_path, capsys):
@@ -286,6 +328,20 @@ def test_simplify_bad_file_exit_2(tmp_path):
     pres = tmp_path / "p.json"
     pres.write_text("{]")
     assert run(["simplify", str(pres)]) == 2
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["overlong-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", ["invariants", "replay", "simplify"])
+def test_json_the_decoder_refuses_exit_2(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    datum_path = tmp_path / "c21.json"
+    datum_path.write_text(datum_io.dumps(build_C(2, 1)))
+    files = {"invariants": [bad], "replay": [datum_path, bad], "simplify": [bad]}[command]
+    assert run([command, *map(str, files)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 @pytest.mark.parametrize("doc", [

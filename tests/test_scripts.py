@@ -1,5 +1,9 @@
+import json
+from dataclasses import replace
+
 import pytest
 
+from corkcalc import scripts
 from corkcalc.datum import datum_hash
 from corkcalc.errors import BadIndexError
 from corkcalc.families import build_Cm, build_X
@@ -18,6 +22,34 @@ def test_deletion_star_branch():
 
 def test_deletion_zero_branch():
     assert verify_deletion(3, 1, "*00", 2)
+
+
+def test_verify_deletion_checks_the_target_its_trace_declares(monkeypatch):
+    real = scripts.deletion_script
+
+    def declaring(target_sequence):
+        def script(n, m, x, i):
+            target = {"family": "X", "n": len(target_sequence), "m": m,
+                      "sequence": target_sequence}
+            return replace(real(n, m, x, i), target=json.dumps(target, sort_keys=True))
+        return script
+
+    monkeypatch.setattr(scripts, "deletion_script", declaring("*0"))
+    assert verify_deletion(3, 1, "*0*", 2)
+    # a bare datum matches any wheel of its size, so the wrong target has three pairs
+    monkeypatch.setattr(scripts, "deletion_script", declaring("*0*"))
+    assert not verify_deletion(3, 1, "*0*", 2)
+
+
+def test_check_trace_reports_what_replay_prints():
+    trace = deletion_script(3, 1, "*00", 2)
+    report, result = scripts.check_trace(build_X(3, 1, "*00"), trace)
+    assert report == {"integrity": "ok", "final_hash": datum_hash(result),
+                      "target": trace.target_dict, "target_isomorphic": True}
+    report, result = scripts.check_trace(build_X(3, 1, "*0*"), trace)
+    assert result is None and report == {
+        "integrity": "failed", "error": "initial datum does not match trace header",
+        "step": -1}
 
 
 def test_deletion_example_to_smaller_head_pattern():

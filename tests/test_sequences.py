@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corkcalc import sequences
-from corkcalc.sequences import (all_sequences, cork_order, is_constant, period,
-                                rotation_map_order, shift)
+from corkcalc.sequences import (all_sequences, cork_order, is_constant, pair_ids, period,
+                                rotation_ids, rotation_map_order, shift)
 
 
 def brute_shift(x: str, i: int) -> str:
@@ -80,6 +80,18 @@ def test_cork_order_constant_sequences():
 def test_cork_order_alternating_vs_map_order():
     assert cork_order("*0*0") == 2
     assert rotation_map_order(4) == 4
+
+
+def test_rotation_sends_each_circle_to_the_same_circle_of_pair_j_plus_i():
+    for n in range(1, 6):
+        assert rotation_map_order(n) == n
+        for i in range(-n, 2 * n):
+            ids = rotation_ids(n, i)
+            assert sorted(ids) == sorted(ids.values())  # a permutation of the 2n circles
+            for j in range(n):
+                for sym in "*0":
+                    target = pair_ids((j + i) % n, sym)
+                    assert tuple(ids[c] for c in pair_ids(j, sym)) == target
 
 
 @given(seqs)

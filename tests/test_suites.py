@@ -5,6 +5,7 @@ import pytest
 
 from corkcalc import families, suites
 from corkcalc.datum import make_datum, two_handle
+from corkcalc.errors import CorkCalcError
 from corkcalc.invariants import homology
 from corkcalc.presentations import pi1_presentation, tietze_simplify
 from corkcalc.words import parse_word
@@ -17,7 +18,8 @@ def test_pool_matches_serial(name):
 
 
 def test_pool_on_an_empty_grid():
-    result = suites.run_suite("lemma-2-2", {"n_max": 0}, jobs=2)
+    # deletions need two pairs, so this grid has no cases
+    result = suites.run_suite("lemma-3-4-scripts", {"n_max": 1}, jobs=2)
     assert result.cases == () and result.passed
 
 
@@ -29,7 +31,25 @@ def test_pool_with_more_workers_than_cases():
 
 
 def test_a_zero_grid_value_is_not_read_as_absent():
-    assert suites.iter_cases("thm-1-7-arith", {"l": 0, "n": 0}) == [("pair", 0, 0)]
+    cases = suites.iter_cases("lemma-2-2", {"n_max": 1, "m_max": 1, "budget": 0})
+    assert cases == [(1, 1, "0", 0), (1, 1, "*", 0)]
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("lemma-2-2", {"n_max": -1}),
+    ("lemma-2-2", {"n_max": True, "m_max": 1}),
+    ("lemma-2-2", {"n_max": "3"}),
+    ("lemma-2-2", {"m_max": 1.0}),
+    ("lemma-2-2", {"m_max": 0}),
+    ("lemma-2-2", {"budget": -5}),
+    ("lemma-2-2", {"budget": False}),
+    ("thm-1-7-arith", {"l": 0}),
+    ("thm-1-7-arith", {"n": 0}),
+], ids=["negative-n-max", "boolean-n-max", "string-n-max", "float-m-max", "zero-m-max",
+        "negative-budget", "boolean-budget", "zero-l", "zero-n"])
+def test_a_library_grid_value_must_be_an_int_of_at_least_its_minimum(name, grid):
+    with pytest.raises(CorkCalcError, match="must be an integer of at least"):
+        suites.run_suite(name, grid)
 
 
 def test_serial_path_calls_run_case_once_per_case(monkeypatch):

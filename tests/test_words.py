@@ -83,3 +83,11 @@ def test_rename_and_delete():
     assert w.rename({"a": "x"}).serialize() == ["x", "-b", "x"]
     assert w.delete_generator("a").serialize() == ["-b"]
     assert w.flip_generator("b").serialize() == ["a", "b", "a"]
+
+
+def test_is_single_means_one_letter_on_the_generator():
+    assert single("a").is_single("a") and single("a", -1).is_single("a")
+    assert not single("a").is_single("b")
+    assert not Word().is_single("a")
+    assert not parse_word(["a", "a"]).is_single("a")
+    assert not parse_word(["a", "b"]).is_single("a")
