@@ -94,30 +94,30 @@ def _markdown(obj: dict, title: str = "report") -> str:
 
 # --- gen -----------------------------------------------------------------------
 
-def _needs(args, option: str):
-    """The value of ``--option``, which the family of ``args`` requires."""
-    value = getattr(args, option)
-    if value is None or value == "":
-        raise _CliError(f"family {args.family} needs --{option}", EXIT_USAGE)
-    return value
-
-
-# family letter -> its datum built from the parsed arguments
+# family letter -> (builder, the gen arguments it takes, in order); a family
+# needs each of --seq and --i that it takes and refuses the others
 _FAMILIES = {
-    "C": lambda a: families.build_C(a.n, a.m),
-    "D": lambda a: families.build_D(a.n, a.m),
-    "E": lambda a: families.build_E(a.n, a.m),
-    "F": lambda a: families.build_F(a.n, a.m),
-    "W": lambda a: families.build_W(a.n, a.m),
-    "X": lambda a: families.build_X(a.n, a.m, _needs(a, "seq")),
-    "Z": lambda a: families.build_Z(a.n, a.m, _needs(a, "i")),
-    "Cm": lambda a: families.build_Cm(a.m),
+    "C": (families.build_C, ("n", "m")),
+    "D": (families.build_D, ("n", "m")),
+    "E": (families.build_E, ("n", "m")),
+    "F": (families.build_F, ("n", "m")),
+    "W": (families.build_W, ("n", "m")),
+    "X": (families.build_X, ("n", "m", "seq")),
+    "Z": (families.build_Z, ("n", "m", "i")),
+    "Cm": (families.build_Cm, ("m",)),
 }
 
 
 def _generate(args) -> int:
+    builder, takes = _FAMILIES[args.family]
+    for option in ("seq", "i"):
+        value = getattr(args, option)
+        if option in takes and value in (None, ""):
+            raise _CliError(f"family {args.family} needs --{option}", EXIT_USAGE)
+        if option not in takes and value is not None:
+            raise _CliError(f"family {args.family} does not read --{option}", EXIT_USAGE)
     try:
-        d = _FAMILIES[args.family](args)
+        d = builder(*(getattr(args, name) for name in takes))
     except (CorkCalcError, ValueError) as e:
         raise _CliError(str(e), EXIT_USAGE) from e
     _write_text(args.out, datum_io.dumps(d))
@@ -153,8 +153,7 @@ def _verify(args) -> int:
         suites.resolve_suite(args.suite)
     except KeyError as e:
         raise _CliError(str(e), EXIT_USAGE) from e
-    grid = {"n_max": args.n_max, "m_max": args.m_max, "budget": args.budget,
-            "l": args.l, "n": args.n}
+    grid = {key: getattr(args, key) for key in suites.GRID_MINIMUM}
     result = suites.run_suite(args.suite, grid, jobs=args.jobs)
     if not result.cases:
         raise _CliError(f"the grid of {args.suite} has no cases; nothing was verified",
@@ -223,19 +222,14 @@ def _stein_check(args) -> int:
 
 # --- argument parsing ----------------------------------------------------------------
 
-def _int_at_least(text: str, minimum: int) -> int:
-    value = int(text)
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+def _int_at_least(minimum: int):
+    """The argparse type of an integer flag of at least ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse names the flag and "integer" when this fails
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -254,18 +248,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     inv = sub.add_parser("invariants", help="homology/boundary/form report for a datum file")
     inv.add_argument("datum")
-    inv.add_argument("--budget", type=_nonnegative_int, default=TIETZE_BUDGET)
+    inv.add_argument("--budget", type=_int_at_least(suites.GRID_MINIMUM["budget"]),
+                     default=TIETZE_BUDGET)
     inv.add_argument("--format", choices=("json", "md"), default="json")
     inv.add_argument("-o", "--out", default=None)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
     ver.add_argument("suite")
-    ver.add_argument("--n-max", dest="n_max", type=_positive_int, default=None)
-    ver.add_argument("--m-max", dest="m_max", type=_positive_int, default=None)
-    ver.add_argument("--budget", type=_nonnegative_int, default=None)
-    ver.add_argument("--l", type=_positive_int, default=None)
-    ver.add_argument("--n", type=_positive_int, default=None)
-    ver.add_argument("--jobs", type=_positive_int, default=1)
+    for key, least in suites.GRID_MINIMUM.items():
+        ver.add_argument("--" + key.replace("_", "-"), dest=key,
+                         type=_int_at_least(least), default=None)
+    ver.add_argument("--jobs", type=_int_at_least(1), default=1)
     ver.add_argument("--format", choices=("json", "md"), default="json")
     ver.add_argument("-o", "--out", default=None)
 
@@ -278,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simp = sub.add_parser("simplify", help="Tietze-simplify a presentation file")
     simp.add_argument("presentation")
-    simp.add_argument("--budget", type=_nonnegative_int, default=TIETZE_BUDGET)
+    simp.add_argument("--budget", type=_int_at_least(suites.GRID_MINIMUM["budget"]),
+                      default=TIETZE_BUDGET)
     simp.add_argument("--format", choices=("json", "md"), default="json")
     simp.add_argument("-o", "--out", default=None)
 

@@ -37,6 +37,7 @@ All moves are pure: they return fresh data and never mutate inputs.
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 from dataclasses import dataclass
@@ -209,12 +210,12 @@ def remove_split_zero_handle(d: KirbyDatum, h: str) -> KirbyDatum:
 
 # --- attachments and blow moves -------------------------------------------------
 
-def attach_2handle(d: KirbyDatum, hid: str, letters, framing: int,
+def attach_2handle(d: KirbyDatum, id: str, word, framing: int,
                    linking: dict[str, int] | None = None) -> KirbyDatum:
     """Attach a new 2-handle along a token word with prescribed framing/linkings."""
-    if d.handle(hid) is not None or hid in d.one_handles:
-        raise DuplicateIdError(f"id {hid} already in use")
-    w = parse_word(letters)
+    if d.handle(id) is not None or id in d.one_handles:
+        raise DuplicateIdError(f"id {id} already in use")
+    w = parse_word(word)
     unknown = w.generators() - set(d.one_handles)
     if unknown:
         raise UnknownGeneratorError(f"word uses unknown generators {sorted(unknown)}")
@@ -223,18 +224,18 @@ def attach_2handle(d: KirbyDatum, hid: str, letters, framing: int,
     for key in links:
         if key not in handle_ids:
             raise BadLinkingError(f"linking names {key}, which is not a 2-handle")
-    store = dict(d.links) | {link_key(hid, key): v for key, v in links.items()}
-    return _rebuild(d, list(d.two_handles) + [TwoHandle(hid, w, int(framing))],
+    store = dict(d.links) | {link_key(id, key): v for key, v in links.items()}
+    return _rebuild(d, list(d.two_handles) + [TwoHandle(id, w, int(framing))],
                     links=store)
 
 
-def blow_up(d: KirbyDatum, hid: str, sign: int) -> KirbyDatum:
+def blow_up(d: KirbyDatum, id: str, sign: int) -> KirbyDatum:
     """Add a split +-1-framed unknotted 2-handle."""
     if sign not in (1, -1):
         raise IllegalMoveError("blow-up sign must be +1 or -1")
-    if d.handle(hid) is not None or hid in d.one_handles:
-        raise DuplicateIdError(f"id {hid} already in use")
-    out = list(d.two_handles) + [TwoHandle(hid, Word(), sign)]
+    if d.handle(id) is not None or id in d.one_handles:
+        raise DuplicateIdError(f"id {id} already in use")
+    out = list(d.two_handles) + [TwoHandle(id, Word(), sign)]
     return _rebuild(d, out)
 
 
@@ -301,12 +302,12 @@ def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
     return _rebuild(d, new_handles, one_handles=ones, meta=meta, links=links)
 
 
-def cork_twist_pair(d: KirbyDatum, pair: CorkPair) -> KirbyDatum:
+def cork_twist_pair(d: KirbyDatum, dotted: str, zero_handle: str, m: int = 1) -> KirbyDatum:
     """Twist an algebraically separated cork pair (dot/0 exchange)."""
-    problems = validate_cork_pair(d, pair)
+    problems = validate_cork_pair(d, CorkPair(dotted, zero_handle, m))
     if problems:
         raise NotSeparatedError("; ".join(problems))
-    return _flip_pair(d, pair.dotted, pair.zero_handle)
+    return _flip_pair(d, dotted, zero_handle)
 
 
 def twist_pairs(d: KirbyDatum, positions) -> KirbyDatum:
@@ -329,8 +330,8 @@ def twist_wheel(d: KirbyDatum, i: int) -> KirbyDatum:
     return twist_pairs(d, [j for j, sym in enumerate(seq) if target[j] != sym])
 
 
-def rotate(d: KirbyDatum, i: int):
-    """Relabel wheel pairs by the rotation; returns (datum, id mapping).
+def rotate(d: KirbyDatum, i: int) -> KirbyDatum:
+    """Relabel wheel pairs by the rotation ``sequences.rotation_ids``.
 
     The result is the datum of the shifted sequence; the rotation is an
     automorphism exactly when the shift fixes the sequence.
@@ -346,7 +347,7 @@ def rotate(d: KirbyDatum, i: int):
                for h in d.two_handles]
     links = {(rename(x), rename(y)): v for (x, y), v in d.links}
     meta = d.meta_map | {"sequence": shift(seq, i)}
-    return _rebuild(d, handles, one_handles=ones, meta=meta, links=links), mapping
+    return _rebuild(d, handles, one_handles=ones, meta=meta, links=links)
 
 
 # --- traces and replay ------------------------------------------------------------
@@ -404,40 +405,29 @@ _END = (f"\"{FRONT}\" or \"{BACK}\"", lambda v: v in (FRONT, BACK))
 _WORD = ("a list of letters such as \"a\" or \"-a\"", _is_word)
 _LINKS = ("an object of integers", lambda v: isinstance(v, dict)
           and all(_is_int(x) for x in v.values()))
-_OPTIONAL = frozenset({"end", "linking", "m"})
 
-
-def _apply_attach(d, p):
-    return attach_2handle(d, p["id"], p["word"], p["framing"], p.get("linking"))
-
-
-# move name -> (parameter schema, application); the parameters named in
-# _OPTIONAL may be left out
+# move name -> (function, the type of each parameter after the datum); a
+# trace step calls the function with its params as keywords, and may leave
+# out exactly the parameters the function gives a default
 MOVES = {
-    "slide_2_over_2": ({"h1": _STR, "h2": _STR, "sign": _SIGN},
-                       lambda d, p: slide_2_over_2(d, p["h1"], p["h2"], p["sign"])),
-    "slide_2_over_1": ({"h": _STR, "g": _STR, "sign": _SIGN, "end": _END},
-                       lambda d, p: slide_2_over_1(d, p["h"], p["g"], p["sign"],
-                                                   p.get("end", BACK))),
-    "cancel_1_2": ({"g": _STR, "h": _STR}, lambda d, p: cancel_1_2(d, p["g"], p["h"])),
-    "remove_split_zero_handle": ({"h": _STR},
-                                 lambda d, p: remove_split_zero_handle(d, p["h"])),
-    "attach_2handle": ({"id": _STR, "word": _WORD, "framing": _INT, "linking": _LINKS},
-                       _apply_attach),
-    "blow_up": ({"id": _STR, "sign": _SIGN}, lambda d, p: blow_up(d, p["id"], p["sign"])),
-    "blow_down": ({"h": _STR}, lambda d, p: blow_down(d, p["h"])),
-    "cork_twist_pair": ({"dotted": _STR, "zero_handle": _STR, "m": _INT},
-                        lambda d, p: cork_twist_pair(
-                            d, CorkPair(p["dotted"], p["zero_handle"], p.get("m", 1)))),
-    "twist_wheel": ({"i": _INT}, lambda d, p: twist_wheel(d, p["i"])),
-    "rotate": ({"i": _INT}, lambda d, p: rotate(d, p["i"])[0]),
+    "slide_2_over_2": (slide_2_over_2, {"h1": _STR, "h2": _STR, "sign": _SIGN}),
+    "slide_2_over_1": (slide_2_over_1, {"h": _STR, "g": _STR, "sign": _SIGN, "end": _END}),
+    "cancel_1_2": (cancel_1_2, {"g": _STR, "h": _STR}),
+    "remove_split_zero_handle": (remove_split_zero_handle, {"h": _STR}),
+    "attach_2handle": (attach_2handle, {"id": _STR, "word": _WORD, "framing": _INT,
+                                        "linking": _LINKS}),
+    "blow_up": (blow_up, {"id": _STR, "sign": _SIGN}),
+    "blow_down": (blow_down, {"h": _STR}),
+    "cork_twist_pair": (cork_twist_pair, {"dotted": _STR, "zero_handle": _STR, "m": _INT}),
+    "twist_wheel": (twist_wheel, {"i": _INT}),
+    "rotate": (rotate, {"i": _INT}),
 }
 
 
 def apply_move(d: KirbyDatum, move: str, params: dict) -> KirbyDatum:
     if move not in MOVES:
         raise IllegalMoveError(f"unknown move {move!r}")
-    return MOVES[move][1](d, params)
+    return MOVES[move][0](d, **params)
 
 
 class Recorder:
@@ -562,10 +552,14 @@ def trace_from_text(text: str) -> MoveTrace:
             raise CorkCalcError(f"{what}: unknown move {move!r}")
         if not isinstance(params, dict):
             raise CorkCalcError(f"{what}: params must be a JSON object")
-        schema = MOVES[move][0]
-        _require_keys(params, [k for k in schema if k not in _OPTIONAL],
+        function, types = MOVES[move]
+        unknown = [k for k in sorted(params) if k not in types]
+        if unknown:
+            raise CorkCalcError(f"{what} ({move}): unknown param {', '.join(unknown)}")
+        signature = inspect.signature(function).parameters
+        _require_keys(params, [k for k in types if signature[k].default is signature[k].empty],
                       f"{what} ({move}) params")
-        for key, (kind, check) in schema.items():
+        for key, (kind, check) in types.items():
             if key in params and not check(params[key]):
                 raise CorkCalcError(f"{what} ({move}): param {key} must be {kind}")
         steps.append(MoveStep(move, _canonical(params), obj["pre"], obj["post"]))

@@ -25,7 +25,7 @@ from .errors import BadIndexError, CorkCalcError
 from .families import build_Cm, build_X
 from .isomorphism import datum_isomorphic
 from .moves import MoveTrace, Recorder, replay
-from .sequences import STAR, check_sequence, is_constant, pair_ids
+from .sequences import STAR, check_sequence, dotted_sequence, is_constant, pair_ids
 
 
 def _delete_steps(rec: Recorder, pair_index: int, symbol: str) -> None:
@@ -123,7 +123,8 @@ def deletion_chain(n: int, m: int, x: str) -> list[ChainStep]:
 
 def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum | None]:
     """Replay a trace and compare the result with the wheel it declares as
-    its target, if any: the report that ``corkcalc replay`` prints, and the
+    its target, if any (isomorphic, with dotted circles that spell a rotation
+    of its sequence): the report that ``corkcalc replay`` prints, and the
     result, or None when the hash chain, a move or the target fails."""
     try:
         result = replay(start, trace)
@@ -136,7 +137,10 @@ def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum |
         expected = build_X(target["n"], target["m"], target["sequence"],
                            family=target.get("family", "X"))
         report["target"] = target
-        report["target_isomorphic"] = datum_isomorphic(result, expected) is not None
+        spelled, x = dotted_sequence(result.one_handles), target["sequence"]
+        report["target_isomorphic"] = (spelled is not None and len(spelled) == len(x)
+                                       and x in spelled + spelled  # a rotation of it
+                                       and datum_isomorphic(result, expected) is not None)
         if not report["target_isomorphic"]:
             return report, None
     return report, result

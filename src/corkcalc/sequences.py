@@ -36,6 +36,21 @@ def pair_ids(j: int, symbol: str) -> tuple[str, str]:
     return (radial, circular) if symbol == STAR else (circular, radial)
 
 
+def dotted_sequence(dotted) -> str | None:
+    """The sequence that the dotted circles ``dotted`` spell in increasing
+    pair index (``pair_ids`` read backwards), or None if they spell none."""
+    symbols = {}
+    for g in dotted:
+        if not g[1:].isdecimal():
+            return None
+        j = int(g[1:])
+        symbol = next((sym for sym in (STAR, ZERO) if pair_ids(j, sym)[0] == g), None)
+        if symbol is None or j in symbols:
+            return None
+        symbols[j] = symbol
+    return "".join(symbols[j] for j in sorted(symbols))
+
+
 def rotation_ids(n: int, i: int) -> dict[str, str]:
     """The circle relabeling of rotating an n-pair wheel by i: each circle
     of pair j goes to the same circle of pair j + i mod n, whatever the

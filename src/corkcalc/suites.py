@@ -434,8 +434,8 @@ def resolve_suite(name: str) -> str:
     return resolved
 
 
-# the least value of each grid key; every grid value is an int
-_GRID_MINIMUM = {"n_max": 1, "m_max": 1, "l": 1, "n": 1, "budget": 0}
+# the grid keys and the least value of each; every grid value is an int
+GRID_MINIMUM = {"n_max": 1, "m_max": 1, "budget": 0, "l": 1, "n": 1}
 
 
 def iter_cases(name: str, grid: dict) -> list:
@@ -451,7 +451,7 @@ def iter_cases(name: str, grid: dict) -> list:
         raise CorkCalcError(f"suite {resolved} does not read {', '.join(unread)}; "
                             f"its grid keys: {', '.join(reads) or 'none'}")
     for key in sorted(given):
-        value, least = given[key], _GRID_MINIMUM[key]
+        value, least = given[key], GRID_MINIMUM[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
             raise CorkCalcError(f"grid key {key} must be an integer of at least "
                                 f"{least}, got {value!r}")

@@ -1,8 +1,8 @@
 """Freely reduced words over named generators.
 
 Letters are (generator, sign) pairs with sign +1 or -1.  Words are stored
-base-pointed and freely reduced; comparison up to cyclic permutation and
-inversion is provided separately for relator-style equality.
+base-pointed and freely reduced; cyclic reduction and rotations serve the
+relator-style comparisons of the isomorphism search and Tietze moves.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ class Word:
     def rename(self, mapping: Mapping[str, str]) -> "Word":
         return Word(tuple((mapping.get(g, g), s) for g, s in self.letters))
 
-    def flip_generator(self, gen: str) -> "Word":
-        return Word(tuple((g, -s if g == gen else s) for g, s in self.letters))
-
     def cyclic_reduce(self) -> "Word":
         ls = list(self.letters)
         while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
@@ -93,12 +90,6 @@ class Word:
             return
         for i in range(len(ls)):
             yield Word(ls[i:] + ls[:i])
-
-    def cyclic_normal_form(self) -> "Word":
-        """Minimal representative over rotations of the word and its inverse."""
-        reduced = self.cyclic_reduce()
-        candidates = list(reduced.rotations()) + list(reduced.inverse().rotations())
-        return min(candidates, key=lambda w: w.letters)
 
     def serialize(self) -> list[str]:
         return [g if s > 0 else "-" + g for g, s in self.letters]

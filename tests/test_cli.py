@@ -43,6 +43,16 @@ def test_gen_bad_parameters_exit_2(tmp_path):
     assert run(["gen", "Q", "3", "1"]) == 2
 
 
+@pytest.mark.parametrize("args, unread", [
+    (["C", "2", "1", "--seq", "*0"], "--seq"),
+    (["X", "2", "1", "--seq", "*0", "--i", "3"], "--i"),
+], ids=["C-seq", "X-i"])
+def test_gen_flag_the_family_does_not_read_exit_2(capsys, args, unread):
+    assert run(["gen", *args]) == 2
+    captured = capsys.readouterr()
+    assert f"does not read {unread}" in captured.err and captured.out == ""
+
+
 def test_invariants_report_fields(tmp_path, capsys):
     path = tmp_path / "c11.json"
     run(["gen", "C", "1", "1", "-o", str(path)])
@@ -127,11 +137,13 @@ def test_verify_jobs_below_one_exit_2(capsys, jobs):
     ["lemma-2-2", "--n-max", "0"],
     ["lemma-2-2", "--n-max", "2", "--m-max", "-1"],
     ["lemma-2-2", "--n-max", "2", "--budget", "-5"],
+    ["lemma-2-2", "--n-max", "x"],
 ])
 def test_verify_grid_value_out_of_range_exit_2(capsys, args):
     assert run(["verify", *args]) == 2
     captured = capsys.readouterr()
     assert args[-2] in captured.err and captured.out == ""
+    assert "<lambda>" not in captured.err
 
 
 def test_budget_zero_is_legal_and_negative_exit_2(tmp_path, capsys):
@@ -207,6 +219,19 @@ def test_replay_wrong_target_exit_1(tmp_path, capsys):
     trace_path = tmp_path / "t.trace"
     trace_path.write_text(trace_to_text(rec.trace()))
     assert run(["replay", str(datum_path), str(trace_path)]) == 1
+
+
+def test_replay_deletion_with_a_wrong_target_sequence_exit_1(tmp_path, capsys):
+    # the bare result of a deletion is isomorphic to every bare wheel of its
+    # size; its dotted circles still spell *0, which "00" is no rotation of
+    datum_path = tmp_path / "x.json"
+    datum_path.write_text(datum_io.dumps(build_X(3, 1, "*0*")))
+    text = trace_to_text(deletion_script(3, 1, "*0*", 2))
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text(text.replace('"sequence": "*0"', '"sequence": "00"', 1))
+    assert run(["replay", str(datum_path), str(trace_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["integrity"] == "ok" and report["target_isomorphic"] is False
 
 
 def _replay_c21(tmp_path, trace_lines):
@@ -439,6 +464,16 @@ def test_replay_wrongly_typed_param_exit_2(tmp_path, capsys, params):
     step = {**params, "pre": header["initial"], "post": header["initial"]}
     assert _replay_c21(tmp_path, [header, step]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_replay_unknown_param_exit_2(tmp_path, capsys):
+    rec = Recorder(build_C(2, 1))
+    rec.apply("rotate", i=1)
+    header, step = (json.loads(line) for line in trace_to_text(rec.trace()).splitlines())
+    step["params"]["junk"] = [1, 2]
+    assert _replay_c21(tmp_path, [header, step]) == 2
+    captured = capsys.readouterr()
+    assert "unknown param junk" in captured.err and captured.out == ""
 
 
 def test_replay_refused_move_names_its_step(tmp_path, capsys):

@@ -120,9 +120,9 @@ def test_e_family_rotation_has_full_order():
     d = build_E(3, 1)
     current = d
     for step in range(1, 3):
-        current, _ = rotate(current, 1)
+        current = rotate(current, 1)
         assert canonical_json(current) != canonical_json(d)
-    current, _ = rotate(current, 1)
+    current = rotate(current, 1)
     assert canonical_json(current) == canonical_json(d)
 
 
@@ -152,10 +152,10 @@ def test_wheel_convention_is_kept_by_every_wheel_move():
             assert wheel_sequence(d) == x
             for i in range(n):
                 assert wheel_sequence(twist_wheel(d, i)) == shift(x, i)
-                assert wheel_sequence(rotate(d, i)[0]) == shift(x, i)
+                assert wheel_sequence(rotate(d, i)) == shift(x, i)
             for j, (dotted, framed) in enumerate(pairs):
                 flipped = x[:j] + (ZERO if x[j] == STAR else STAR) + x[j + 1:]
-                assert wheel_sequence(cork_twist_pair(d, CorkPair(dotted, framed))) == flipped
+                assert wheel_sequence(cork_twist_pair(d, dotted, framed)) == flipped
                 assert wheel_sequence(slide_2_over_1(d, framed, dotted, 1)) is None
                 assert wheel_sequence(cancel_1_2(d, dotted, framed)) is None
 

@@ -6,6 +6,7 @@ the inputs that once escaped are kept as explicit examples."""
 import copy
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corkcalc import datum, moves, scripts, stein
@@ -119,6 +120,18 @@ def test_trace_from_text_and_its_check_return_a_value_or_raise_corkcalc_error(ca
     trace = _value_or_corkcalc_error(moves.trace_from_text, text)
     if trace is not None:
         _value_or_corkcalc_error(lambda t: scripts.check_trace(_STARTS[name], t), trace)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(_TRACES)), st.data())
+def test_trace_step_with_a_param_its_move_does_not_name_raises_corkcalc_error(name, data):
+    lines = _lines(_TRACES[name])
+    step = data.draw(st.sampled_from(lines[1:]))
+    named = moves.MOVES[step["move"]][1]
+    step["params"][data.draw(st.text(max_size=6).filter(lambda k: k not in named))] = \
+        data.draw(json_values)
+    with pytest.raises(CorkCalcError, match="unknown param"):
+        moves.trace_from_text(_as_text(lines))
 
 
 @FUZZ

@@ -1,5 +1,6 @@
 """Move-engine contracts plus the congruence/invariance oracles."""
 
+import inspect
 import json
 import random
 from dataclasses import replace
@@ -7,8 +8,8 @@ from dataclasses import replace
 import pytest
 
 from corkcalc import moves
-from corkcalc.datum import (CorkPair, canonical_json, datum_hash,
-                            full_linking_matrix, make_datum, two_handle, validate)
+from corkcalc.datum import (canonical_json, datum_hash, full_linking_matrix, make_datum,
+                            two_handle, validate)
 from corkcalc.errors import (BadLinkingError, CorkCalcError, DuplicateIdError, HashMismatchError,
                              HandleNotFoundError, IllegalMoveError,
                              NotBlowdownableError, NotCancellableError,
@@ -23,7 +24,7 @@ from corkcalc.moves import (MoveTrace, Recorder, apply_move, attach_2handle, blo
                             replay, rotate, slide_2_over_1, slide_2_over_2,
                             trace_from_text, trace_to_text, twist_wheel)
 from corkcalc.scripts import deletion_chain, deletion_script, verify_deletion
-from corkcalc.sequences import all_sequences
+from corkcalc.sequences import all_sequences, rotation_ids
 
 
 def two_zero_framed_linked():
@@ -268,27 +269,27 @@ def test_minus_one_sphere_flag():
 
 def test_cork_twist_pair_flips_pattern():
     d = build_X(3, 1, "*00")
-    out = cork_twist_pair(d, CorkPair("a0", "b0", 1))
+    out = cork_twist_pair(d, "a0", "b0", 1)
     assert out.meta_map["sequence"] == "000"
     assert canonical_json(out) == canonical_json(build_X(3, 1, "000"))
 
 
 def test_cork_twist_is_involution():
     d = build_X(2, 1, "0*")
-    once = cork_twist_pair(d, CorkPair("b0", "a0", 1))
-    twice = cork_twist_pair(once, CorkPair("a0", "b0", 1))
+    once = cork_twist_pair(d, "b0", "a0", 1)
+    twice = cork_twist_pair(once, "a0", "b0", 1)
     assert canonical_json(twice) == canonical_json(d)
 
 
 def test_cork_twist_requires_separation():
     w = build_W(3, 1)  # meridians pass through b1, b2
     with pytest.raises(NotSeparatedError):
-        cork_twist_pair(w, CorkPair("b1", "a1", 1))
+        cork_twist_pair(w, "b1", "a1", 1)
 
 
 def test_cork_twist_preserves_profile_and_boundary():
     d = build_X(4, 2, "*0*0")
-    out = cork_twist_pair(d, CorkPair("a2", "b2", 2))
+    out = cork_twist_pair(d, "a2", "b2", 2)
     assert homology(out) == homology(d)
     assert boundary_h1(out).invariant_factors == boundary_h1(d).invariant_factors
 
@@ -321,23 +322,23 @@ def test_twist_wheel_needs_metadata():
 
 def test_rotate_full_turn_is_identity():
     d = build_X(4, 1, "*00*")
-    out, mapping = rotate(d, 4)
+    out = rotate(d, 4)
     assert canonical_json(out) == canonical_json(d)
-    assert all(mapping[k] == k for k in mapping)
+    assert all(new == old for old, new in rotation_ids(4, 4).items())
 
 
 def test_rotate_composes():
     d = build_X(4, 1, "*0*0")
-    one_one, _ = rotate(rotate(d, 1)[0], 1)
-    two, _ = rotate(d, 2)
+    one_one = rotate(rotate(d, 1), 1)
+    two = rotate(d, 2)
     assert canonical_json(one_one) == canonical_json(two)
 
 
 def test_rotate_automorphism_iff_period_divides():
     d = build_X(4, 1, "*0*0")
-    assert canonical_json(rotate(d, 2)[0]) == canonical_json(d)
-    assert canonical_json(rotate(d, 1)[0]) != canonical_json(d)
-    r1, _ = rotate(build_X(3, 1, "*00"), 1)
+    assert canonical_json(rotate(d, 2)) == canonical_json(d)
+    assert canonical_json(rotate(d, 1)) != canonical_json(d)
+    r1 = rotate(build_X(3, 1, "*00"), 1)
     assert r1.meta_map["sequence"] == "0*0"
 
 
@@ -346,18 +347,24 @@ def test_rotate_produces_shifted_family_datum():
 
     d = build_X(4, 2, "*00*")
     for i in range(4):
-        out, _ = rotate(d, i)
+        out = rotate(d, i)
         assert canonical_json(out) == canonical_json(build_X(4, 2, shift("*00*", i)))
 
 
 def test_rotate_carries_externals():
     w = build_W(3, 1)
-    out, _ = rotate(w, 1)
+    out = rotate(w, 1)
     assert validate(out).ok
     assert out.handle("m1_1").word.serialize() == ["b2"]
 
 
 # --- traces and replay ----------------------------------------------------------------------------------
+
+def test_each_move_types_exactly_the_parameters_of_its_function():
+    for move, (function, types) in moves.MOVES.items():
+        _, *params = inspect.signature(function).parameters
+        assert list(types) == params, move
+
 
 def test_replay_empty_trace():
     d = build_X(2, 1, "*0")

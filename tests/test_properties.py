@@ -6,7 +6,7 @@ from corkcalc.datum import canonical_json, validate
 from corkcalc.families import build_W, build_X
 from corkcalc.invariants import boundary_h1, homology
 from corkcalc.moves import rotate, slide_2_over_2, twist_wheel
-from corkcalc.sequences import shift
+from corkcalc.sequences import rotation_ids, shift
 
 wheels = st.integers(1, 5).flatmap(
     lambda n: st.tuples(st.just(n),
@@ -27,8 +27,9 @@ def test_twist_wheel_realizes_the_shifted_sequence(params, i):
 def test_rotate_realizes_the_shifted_sequence(params, i):
     n, m, x = params
     d = build_X(n, m, x)
-    out, mapping = rotate(d, i)
+    out = rotate(d, i)
     assert canonical_json(out) == canonical_json(build_X(n, m, shift(x, i)))
+    mapping = rotation_ids(n, i)
     assert sorted(mapping) == sorted(mapping.values())
 
 

@@ -39,6 +39,9 @@ def test_verify_deletion_checks_the_target_its_trace_declares(monkeypatch):
     # a bare datum matches any wheel of its size, so the wrong target has three pairs
     monkeypatch.setattr(scripts, "deletion_script", declaring("*0*"))
     assert not verify_deletion(3, 1, "*0*", 2)
+    # one of its size whose sequence the surviving dots do not spell
+    monkeypatch.setattr(scripts, "deletion_script", declaring("00"))
+    assert not verify_deletion(3, 1, "*0*", 2)
 
 
 def test_check_trace_reports_what_replay_prints():

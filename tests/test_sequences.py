@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corkcalc import sequences
-from corkcalc.sequences import (all_sequences, cork_order, is_constant, pair_ids, period,
-                                rotation_ids, rotation_map_order, shift)
+from corkcalc.sequences import (all_sequences, cork_order, dotted_sequence, is_constant,
+                                pair_ids, period, rotation_ids, rotation_map_order, shift)
 
 
 def brute_shift(x: str, i: int) -> str:
@@ -92,6 +92,17 @@ def test_rotation_sends_each_circle_to_the_same_circle_of_pair_j_plus_i():
                 for sym in "*0":
                     target = pair_ids((j + i) % n, sym)
                     assert tuple(ids[c] for c in pair_ids(j, sym)) == target
+
+
+def test_dotted_sequence_reads_pair_ids_backwards():
+    for n in range(1, 6):
+        for x in all_sequences(n):
+            dotted = [pair_ids(j, sym)[0] for j, sym in enumerate(x)]
+            assert dotted_sequence(reversed(dotted)) == x
+            # the survivors of a deletion keep their labels
+            assert dotted_sequence(dotted[1:]) == x[1:]
+    for bad in (["a0", "b0"], ["c0"], ["a"], ["a01"], ["a-1"], ["a²"], ["m1_1"]):
+        assert dotted_sequence(bad) is None
 
 
 @given(seqs)
