@@ -23,6 +23,6 @@ from .presentations import GroupPresentation, pi1_presentation, tietze_simplify
 from .scripts import deletion_chain, deletion_script, insertion_script
 from .sequences import all_sequences, cork_order, period, shift
 from .stein import LegendrianFront, linking_number, rot, stein_check, tb, writhe
-from .words import Word, word_reduce
+from .words import Word
 
 __version__ = "0.1.0"

@@ -94,6 +94,12 @@ def _markdown(obj: dict, title: str = "report") -> str:
 
 # --- gen -----------------------------------------------------------------------
 
+def _build_Cm(n: int, m: int):
+    if n != 1:
+        raise CorkCalcError(f"family Cm is the wheel of size one: needs n = 1, got {n}")
+    return families.build_Cm(m)
+
+
 # family letter -> (builder, the gen arguments it takes, in order); a family
 # needs each of --seq and --i that it takes and refuses the others
 _FAMILIES = {
@@ -104,7 +110,7 @@ _FAMILIES = {
     "W": (families.build_W, ("n", "m")),
     "X": (families.build_X, ("n", "m", "seq")),
     "Z": (families.build_Z, ("n", "m", "i")),
-    "Cm": (families.build_Cm, ("m",)),
+    "Cm": (_build_Cm, ("n", "m")),
 }
 
 

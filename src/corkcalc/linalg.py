@@ -74,9 +74,6 @@ class IntMatrix:
         out = [sum(map(operator.mul, self.row(i), c)) for i in range(self.rows) for c in cols]
         return IntMatrix(self.rows, other.cols, tuple(out))
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.at(i, j) == self.at(j, i) for i in range(self.rows) for j in range(i))
@@ -469,10 +466,10 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
                  for c in complement]
         b = IntMatrix(m, len(complement), tuple(
             complement[j][i] for i in range(m) for j in range(len(complement))))
-        current = (b.transpose() @ IntMatrix.from_rows(current) @ b).to_rows()
+        current = b.transpose().mul(IntMatrix.from_rows(current)).mul(b).to_rows()
 
     witness = IntMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
-    check = witness.transpose() @ q @ witness
+    check = witness.transpose().mul(q).mul(witness)
     neg_identity = IntMatrix(n, n, tuple(-1 if i == j else 0 for i in range(n) for j in range(n)))
     if check != neg_identity:
         raise AssertionError("internal error: witness does not verify")

@@ -424,9 +424,35 @@ MOVES = {
 }
 
 
+# move name -> the params a step must give: those its function has no default for
+_REQUIRED = {move: [k for k in types if inspect.signature(function).parameters[k].default
+                    is inspect.Parameter.empty]
+             for move, (function, types) in MOVES.items()}
+
+
+def _check_params(move, params, what: str = "apply_move") -> None:
+    """Refuse, with ``CorkCalcError``, a move ``MOVES`` does not name, and
+    params that are not an object of the move's parameters, each of its
+    type, with every one its function has no default for."""
+    if not isinstance(move, str) or move not in MOVES:
+        raise IllegalMoveError(f"{what}: unknown move {move!r}")
+    if not isinstance(params, dict):
+        raise CorkCalcError(f"{what}: params must be a JSON object")
+    types = MOVES[move][1]
+    # each refusal is worked out only once a guard fails: a valid step
+    # formats no message and sorts nothing
+    if not params.keys() <= types.keys():
+        unknown = [k for k in sorted(params) if k not in types]
+        raise CorkCalcError(f"{what} ({move}): unknown param {', '.join(unknown)}")
+    if not all(k in params for k in _REQUIRED[move]):
+        _require_keys(params, _REQUIRED[move], f"{what} ({move}) params")
+    for key, (kind, check) in types.items():
+        if key in params and not check(params[key]):
+            raise CorkCalcError(f"{what} ({move}): param {key} must be {kind}")
+
+
 def apply_move(d: KirbyDatum, move: str, params: dict) -> KirbyDatum:
-    if move not in MOVES:
-        raise IllegalMoveError(f"unknown move {move!r}")
+    _check_params(move, params)
     return MOVES[move][0](d, **params)
 
 
@@ -548,19 +574,6 @@ def trace_from_text(text: str) -> MoveTrace:
         _require_keys(obj, ("move", "params", "pre", "post"), what)
         _require_hashes(obj, ("pre", "post"), what)
         move, params = obj["move"], obj["params"]
-        if not isinstance(move, str) or move not in MOVES:
-            raise CorkCalcError(f"{what}: unknown move {move!r}")
-        if not isinstance(params, dict):
-            raise CorkCalcError(f"{what}: params must be a JSON object")
-        function, types = MOVES[move]
-        unknown = [k for k in sorted(params) if k not in types]
-        if unknown:
-            raise CorkCalcError(f"{what} ({move}): unknown param {', '.join(unknown)}")
-        signature = inspect.signature(function).parameters
-        _require_keys(params, [k for k in types if signature[k].default is signature[k].empty],
-                      f"{what} ({move}) params")
-        for key, (kind, check) in types.items():
-            if key in params and not check(params[key]):
-                raise CorkCalcError(f"{what} ({move}): param {key} must be {kind}")
+        _check_params(move, params, what)
         steps.append(MoveStep(move, _canonical(params), obj["pre"], obj["post"]))
     return MoveTrace(header["initial"], tuple(steps), target)

@@ -67,6 +67,15 @@ def shift(x: str, i: int) -> str:
     return x[n - i:] + x[: n - i]
 
 
+def least_rotation(x: str) -> tuple[str, int]:
+    """The least rotation r of x and a shift i with ``shift(x, i) == r``
+    (the least such i when x is periodic)."""
+    check_sequence(x)
+    n = len(x)
+    # x[k:] + x[:k] is shift(x, -k)
+    return min((x[k:] + x[:k], -k % n) for k in range(n))
+
+
 def period(x: str) -> int:
     """Least p > 0 with shift(x, p) == x.  Always divides len(x)."""
     check_sequence(x)

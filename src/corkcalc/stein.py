@@ -221,25 +221,6 @@ def linking_number(front: LegendrianFront, c1: str, c2: str) -> int:
     return sum(front.geometry.mixed_signs.get(frozenset((c1, c2)), [])) // 2
 
 
-def mirror(front: LegendrianFront) -> LegendrianFront:
-    """Top-bottom reflection: crossing signs negate, cusp marks swap."""
-    out = []
-    size = 0
-    for ev in front.events:
-        if ev.kind == LCUSP:
-            out.append(FrontEvent(LCUSP, size - ev.level, ev.component,
-                                  DOWN if ev.mark == UP else UP))
-            size += 2
-        elif ev.kind == RCUSP:
-            out.append(FrontEvent(RCUSP, size - 2 - ev.level, ev.component,
-                                  DOWN if ev.mark == UP else UP))
-            size -= 2
-        else:
-            out.append(FrontEvent(XNEG if ev.kind == XPOS else XPOS,
-                                  size - 2 - ev.level))
-    return LegendrianFront(tuple(out))
-
-
 # --- framing criterion ----------------------------------------------------------
 
 @dataclass(frozen=True)

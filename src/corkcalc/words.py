@@ -117,10 +117,3 @@ def parse_word(tokens: Iterable[str]) -> Word:
         else:
             letters.append((tok, 1))
     return Word(tuple(letters))
-
-
-def word_reduce(letters: Iterable[Letter] | Word) -> Word:
-    """Freely reduce raw letters (or re-normalize a word)."""
-    if isinstance(letters, Word):
-        return Word(letters.letters)
-    return Word(tuple(letters))

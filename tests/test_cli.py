@@ -53,6 +53,18 @@ def test_gen_flag_the_family_does_not_read_exit_2(capsys, args, unread):
     assert f"does not read {unread}" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("n", ["-5", "0", "2"])
+def test_gen_cm_reads_its_wheel_size_exit_2(capsys, n):
+    assert run(["gen", "Cm", n, "2"]) == 2
+    captured = capsys.readouterr()
+    assert "needs n = 1" in captured.err and captured.out == ""
+
+
+def test_gen_cm_is_the_wheel_of_size_one(capsys):
+    assert run(["gen", "Cm", "1", "2"]) == 0
+    assert datum_io.loads(capsys.readouterr().out) == build_C(1, 2)
+
+
 def test_invariants_report_fields(tmp_path, capsys):
     path = tmp_path / "c11.json"
     run(["gen", "C", "1", "1", "-o", str(path)])

@@ -341,10 +341,10 @@ def reference_is_diag_minus_one(q, height=4):
                  for c in complement]
         b = IntMatrix(m, len(complement), tuple(
             complement[j][i] for i in range(m) for j in range(len(complement))))
-        current = b.transpose() @ current @ b
+        current = b.transpose().mul(current).mul(b)
 
     witness = IntMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
-    check = witness.transpose() @ q @ witness
+    check = witness.transpose().mul(q).mul(witness)
     neg_identity = IntMatrix(n, n, tuple(-1 if i == j else 0 for i in range(n) for j in range(n)))
     if check != neg_identity:
         raise AssertionError("internal error: witness does not verify")

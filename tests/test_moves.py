@@ -15,7 +15,7 @@ from corkcalc.errors import (BadLinkingError, CorkCalcError, DuplicateIdError, H
                              NotBlowdownableError, NotCancellableError,
                              NotSeparatedError, NotSplitError,
                              NotWheelFamilyError, UnknownGeneratorError)
-from corkcalc.families import build_Cm, build_W, build_X
+from corkcalc.families import build_C, build_Cm, build_W, build_X
 from corkcalc.invariants import boundary_h1, homology
 from corkcalc.linalg import IntMatrix
 from corkcalc.moves import (MoveTrace, Recorder, apply_move, attach_2handle, blow_down,
@@ -364,6 +364,18 @@ def test_each_move_types_exactly_the_parameters_of_its_function():
     for move, (function, types) in moves.MOVES.items():
         _, *params = inspect.signature(function).parameters
         assert list(types) == params, move
+
+
+@pytest.mark.parametrize("params, problem", [
+    ({"i": 1, "junk": 2}, "unknown param junk"),
+    ({"i": "1"}, "param i must be an integer"),
+    ({}, "lacks i"),
+], ids=["unknown-key", "string-value", "missing-key"])
+def test_a_recorded_move_checks_its_params(params, problem):
+    rec = Recorder(build_C(2, 1))
+    with pytest.raises(CorkCalcError, match=problem):
+        rec.apply("rotate", **params)
+    assert rec.trace().steps == ()
 
 
 def test_replay_empty_trace():

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from corkcalc import sequences
 from corkcalc.sequences import (all_sequences, cork_order, dotted_sequence, is_constant,
-                                pair_ids, period, rotation_ids, rotation_map_order, shift)
+                                least_rotation, pair_ids, period, rotation_ids,
+                                rotation_map_order, shift)
 
 
 def brute_shift(x: str, i: int) -> str:
@@ -24,6 +25,17 @@ seqs = st.text(alphabet="*0", min_size=1, max_size=12)
 
 def test_shift_identity():
     assert shift("*00", 0) == "*00"
+
+
+def test_least_rotation_is_the_least_shift_of_every_short_sequence():
+    classes = set()
+    for n in range(1, 11):
+        for x in all_sequences(n):
+            r, i = least_rotation(x)
+            assert shift(x, i) == r == min(shift(x, k) for k in range(n))
+            classes.add(r)
+    # binary necklaces of length 1..10
+    assert len(classes) == 2 + 3 + 4 + 6 + 8 + 14 + 20 + 36 + 60 + 108 == 261
 
 
 def test_shift_period_two_pattern_is_fixed():

@@ -7,7 +7,7 @@ from corkcalc.families import build_C
 from corkcalc.stein import (DOWN, UP, FrontDocument, FrontEvent, FrontGeometry,
                             LegendrianFront, framed_zero_component_events,
                             front_from_text, front_to_text, linking_number,
-                            max_tb_reference_events, mirror,
+                            max_tb_reference_events,
                             rot, stein_check, tb, unknot_events,
                             wheel_front_events, writhe)
 
@@ -59,14 +59,6 @@ def test_stabilized_unknot_has_rotation():
     f = front(events)
     assert tb(f, "u") == -2
     assert rot(f, "u") == 1
-    assert rot(mirror(f), "u") == -1
-
-
-def test_mirror_negates_writhe():
-    f = front(max_tb_reference_events("t"))
-    m = mirror(f)
-    assert writhe(m, "t") == -3
-    assert tb(m, "t") == -5
 
 
 def test_tb_rot_parity_on_knot_fronts():

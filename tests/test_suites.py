@@ -3,7 +3,7 @@ contractibility memo against the per-case code it replaces."""
 
 import pytest
 
-from corkcalc import families, suites
+from corkcalc import families, sequences, suites
 from corkcalc.datum import make_datum, two_handle
 from corkcalc.errors import CorkCalcError
 from corkcalc.invariants import homology
@@ -15,6 +15,11 @@ from corkcalc.words import parse_word
 def test_pool_matches_serial(name):
     pooled = suites.run_suite(name, {}, jobs=2)
     assert pooled.to_dict() == suites.run_suite(name, {}, jobs=1).to_dict()
+
+
+def test_pool_matches_serial_on_the_benchmark_grid():
+    grid = {"n_max": 10, "m_max": 2}
+    assert suites.run_suite("lemma-2-2", grid, jobs=2) == suites.run_suite("lemma-2-2", grid)
 
 
 def test_pool_on_an_empty_grid():
@@ -129,13 +134,19 @@ def test_a_worker_batch_certifies_each_wheel_once(homology_calls):
     batch = suites.iter_cases("lemma-2-2", {"n_max": 4, "m_max": 3})[0::2]
     results = suites._run_batch(("lemma-2-2", batch))
     assert len(results) == len(batch) and all(r.ok for r in results)
-    assert len(homology_calls) == len({(n, x) for n, _, x, _ in batch}) == 15
+    classes = {(n, sequences.least_rotation(x)[0]) for n, _, x, _ in batch}
+    assert len(homology_calls) == len(classes) == 11
 
 
 def test_each_run_starts_from_an_empty_memo(homology_calls):
     suites.run_suite("lemma-2-2", {"n_max": 3, "m_max": 2})
     suites.run_suite("lemma-2-2", {"n_max": 2, "m_max": 2})
-    assert len(homology_calls) == 14 + 6 and len(suites._CONTRACTIBLE) == 6
+    assert len(homology_calls) == 9 + 5 and len(suites._CONTRACTIBLE) == 5
+
+
+def test_the_benchmark_grid_certifies_each_rotation_class_once(homology_calls):
+    suites.run_suite("lemma-2-2", {"n_max": 10, "m_max": 2})
+    assert len(homology_calls) == len(suites._CONTRACTIBLE) == 261
 
 
 def _unmemoized_case(name, case):
@@ -167,6 +178,8 @@ def _unmemoized_case(name, case):
     ("lemma-2-2", {"n_max": 6, "m_max": 3, "budget": 1}),
     ("lemma-2-2", {"n_max": 6, "m_max": 3, "budget": 10_000}),
     ("prop-2-6", {}),
+    ("lemma-2-2", {"n_max": 8, "m_max": 1, "budget": 0}),
+    ("lemma-2-2", {"n_max": 8, "m_max": 1, "budget": 1}),
 ])
 def test_memo_matches_the_unmemoized_cases(name, grid):
     expected = sorted((_unmemoized_case(name, c) for c in suites.iter_cases(name, grid)),

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from corkcalc.words import Word, parse_word, single, word_reduce
+from corkcalc.words import Word, parse_word, single
 
 
 def naive_reduce(letters):
@@ -24,8 +24,8 @@ letters_strategy = st.lists(
 
 
 def test_reduce_examples():
-    assert word_reduce([("a", 1), ("a", -1)]).letters == ()
-    assert word_reduce([("a", 1), ("b", 1), ("b", -1), ("a", 1)]).letters == (
+    assert Word((("a", 1), ("a", -1))).letters == ()
+    assert Word((("a", 1), ("b", 1), ("b", -1), ("a", 1))).letters == (
         ("a", 1), ("a", 1))
 
 
@@ -33,18 +33,18 @@ def test_reduce_against_oracle_random():
     rng = random.Random(7)
     for _ in range(200):
         raw = [(rng.choice("abc"), rng.choice((1, -1))) for _ in range(20)]
-        assert word_reduce(raw).letters == naive_reduce(raw)
+        assert Word(tuple(raw)).letters == naive_reduce(raw)
 
 
 @given(letters_strategy)
 def test_reduce_matches_oracle(raw):
-    assert word_reduce(raw).letters == naive_reduce(raw)
+    assert Word(tuple(raw)).letters == naive_reduce(raw)
 
 
 @given(letters_strategy)
 def test_reduce_idempotent_and_exponent_preserving(raw):
-    w = word_reduce(raw)
-    assert word_reduce(w.letters).letters == w.letters
+    w = Word(tuple(raw))
+    assert Word(w.letters).letters == w.letters
     for g in "abcd":
         assert w.exponent_sum(g) == sum(s for gg, s in raw if gg == g)
 
