@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or parse error (including a datum file that fails ``validate``),
-3 I/O failure.
+3 I/O failure, 4 internal error (an exception that is not a
+``CorkCalcError``: a fault of corkcalc, never a verdict on the input).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class _CliError(Exception):
@@ -315,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except CorkCalcError as e:
         print(f"error [{e.code}]: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:  # exit 1 must mean only that a verification failed
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -271,17 +271,26 @@ def full_linking_matrix(d: KirbyDatum):
 
     Dotted circles convert to 0-framed components (diagonal 0); 2-handles
     carry their framing on the diagonal; every off-diagonal entry is
-    ``d.lk``.  Returns (matrix, component order).
+    ``d.lk``, filled from where each linking is stored: a word's exponent
+    sums on the dotted circles (a letter on any other name is ignored), and
+    the ``links`` entries of two distinct 2-handles.  Ids are assumed
+    distinct, as ``validate`` requires.  Returns (matrix, component order).
     """
     order = tuple(d.one_handles) + d.handle_ids
-    n = len(order)
-    rows = [[0] * n for _ in range(n)]
-    for i, h in enumerate(d.two_handles, start=len(d.one_handles)):
-        rows[i][i] = h.framing
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = d.lk(order[i], order[j])
-    return IntMatrix.from_rows(rows), order
+    n, g = len(order), len(d.one_handles)
+    dotted = {x: k for k, x in enumerate(d.one_handles)}
+    handle = {x: k for k, x in enumerate(order) if k >= g}
+    entries = [0] * (n * n)
+    for i, h in enumerate(d.two_handles, start=g):
+        entries[i * n + i] = h.framing
+        for x, e in h.word.exponents().items():
+            if x in dotted:
+                entries[i * n + dotted[x]] = entries[dotted[x] * n + i] = e
+    for (x, y), v in d.links:
+        if x != y and x in handle and y in handle:
+            i, j = handle[x], handle[y]
+            entries[i * n + j] = entries[j * n + i] = v
+    return IntMatrix(n, n, tuple(entries)), order
 
 
 # --- canonical form, hashing, file round trip ---------------------------------

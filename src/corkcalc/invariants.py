@@ -33,7 +33,8 @@ class HomologyProfile:
 def homology(d: KirbyDatum) -> HomologyProfile:
     """Homology profile of the 4-manifold the datum describes.
 
-    H1 and b2 = rank H2 both come from one SNF of the exponent-sum matrix.
+    H1 and b2 = rank H2 both come from the diagonal of one SNF of the
+    exponent-sum matrix: b2 counts its columns without a nonzero pivot.
     """
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
@@ -41,7 +42,7 @@ def homology(d: KirbyDatum) -> HomologyProfile:
     mat, _, _ = exponent_matrix(d)
     res = linalg.snf(mat)
     h1 = tuple(res.coker_invariants())
-    b2 = len(res.kernel_basis())
+    b2 = mat.cols - sum(1 for x in res.S.diagonal() if x)
     contractible = (not h1) and b2 == 0
     return HomologyProfile(h1, b2, contractible)
 

@@ -6,7 +6,9 @@ enters any result.  Pivot choices are deterministic: smallest nonzero
 absolute value, ties broken by position.
 
 One ``snf`` yields a matrix's cokernel invariants, kernel basis and (for a
-square matrix) determinant.  ``is_diag_minus_one`` splits a diagonal -1 off
+square matrix) determinant.  It builds the transform V only for
+``kernel_basis``, and U only on request: nothing in the package reads U.
+``is_diag_minus_one`` splits a diagonal -1 off
 in closed form: the complement vectors it uses are exactly those the
 one-row SNF kernel would return, so no SNF runs on that path.
 """
@@ -17,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 from .errors import NotSquareError
 
@@ -87,14 +89,17 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ m @ V == S, with ``sign`` = det(U) * det(V), which is +1 or -1."""
-    U: IntMatrix
+    """U @ m @ V == S, with ``sign`` = det(U) * det(V), which is +1 or -1.
+    U and V are None unless ``snf`` was asked to build them."""
+    U: IntMatrix | None
     S: IntMatrix
-    V: IntMatrix
+    V: IntMatrix | None
     sign: int
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Columns of V at the zero diagonal slots of S: a basis of ker(m)."""
+        if self.V is None:
+            raise ValueError("kernel_basis needs the transform V: call snf(m, v=True)")
         diag = self.S.diagonal()
         return [self.V.col(j) for j in range(self.S.cols)
                 if j >= len(diag) or diag[j] == 0]
@@ -138,66 +143,66 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def snf(m: IntMatrix) -> SNFResult:
-    """Smith normal form with unimodular transforms: U @ m @ V == S.
+def snf(m: IntMatrix, *, u: bool = False, v: bool = False) -> SNFResult:
+    """Smith normal form U @ m @ V == S, with U and V built only on request.
 
     The diagonal of S is non-negative and satisfies d_i | d_{i+1}.  Every
     row or column swap and every row negation flips the tracked unit
     ``sign`` = det(U) * det(V); row and column additions leave it alone.
     So det(m) = sign * prod(diag S) for square m, with no second pass.
+    The pivot sequence, hence S and ``sign``, does not depend on ``u``/``v``.
     """
     a = m.to_rows()
     R, C = m.rows, m.cols
-    u = IntMatrix.identity(R).to_rows()
-    v = IntMatrix.identity(C).to_rows()
+    # the matrices each row (column) operation applies to: S, and U (V) when asked for
+    by_rows = [a, IntMatrix.identity(R).to_rows()] if u else [a]
+    by_cols = [a, IntMatrix.identity(C).to_rows()] if v else [a]
     sign = 1
 
     def swap_rows(i, j):
         nonlocal sign
         if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+            for x in by_rows:
+                x[i], x[j] = x[j], x[i]
             sign = -sign
 
     def swap_cols(i, j):
         nonlocal sign
         if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            for x in by_cols:
+                for row in x:
+                    row[i], row[j] = row[j], row[i]
             sign = -sign
 
     def add_row(dst, src, q):
         # row dst += q * row src
         if q:
-            arow, srow = a[dst], a[src]
-            for k in range(C):
-                arow[k] += q * srow[k]
-            urow, usrow = u[dst], u[src]
-            for k in range(R):
-                urow[k] += q * usrow[k]
+            for x in by_rows:
+                x[dst] = [p + q * s for p, s in zip(x[dst], x[src])]
 
     def add_col(dst, src, q):
         if q:
-            for row in a:
-                row[dst] += q * row[src]
-            for row in v:
-                row[dst] += q * row[src]
+            for x in by_cols:
+                for row in x:
+                    row[dst] += q * row[src]
 
     def negate_row(i):
         nonlocal sign
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for x in by_rows:
+            x[i] = [-y for y in x[i]]
         sign = -sign
 
     def find_pivot(t):
-        best = None
+        # the first entry of least absolute value, row by row; a unit is least
+        best, least = None, 0
         for i in range(t, R):
+            row = a[i]
             for j in range(t, C):
-                val = a[i][j]
-                if val != 0 and (best is None or abs(val) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                val = row[j]
+                if val and (best is None or abs(val) < least):
+                    best, least = (i, j), abs(val)
+                    if least == 1:
+                        return best
         return best
 
     t = 0
@@ -230,28 +235,20 @@ def snf(m: IntMatrix) -> SNFResult:
                         break
             if restart:
                 continue
-            if any(a[i][t] for i in range(t + 1, R)):
-                continue
-            # Enforce the divisibility chain before moving on.
+            # Enforce the divisibility chain before moving on; a unit divides all.
             d = a[t][t]
-            bad = None
-            for i in range(t + 1, R):
-                for j in range(t + 1, C):
-                    if a[i][j] % d != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
-                add_row(t, bad, 1)
-                continue
-            break
+            bad = None if d in (1, -1) else next(
+                (i for i in range(t + 1, R) if any(x % d for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
         if a[t][t] < 0:
             negate_row(t)
         t += 1
 
-    return SNFResult(IntMatrix.from_rows(u), IntMatrix(R, C, tuple(chain.from_iterable(a))),
-                     IntMatrix.from_rows(v), sign)
+    return SNFResult(IntMatrix.from_rows(by_rows[1]) if u else None,
+                     IntMatrix(R, C, tuple(chain.from_iterable(a))),
+                     IntMatrix.from_rows(by_cols[1]) if v else None, sign)
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -260,7 +257,7 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     Vectors are columns of the SNF transform V for the zero diagonal slots,
     hence primitive and linearly independent.
     """
-    return snf(m).kernel_basis()
+    return snf(m, v=True).kernel_basis()
 
 
 def coker_invariants(m: IntMatrix) -> list[int]:
@@ -275,46 +272,49 @@ def coker_invariants(m: IntMatrix) -> list[int]:
 def signature(q: IntMatrix) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric integer matrix.
 
-    Computed by exact rational congruence diagonalization.
+    Exact integer congruence: at a pivot p, each e_j with c = a[j][p] != 0
+    becomes (|p| e_j - sgn(p) c e_p) / gcd(p, c), and rows with c == 0 stay
+    untouched, so a sparse form stays sparse.  What is left is the Schur
+    complement scaled by squares: same inertia.  The gcd keeps a chain of
+    -2 framings polynomial in size; without it the entries square at every
+    pivot.  When every diagonal entry left is 0, e_i += e_j on the first
+    row i left and the first j it links makes one nonzero, unless row i is 0.
     """
     if not q.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
-    n = q.rows
-    a = [[Fraction(q.at(i, j)) for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
-
-    def sym_add(dst, src, factor):
-        # congruence: row dst += factor * row src, then same for columns
-        for k in range(n):
-            a[dst][k] += factor * a[src][k]
-        for k in range(n):
-            a[k][dst] += factor * a[k][src]
-
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    for i in range(n):
-        if a[i][i] == 0:
-            j_diag = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if j_diag is not None:
-                sym_swap(i, j_diag)
-            else:
-                j_off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if j_off is None:
-                    zero += 1
-                    continue
-                sym_add(i, j_off, Fraction(1))
-        pivot = a[i][i]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                sym_add(j, i, -a[j][i] / pivot)
-    return pos, neg, zero
+    a = q.to_rows()
+    remaining = list(range(q.rows))  # the indices not yet split off
+    neg = zero = 0
+    while remaining:
+        i = next((k for k in remaining if a[k][k]), None)
+        if i is None:
+            i = remaining[0]
+            j = next((k for k in remaining if a[i][k]), None)
+            if j is None:
+                zero += 1
+                remaining.pop(0)
+                continue
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for r in remaining:
+                a[r][i] += a[r][j]
+        remaining.remove(i)
+        pivot = a[i]
+        p = pivot[i]
+        neg += p < 0
+        scaled = []
+        for j in remaining:
+            c = pivot[j]
+            if c:
+                g = gcd(p, c)
+                s, t = abs(p) // g, (c if p > 0 else -c) // g
+                a[j] = [s * x - t * y for x, y in zip(a[j], pivot)]
+                scaled.append((j, s))
+        # the same operations on the columns: a[r][i] is 0 now for every r left
+        for r in remaining:
+            row = a[r]
+            for j, s in scaled:
+                row[j] *= s
+    return q.rows - neg - zero, neg, zero
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .datum import (KirbyDatum, TwoHandle, datum_hash, link_key, make_datum,
                     validate_cork_pair, wheel_sequence, CorkPair)
@@ -361,10 +361,19 @@ def _canonical(obj) -> str:
 
 @dataclass(frozen=True)
 class MoveStep:
+    """One step of a trace.  Building a step checks its move and params
+    against ``MOVES`` and refuses a bad one with ``CorkCalcError``, naming
+    the step as ``what``; ``replay`` applies a step unchecked.  ``what`` is
+    None only where the caller has just checked the same params itself."""
     move: str
     params: str  # canonical JSON of the parameter object
     pre: str
     post: str
+    what: InitVar[str | None] = "trace step"
+
+    def __post_init__(self, what):
+        if what is not None:
+            _check_params(self.move, self.params_dict, what)
 
     @property
     def params_dict(self) -> dict:
@@ -468,7 +477,8 @@ class Recorder:
     def apply(self, move: str, **params) -> KirbyDatum:
         result = apply_move(self.current, move, params)
         post = datum_hash(result)
-        self._steps.append(MoveStep(move, _canonical(params), self._current_hash, post))
+        self._steps.append(MoveStep(move, _canonical(params), self._current_hash, post,
+                                    what=None))  # apply_move checked the params
         self.current, self._current_hash = result, post
         return result
 
@@ -481,6 +491,7 @@ def replay(initial: KirbyDatum, trace: MoveTrace) -> KirbyDatum:
     """Deterministically re-run a trace, verifying the hash chain.
 
     Each state is hashed once; a step's ``pre`` must equal the hash last verified.
+    Params are not checked again: every ``MoveStep`` was checked when built.
     A move the datum refuses re-raises its ``CorkCalcError`` with the
     ``step_index`` of the refused step set."""
     current = initial
@@ -491,7 +502,7 @@ def replay(initial: KirbyDatum, trace: MoveTrace) -> KirbyDatum:
         if verified != step.pre:
             raise HashMismatchError(f"pre-hash mismatch at step {idx}", idx)
         try:
-            current = apply_move(current, step.move, step.params_dict)
+            current = MOVES[step.move][0](current, **step.params_dict)
         except CorkCalcError as e:
             e.step_index = idx
             raise
@@ -573,7 +584,6 @@ def trace_from_text(text: str) -> MoveTrace:
         obj = _json_object(ln, what)
         _require_keys(obj, ("move", "params", "pre", "post"), what)
         _require_hashes(obj, ("pre", "post"), what)
-        move, params = obj["move"], obj["params"]
-        _check_params(move, params, what)
-        steps.append(MoveStep(move, _canonical(params), obj["pre"], obj["post"]))
+        steps.append(MoveStep(obj["move"], _canonical(obj["params"]), obj["pre"], obj["post"],
+                              what))
     return MoveTrace(header["initial"], tuple(steps), target)

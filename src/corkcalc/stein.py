@@ -17,8 +17,8 @@ reproduce the datum's 2-handle linkings.
 Negative full-twist boxes expand to fixed event templates: a twist on
 antiparallel strands of one component costs two positive crossings plus a
 balanced pair of zigzags, which leaves tb unchanged, so the box multiplicity
-never disturbs the criterion.  Twist templates live in ``TWIST_BLOCK``;
-the wheel families' fronts are generated from these templates.
+never disturbs the criterion.  The template lives in ``TWIST_BLOCK``;
+the wheel families' fronts are generated from it.
 """
 
 from __future__ import annotations
@@ -275,11 +275,10 @@ def stein_check(d: KirbyDatum, front: LegendrianFront,
 
 # --- templates and generated fronts ----------------------------------------------
 
-# Negative full-twist templates, one per strand-orientation case.  Entries
-# are (kind, level offset, mark); zigzag cusps inherit the component.
-#
-# Antiparallel strands of one component: two positive crossings plus one
-# down and one up zigzag on the lower strand, so tb is unchanged.
+# The negative full twist on antiparallel strands of one component.  Entries
+# are (kind, level offset, mark); zigzag cusps inherit the component.  Two
+# positive crossings plus one down and one up zigzag on the lower strand, so
+# tb is unchanged.
 TWIST_BLOCK = (
     (XPOS, 0, None),
     (XPOS, 0, None),
@@ -289,31 +288,15 @@ TWIST_BLOCK = (
     (RCUSP, 0, UP),
 )
 
-# Parallel strands: two negative crossings, no cusps; each twist drops the
-# writhe (hence tb) by two.
-PARALLEL_TWIST_BLOCK = (
-    (XNEG, 0, None),
-    (XNEG, 0, None),
-)
-
-
-def _expand_block(block, component: str, level: int, twists: int) -> list[FrontEvent]:
-    out = []
-    for _ in range(twists):
-        for kind, offset, mark in block:
-            comp = component if kind in (LCUSP, RCUSP) else None
-            out.append(FrontEvent(kind, level + offset, comp, mark))
-    return out
-
 
 def twist_box_events(component: str, level: int, twists: int) -> list[FrontEvent]:
     """Expand a -twists full-twist box on antiparallel strands."""
-    return _expand_block(TWIST_BLOCK, component, level, twists)
-
-
-def parallel_twist_box_events(component: str, level: int, twists: int) -> list[FrontEvent]:
-    """Expand a -twists full-twist box on parallel strands."""
-    return _expand_block(PARALLEL_TWIST_BLOCK, component, level, twists)
+    out = []
+    for _ in range(twists):
+        for kind, offset, mark in TWIST_BLOCK:
+            comp = component if kind in (LCUSP, RCUSP) else None
+            out.append(FrontEvent(kind, level + offset, comp, mark))
+    return out
 
 
 def max_tb_reference_events(component: str) -> list[FrontEvent]:
@@ -327,11 +310,6 @@ def max_tb_reference_events(component: str) -> list[FrontEvent]:
         FrontEvent(RCUSP, 0, component, UP),
         FrontEvent(RCUSP, 0, component, DOWN),
     ]
-
-
-def unknot_events(component: str) -> list[FrontEvent]:
-    return [FrontEvent(LCUSP, 0, component, UP),
-            FrontEvent(RCUSP, 0, component, DOWN)]
 
 
 def framed_zero_component_events(component: str, m: int) -> list[FrontEvent]:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from corkcalc import datum as datum_io
-from corkcalc import scripts
+from corkcalc import scripts, suites
 from corkcalc.cli import main
 from corkcalc.families import build_C, build_W, build_X
 from corkcalc.moves import Recorder, trace_to_text
@@ -94,6 +94,20 @@ def test_invariants_on_truncated_file(tmp_path, capsys):
 
 def test_invariants_missing_file_exit_3(tmp_path):
     assert run(["invariants", str(tmp_path / "nope.json")]) == 3
+
+
+def test_verify_internal_error_exit_4(monkeypatch, capsys):
+    # an exception that is not a CorkCalcError is a fault of corkcalc, and
+    # must not read as a failed verification (exit 1)
+    cases, _ = suites._SUITES["thm-1-7-arith"]
+
+    def broken(case):
+        raise AssertionError("internal error: witness does not verify")
+
+    monkeypatch.setitem(suites._SUITES, "thm-1-7-arith", (cases, broken))
+    assert run(["verify", "thm-1-7-arith", "--l", "1", "--n", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: AssertionError") and err.count("\n") == 1
 
 
 def test_verify_small_sweep(tmp_path):

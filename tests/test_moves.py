@@ -18,7 +18,7 @@ from corkcalc.errors import (BadLinkingError, CorkCalcError, DuplicateIdError, H
 from corkcalc.families import build_C, build_Cm, build_W, build_X
 from corkcalc.invariants import boundary_h1, homology
 from corkcalc.linalg import IntMatrix
-from corkcalc.moves import (MoveTrace, Recorder, apply_move, attach_2handle, blow_down,
+from corkcalc.moves import (MoveStep, MoveTrace, Recorder, apply_move, attach_2handle, blow_down,
                             blow_up, cancel_1_2, cork_twist_pair,
                             minus_one_sphere_present, remove_split_zero_handle,
                             replay, rotate, slide_2_over_1, slide_2_over_2,
@@ -435,6 +435,35 @@ def test_trace_text_keeps_params():
         rec.apply(move, **p)
     parsed = trace_from_text(trace_to_text(rec.trace()))
     assert [(s.move, s.params_dict) for s in parsed.steps] == params
+
+
+def test_each_step_checks_its_params_once(monkeypatch):
+    # the one check is at step construction: replay applies a built step unchecked
+    checked = []
+    real = moves._check_params
+    monkeypatch.setattr(moves, "_check_params",
+                        lambda move, params, *what: checked.append(move) or real(move, params, *what))
+    d = build_W(3, 1)
+    rec = Recorder(d)
+    for move, params in (("twist_wheel", {"i": 2}), ("blow_down", {"h": "m2_1"}),
+                         ("blow_down", {"h": "m2_2"})):
+        rec.apply(move, **params)
+    recorded = rec.trace()
+    parsed = trace_from_text(trace_to_text(recorded))
+    built = MoveTrace(recorded.initial, tuple(
+        MoveStep(s.move, s.params, s.pre, s.post) for s in recorded.steps))
+    assert checked == ["twist_wheel", "blow_down", "blow_down"] * 3  # record, parse, build
+    for trace in (recorded, parsed, built):
+        assert datum_hash(replay(d, trace)) == recorded.final
+    assert len(checked) == 9
+
+
+def test_a_step_built_in_memory_refuses_a_bad_param():
+    d = build_C(2, 1)
+    with pytest.raises(CorkCalcError, match="param i must be an integer"):
+        MoveStep("rotate", json.dumps({"i": "1"}), datum_hash(d), datum_hash(d))
+    with pytest.raises(IllegalMoveError, match="unknown move"):
+        MoveStep("spin", "{}", datum_hash(d), datum_hash(d))
 
 
 # --- hashing each state once ----------------------------------------------------------------------

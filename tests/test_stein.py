@@ -8,12 +8,16 @@ from corkcalc.stein import (DOWN, UP, FrontDocument, FrontEvent, FrontGeometry,
                             LegendrianFront, framed_zero_component_events,
                             front_from_text, front_to_text, linking_number,
                             max_tb_reference_events,
-                            rot, stein_check, tb, unknot_events,
-                            wheel_front_events, writhe)
+                            rot, stein_check, tb, wheel_front_events, writhe)
 
 
 def front(events):
     return LegendrianFront(tuple(events))
+
+
+def unknot_events(component):
+    # the crossingless unknot: one left and one right cusp
+    return [FrontEvent("lcusp", 0, component, UP), FrontEvent("rcusp", 0, component, DOWN)]
 
 
 def test_crossingless_unknot():
@@ -39,11 +43,10 @@ def test_twist_box_keeps_tb():
 
 
 def test_parallel_twist_box_drops_tb():
-    from corkcalc.stein import max_tb_reference_events, parallel_twist_box_events
-
+    # a negative full twist on parallel strands: two negative crossings, no cusps
     for k in (1, 2, 3):
         base = max_tb_reference_events("k")
-        events = base[:5] + parallel_twist_box_events("k", 1, k) + base[5:]
+        events = base[:5] + [FrontEvent("xneg", 1), FrontEvent("xneg", 1)] * k + base[5:]
         f = front(events)
         assert writhe(f, "k") == 3 - 2 * k
         assert tb(f, "k") == 1 - 2 * k
