@@ -262,7 +262,8 @@ def exponent_matrix(d: KirbyDatum):
     """
     row_ids = tuple(d.one_handles)
     col_ids = d.handle_ids
-    entries = [h.word.exponent_sum(g) for g in row_ids for h in d.two_handles]
+    sums = [h.word.exponents() for h in d.two_handles]
+    entries = [e.get(g, 0) for g in row_ids for e in sums]
     return IntMatrix(len(row_ids), len(col_ids), tuple(entries)), row_ids, col_ids
 
 

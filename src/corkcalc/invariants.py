@@ -11,7 +11,7 @@ linking matrix to the kernel lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain
 
 from . import linalg
 from .datum import KirbyDatum, exponent_matrix, full_linking_matrix
@@ -24,10 +24,6 @@ class HomologyProfile:
     h1_invariants: tuple[int, ...]
     b2: int
     is_contractible_homology: bool
-
-    @staticmethod
-    def ball() -> "HomologyProfile":
-        return HomologyProfile((), 0, True)
 
 
 def homology(d: KirbyDatum) -> HomologyProfile:
@@ -82,22 +78,19 @@ def intersection_form_with_basis(d: KirbyDatum):
     """Intersection form on H2 plus the kernel basis realizing it.
 
     Returns (form, basis) where basis[i] is an integer combination of the
-    2-handles (sorted by id) with zero exponent sums.
+    2-handles (sorted by id) with zero exponent sums; the form is the
+    congruence B^T L B of the 2-handle linking block L, B's columns the basis.
     """
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
             "intersection form of data with explicit 3-handles is not supported")
     mat, _, _ = exponent_matrix(d)
     basis = linalg.kernel_basis(mat)
-    k = len(basis)
     full, _ = full_linking_matrix(d)
-    g = len(d.one_handles)  # the 2-handle block follows the dotted circles
-    link = [full.row(i)[g:] for i in range(g, full.rows)]
-    entries = []
-    for v in basis:
-        lv = [sum(map(mul, row, v)) for row in link]
-        entries.extend(sum(map(mul, w, lv)) for w in basis)
-    return IntMatrix(k, k, tuple(entries)), basis
+    g, h = len(d.one_handles), mat.cols  # the 2-handle block follows the dotted circles
+    link = IntMatrix(h, h, tuple(chain.from_iterable(full.row(i)[g:] for i in range(g, g + h))))
+    vectors = IntMatrix(len(basis), h, tuple(chain.from_iterable(basis)))
+    return linalg.congruence(link, vectors), basis
 
 
 # --- characteristic numbers -----------------------------------------------

@@ -8,17 +8,18 @@ absolute value, ties broken by position.
 One ``snf`` yields a matrix's cokernel invariants, kernel basis and (for a
 square matrix) determinant.  It builds the transform V only for
 ``kernel_basis``, and U only on request: nothing in the package reads U.
-``is_diag_minus_one`` splits a diagonal -1 off
-in closed form: the complement vectors it uses are exactly those the
-one-row SNF kernel would return, so no SNF runs on that path.
+Every product goes through ``IntMatrix.mul``, which skips the zero
+coefficients of its left factor, and every congruence c q c^T through
+``congruence``.  ``is_diag_minus_one`` splits a diagonal -1 off with a
+closed-form complement, exactly the one-row SNF kernel, so no SNF runs on
+that path; ``det`` runs only before a lattice search.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, isqrt, prod
 
 from .errors import NotSquareError
@@ -70,10 +71,20 @@ class IntMatrix:
                          tuple(chain.from_iterable(map(self.col, range(self.cols)))))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """Row i of the product is the sum of a * other.row(k) over the nonzero
+        entries a = self[i][k]: the cost follows the nonzeros of self."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = [other.col(j) for j in range(other.cols)]
-        out = [sum(map(operator.mul, self.row(i), c)) for i in range(self.rows) for c in cols]
+        rows = [other.row(k) for k in range(other.rows)]
+        zero = (0,) * other.cols
+        out = []
+        for i in range(self.rows):
+            r = self.row(i)
+            acc = None
+            for a, row in compress(zip(r, rows), r):
+                acc = ([a * x for x in row] if acc is None
+                       else [s + a * x for s, x in zip(acc, row)])
+            out.extend(zero if acc is None else acc)
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def is_symmetric(self) -> bool:
@@ -141,6 +152,12 @@ def det(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def congruence(q: IntMatrix, c: IntMatrix) -> IntMatrix:
+    """c @ q @ c^T for a symmetric q.  Both products keep c on the left, so
+    they cost what the nonzeros of c's rows cost."""
+    return c.mul(c.mul(q).transpose())
 
 
 def snf(m: IntMatrix, *, u: bool = False, v: bool = False) -> SNFResult:
@@ -386,32 +403,21 @@ def _frac_floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _split_minus_one(current: list[list[int]], basis: list[tuple[int, ...]], i: int):
-    """Split off slot i of ``current``, whose diagonal entry is -1.
-
-    Closed form of ``kernel_basis`` on the row r = current[i]: the SNF pivots
-    on the first index p with |r_p| = 1 (sigma swaps slots 0 and p) and
-    returns the complement vectors c_j = e_sigma(j) - t_j * e_p, j = 1..m-1,
-    with t_j = r_sigma(j) * r_p.  Returns the form c_j^T current c_k and the
-    basis vectors sum_k c_j[k] * basis[k], both entrywise in O(m^2 + m*n).
-    """
-    r = current[i]
+def _unit_complement(r: tuple[int, ...]) -> IntMatrix:
+    """Rows spanning the kernel of the row r, which has a unit entry: exactly
+    the vectors ``kernel_basis`` returns for r, in closed form.  The one-row
+    SNF pivots on the first unit r_p (swapping slots 0 and p), so its kernel
+    vectors are e_s - r_s r_p e_p for s = 1..m-1, with s = p read as 0."""
     m = len(r)
     p = next(k for k, x in enumerate(r) if x in (1, -1))
-    rp = r[p]
-    qp, qpp = current[p], current[p][p]
-    sig = [0 if j == p else j for j in range(1, m)]
-    t = [r[s] * rp for s in sig]
-    # c_j^T Q c_k = Q[s_j][s_k] - t_j * w_k - t_k * Q[p][s_j], w_k = Q[p][s_k] - t_k * Q[p][p]
-    w = [qp[s] - tk * qpp for s, tk in zip(sig, t)]
-    form = []
-    for sj, tj in zip(sig, t):
-        row, qpj = current[sj], qp[sj]
-        form.append([row[sk] - tj * wk - tk * qpj for sk, wk, tk in zip(sig, w, t)])
-    bp = basis[p]
-    new_basis = [tuple(x - tj * y for x, y in zip(basis[sj], bp)) if tj else basis[sj]
-                 for sj, tj in zip(sig, t)]
-    return form, new_basis
+    entries = []
+    for s in range(1, m):
+        s = 0 if s == p else s
+        row = [0] * m
+        row[s] = 1
+        row[p] = -r[s] * r[p]
+        entries.extend(row)
+    return IntMatrix(m - 1, m, tuple(entries))
 
 
 SEARCH_HEIGHT = 4  # coefficient bound of the norm -1 vector search
@@ -422,14 +428,17 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
 
     Greedy: peel off norm -1 vectors and recurse on the orthogonal complement
     lattice.  While the current form has a -1 on its diagonal, the first such
-    slot is split off in closed form (``_split_minus_one``); that split equals
-    the one-row SNF kernel the general step computes, so verdicts and
-    witnesses are the same.  Only when no diagonal entry is -1 does the
-    lattice search run, for a norm -1 vector with coefficients bounded by
-    ``SEARCH_HEIGHT``, followed by an SNF kernel and a congruence.  Returns a
-    definite False on any definiteness or determinant obstruction; an
-    exhausted search without obstruction is inconclusive, never False.  A
-    True verdict carries a witness W with W^T q W == -I, checked here.
+    slot is split off with ``_unit_complement``, the one-row SNF kernel in
+    closed form, so verdicts and witnesses are those of the general step.
+    Only when no diagonal entry is -1 does the lattice search run, for a norm
+    -1 vector with coefficients bounded by ``SEARCH_HEIGHT``, followed by an
+    SNF kernel.  Both steps update the form through ``congruence``.  Each
+    splits off a norm -1 vector, so |det| of the current form stays |det q|:
+    ``det`` runs only before a search, and a peel that needs none proves
+    |det q| = 1.  Returns a definite False on any definiteness or determinant
+    obstruction; an exhausted search without obstruction is inconclusive,
+    never False.  A True verdict carries a witness W with W^T q W == -I,
+    checked here.
     """
     if not q.is_symmetric():
         raise ValueError("is_diag_minus_one needs a symmetric matrix")
@@ -439,38 +448,32 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
     pos, neg, zero = signature(q)
     if pos or zero:
         return DiagMinusOneResult(False, None, f"not negative definite (inertia {(pos, neg, zero)})")
-    if abs(det(q)) != 1:
-        return DiagMinusOneResult(False, None, "determinant is not a unit")
 
     columns: list[tuple[int, ...]] = []
-    # transform columns of the original lattice basis, built up as we peel
-    basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    current = q.to_rows()
-    while current:
-        m = len(current)
-        i = next((k for k in range(m) if current[k][k] == -1), None)
+    # row k: the k-th basis vector of the current lattice, in the original coordinates
+    basis = IntMatrix.identity(n)
+    current = q
+    while current.rows:
+        m = current.rows
+        i = next((k for k in range(m) if current.at(k, k) == -1), None)
         if i is not None:
-            columns.append(basis[i])
-            current, basis = _split_minus_one(current, basis, i)
-            continue
-        p_rows = [[Fraction(-x) for x in row] for row in current]
-        vec = next(_norm_one_vectors(p_rows, SEARCH_HEIGHT), None)
-        if vec is None:
-            return DiagMinusOneResult(None, None, "search budget exhausted")
-        ambient = tuple(sum(vec[k] * basis[k][i] for k in range(m)) for i in range(n))
-        columns.append(ambient)
-        row = IntMatrix(1, m, tuple(
-            sum(vec[k] * current[k][j] for k in range(m)) for j in range(m)))
-        complement = kernel_basis(row)
-        basis = [tuple(sum(c[k] * basis[k][i] for k in range(m)) for i in range(n))
-                 for c in complement]
-        b = IntMatrix(m, len(complement), tuple(
-            complement[j][i] for i in range(m) for j in range(len(complement))))
-        current = b.transpose().mul(IntMatrix.from_rows(current)).mul(b).to_rows()
+            vec = tuple(int(k == i) for k in range(m))
+            complement = _unit_complement(current.row(i))
+        else:
+            if abs(det(current)) != 1:
+                return DiagMinusOneResult(False, None, "determinant is not a unit")
+            p_rows = [[Fraction(-x) for x in current.row(k)] for k in range(m)]
+            vec = next(_norm_one_vectors(p_rows, SEARCH_HEIGHT), None)
+            if vec is None:
+                return DiagMinusOneResult(None, None, "search budget exhausted")
+            kernel = kernel_basis(IntMatrix(1, m, vec).mul(current))
+            complement = IntMatrix(len(kernel), m, tuple(chain.from_iterable(kernel)))
+        columns.append(IntMatrix(1, m, vec).mul(basis).entries)
+        basis = complement.mul(basis)
+        current = congruence(current, complement)
 
-    witness = IntMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
-    check = witness.transpose().mul(q).mul(witness)
-    neg_identity = IntMatrix(n, n, tuple(-1 if i == j else 0 for i in range(n) for j in range(n)))
-    if check != neg_identity:
+    witness_t = IntMatrix(n, n, tuple(chain.from_iterable(columns)))
+    neg_identity = IntMatrix(n, n, tuple(-int(i == j) for i in range(n) for j in range(n)))
+    if congruence(q, witness_t) != neg_identity:
         raise AssertionError("internal error: witness does not verify")
-    return DiagMinusOneResult(True, witness, "witness verified")
+    return DiagMinusOneResult(True, witness_t.transpose(), "witness verified")

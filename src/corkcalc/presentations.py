@@ -39,10 +39,9 @@ class GroupPresentation:
                 raise ValueError(f"relator {r} uses unknown generators {sorted(missing)}")
 
     def exponent_matrix(self) -> IntMatrix:
-        rows = []
-        for g in sorted(self.generators):
-            rows.append([r.exponent_sum(g) for r in self.relators])
-        return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, len(self.relators))
+        sums = [r.exponents() for r in self.relators]
+        return IntMatrix(len(self.generators), len(sums), tuple(
+            e.get(g, 0) for g in sorted(self.generators) for e in sums))
 
     def abelianization(self) -> tuple[int, ...]:
         """Invariant factors of the abelianized group (0 entries are free)."""

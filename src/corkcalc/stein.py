@@ -344,7 +344,6 @@ def wheel_front_events(n: int, m: int) -> tuple[list[FrontEvent], dict[str, str]
 class FrontDocument:
     front: LegendrianFront
     correspondence: tuple[tuple[str, str], ...] = ()
-    flags: tuple[str, ...] = ()
 
     @property
     def correspondence_dict(self) -> dict[str, str]:
@@ -353,8 +352,6 @@ class FrontDocument:
 
 def front_to_text(doc: FrontDocument) -> str:
     lines = []
-    for flag in doc.flags:
-        lines.append(f"flag {flag}")
     for handle, comp in doc.correspondence:
         lines.append(f"map {handle} {comp}")
     for ev in doc.front.events:
@@ -367,15 +364,11 @@ def front_to_text(doc: FrontDocument) -> str:
 def front_from_text(text: str) -> FrontDocument:
     events = []
     corr = []
-    flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "flag":
-            flags.append(" ".join(tokens[1:]))
-            continue
         if tokens[0] == "map":
             if len(tokens) != 3:
                 raise FrontFormatError("map records need exactly 2 fields", line=lineno)
@@ -401,5 +394,5 @@ def front_from_text(text: str) -> FrontDocument:
         if e.line is None:
             raise FrontFormatError(str(e)) from None
         raise
-    return FrontDocument(front, tuple(corr), tuple(flags))
+    return FrontDocument(front, tuple(corr))
 

@@ -21,7 +21,7 @@ from .errors import CorkCalcError
 from .invariants import (HomologyProfile, boundary_h1, char_numbers_from_datum,
                          connected_sum, cp2, cp2_bar, homology, intersection_form)
 from .isomorphism import datum_isomorphic
-from .linalg import IntMatrix, is_diag_minus_one
+from .linalg import IntMatrix, congruence, is_diag_minus_one
 from .moves import (apply_move, blow_down, minus_one_sphere_present, rotate,
                     slide_2_over_2)
 from .presentations import TIETZE_BUDGET, pi1_presentation, tietze_simplify
@@ -347,9 +347,8 @@ def _slide_congruence_holds(d, out, h1, h2, sign) -> bool:
     after, order_after = full_linking_matrix(out)
     size = len(order)
     rows = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
-    rows[order.index(h2)][order.index(h1)] = sign
-    e = IntMatrix.from_rows(rows)
-    return order == order_after and e.transpose().mul(before).mul(e) == after
+    rows[order.index(h1)][order.index(h2)] = sign  # the rows of E^T
+    return order == order_after and congruence(before, IntMatrix.from_rows(rows)) == after
 
 
 def _run_move_audit(k):

@@ -436,6 +436,18 @@ def test_stein_check_missing_front_exit_3(tmp_path):
     assert run(["stein-check", str(datum_path), str(tmp_path / "nope.front")]) == 3
 
 
+def test_stein_check_front_flag_line_exit_2(tmp_path, capsys):
+    # front files carry no provenance records: a flag line is a malformed event
+    datum_path = tmp_path / "c21.json"
+    run(["gen", "C", "2", "1", "-o", str(datum_path)])
+    front_path = tmp_path / "C_2_1.front"
+    _write_wheel_front(front_path, 2, 1)
+    front_path.write_text("flag drawn by hand\n" + front_path.read_text())
+    assert run(["stein-check", str(datum_path), str(front_path)]) == 2
+    captured = capsys.readouterr()
+    assert "line 1" in captured.err and captured.out == ""
+
+
 def test_stein_check_failure_exit_1(tmp_path, capsys):
     # wrong wheel size: every handle still maps, but framings disagree with tb;
     # the wheel meta is dropped so the datum stays valid after the reframing

@@ -147,8 +147,7 @@ def test_trace_from_text_on_raw_text(text):
 
 _EVENTS, _CORRESPONDENCE = stein.wheel_front_events(2, 2)
 _FRONT = stein.front_to_text(stein.FrontDocument(
-    stein.LegendrianFront(tuple(_EVENTS)), tuple(sorted(_CORRESPONDENCE.items())),
-    ("drawn by hand",))).splitlines()
+    stein.LegendrianFront(tuple(_EVENTS)), tuple(sorted(_CORRESPONDENCE.items())))).splitlines()
 
 tokens = st.sampled_from(("lcusp", "rcusp", "xpos", "xneg", "map", "flag", "-", "#",
                           "0", "1", "-1", "up", "down", "a0", "b1")) | st.text(max_size=4)

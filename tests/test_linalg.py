@@ -10,8 +10,8 @@ from corkcalc import linalg
 from corkcalc.errors import NotSquareError
 from corkcalc.families import build_W
 from corkcalc.invariants import intersection_form
-from corkcalc.linalg import (DiagMinusOneResult, IntMatrix, coker_invariants, det,
-                             is_diag_minus_one, kernel_basis, signature, snf)
+from corkcalc.linalg import (DiagMinusOneResult, IntMatrix, coker_invariants, congruence,
+                             det, is_diag_minus_one, kernel_basis, signature, snf)
 
 
 def cofactor_det(rows):
@@ -291,14 +291,37 @@ def test_transpose_of_empty_shapes():
             assert m.transpose() == per_entry_transpose(m)
 
 
+def random_sparse(rng, rows, cols, density):
+    """Entries in -5..5, each nonzero with probability ``density``."""
+    return IntMatrix(rows, cols, tuple(rng.choice((-5, -2, -1, 1, 3, 5))
+                                       if rng.random() < density else 0
+                                       for _ in range(rows * cols)))
+
+
 def test_mul_and_transpose_match_per_entry_reference():
     rng = random.Random(43)
-    for _ in range(300):
-        r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+    empty = [(r, k, c) for r in (0, 3) for k in (0, 2) for c in (0, 4) if 0 in (r, k, c)]
+    for r, k, c in empty + [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(300)]:
         a = IntMatrix(r, k, tuple(rng.randint(-5, 5) for _ in range(r * k)))
         b = IntMatrix(k, c, tuple(rng.randint(-5, 5) for _ in range(k * c)))
-        assert a.mul(b) == per_entry_mul(a, b)
-        assert a.transpose() == per_entry_transpose(a)
+        zero_rows = IntMatrix(r, k, tuple(x if i % 2 else 0 for i in range(r) for x in a.row(i)))
+        for left in (a, random_sparse(rng, r, k, 0.2), zero_rows, IntMatrix.zero(r, k)):
+            assert left.mul(b) == per_entry_mul(left, b)
+            assert left.transpose() == per_entry_transpose(left)
+
+
+def test_congruence_matches_per_entry_reference():
+    rng = random.Random(59)
+    for _ in range(300):
+        m, k = rng.randint(0, 7), rng.randint(0, 7)
+        upper = random_sparse(rng, m, m, 0.5)
+        q = IntMatrix(m, m, tuple(upper.at(min(i, j), max(i, j))
+                                  for i in range(m) for j in range(m)))
+        c = random_sparse(rng, k, m, rng.choice((0.0, 0.15, 0.4)))
+        want = IntMatrix(k, k, tuple(
+            sum(c.at(i, a) * q.at(a, b) * c.at(j, b) for a in range(m) for b in range(m))
+            for i in range(k) for j in range(k)))
+        assert congruence(q, c) == want
 
 
 # --- the -I recognizer against its SNF-kernel reference --------------------------------
@@ -426,3 +449,13 @@ def test_diag_minus_one_splits_without_snf_kernel(monkeypatch):
     assert res.verdict is True
     assert res.witness.transpose().mul(q).mul(res.witness) == IntMatrix(
         q.rows, q.rows, tuple(-int(i == j) for i in range(q.rows) for j in range(q.rows)))
+
+
+def test_diag_minus_one_needs_no_determinant_when_the_peel_finishes(monkeypatch):
+    q = intersection_form(build_W(12, 1))
+
+    def no_det(m):
+        raise AssertionError("det called although no lattice search ran")
+
+    monkeypatch.setattr(linalg, "det", no_det)
+    assert is_diag_minus_one(q).verdict is True

@@ -1,10 +1,13 @@
 """The linear algebra against frozen copies of the dense code it replaced.
 
 ``seed_snf`` (transforms always built, full pivot scan, divisibility scan
-at every pivot), ``seed_signature`` (rational congruence) and
-``seed_full_linking_matrix`` (one ``d.lk`` per entry) are kept here as
+at every pivot), ``seed_signature`` (rational congruence),
+``seed_full_linking_matrix`` (one ``d.lk`` per entry),
+``seed_exponent_matrix`` (one ``exponent_sum`` per entry) and
+``seed_intersection_form`` (B^T L B entry by entry) are kept here as
 oracles: the new code must give identical SNF transforms, diagonal and
-sign, identical inertia and identical linking matrices.
+sign, identical inertia, identical linking and exponent matrices and
+identical intersection forms.
 """
 
 from fractions import Fraction
@@ -17,10 +20,12 @@ from corkcalc.datum import exponent_matrix, full_linking_matrix, make_datum, two
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, build_W,
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
                                load_elliptic_surface)
-from corkcalc.invariants import intersection_form
-from corkcalc.linalg import IntMatrix, SNFResult, signature, snf
+from corkcalc.invariants import intersection_form, intersection_form_with_basis
+from corkcalc.linalg import IntMatrix, SNFResult, kernel_basis, signature, snf
 from corkcalc.moves import blow_down
+from corkcalc.presentations import GroupPresentation
 from corkcalc.sequences import all_sequences
+from corkcalc.words import Word
 
 
 def seed_snf(m: IntMatrix) -> SNFResult:
@@ -292,3 +297,68 @@ def test_full_linking_matrix_matches_the_seed_off_the_store_rules():
     mat, order = full_linking_matrix(d)
     assert order == ("a", "b", "h", "k")
     assert mat.to_rows() == [[0, 0, 2, 0], [0, 0, 0, -1], [2, 0, -1, 4], [0, -1, 4, 3]]
+
+
+def seed_exponent_matrix(d):
+    row_ids = tuple(d.one_handles)
+    entries = [h.word.exponent_sum(g) for g in row_ids for h in d.two_handles]
+    return IntMatrix(len(row_ids), len(d.two_handles), tuple(entries)), row_ids, d.handle_ids
+
+
+def seed_presentation_exponent_matrix(p):
+    rows = [[r.exponent_sum(g) for r in p.relators] for g in sorted(p.generators)]
+    return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, len(p.relators))
+
+
+def test_exponent_matrix_matches_the_seed_on_every_family():
+    count = 0
+    for d in _gen_family_data():
+        assert exponent_matrix(d) == seed_exponent_matrix(d)
+        count += 1
+    assert count > 300
+
+
+@st.composite
+def presentations(draw):
+    gens = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=5))
+    letters = st.tuples(st.sampled_from(gens or ["a"]), st.sampled_from((1, -1)))
+    words = st.lists(letters, max_size=8 if gens else 0).map(lambda ls: Word(tuple(ls)))
+    relators = draw(st.lists(words, max_size=6))
+    return GroupPresentation(tuple(gens), tuple(relators))
+
+
+@given(presentations())
+@settings(max_examples=300, deadline=None)
+def test_presentation_exponent_matrix_matches_the_seed(p):
+    assert p.exponent_matrix() == seed_presentation_exponent_matrix(p)
+
+
+def seed_intersection_form(d):
+    """B^T L B entry by entry, B's columns the kernel basis, L read with d.lk."""
+    basis = kernel_basis(exponent_matrix(d)[0])
+    ids = d.handle_ids
+    link = [[h.framing if x == h.id else d.lk(x, h.id) for h in d.two_handles] for x in ids]
+    return IntMatrix(len(basis), len(basis), tuple(
+        sum(v[a] * link[a][b] * w[b] for a in range(len(ids)) for b in range(len(ids)))
+        for v in basis for w in basis)), basis
+
+
+def _forms_data():
+    yield from (build_W(n, 1) for n in range(2, 11))
+    yield from (load_elliptic_surface(l) for l in range(1, 5))
+    # dotted circles with a rank-2 kernel and stored 2-handle linkings
+    yield make_datum(["a", "b"],
+                     [two_handle("h", [("a", 1), ("b", 1)], -1),
+                      two_handle("k", [("a", 1)], 2),
+                      two_handle("j", [("b", -1), ("a", -1), ("a", -1)], 0),
+                      two_handle("i", [("b", 1), ("b", 1)], -3)],
+                     links={("h", "k"): 2, ("h", "j"): -1, ("i", "k"): 3})
+
+
+def test_intersection_form_matches_the_seed():
+    ranks = []
+    for d in _forms_data():
+        got = intersection_form_with_basis(d)
+        assert got == seed_intersection_form(d)
+        ranks.append(got[0].rows)
+    assert ranks[-1] == 2 and max(ranks) == 46  # b2 of E(4)

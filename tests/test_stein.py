@@ -168,7 +168,7 @@ def test_stein_check_monotone_under_split_addition():
 
 def test_front_text_round_trip():
     events, corr = wheel_front_events(2, 2)
-    doc = FrontDocument(front(events), tuple(sorted(corr.items())), ("note",))
+    doc = FrontDocument(front(events), tuple(sorted(corr.items())))
     text = front_to_text(doc)
     parsed = front_from_text(text)
     assert parsed == doc
