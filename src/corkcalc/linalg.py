@@ -10,9 +10,11 @@ square matrix) determinant.  It builds the transform V only for
 ``kernel_basis``, and U only on request: nothing in the package reads U.
 Every product goes through ``IntMatrix.mul``, which skips the zero
 coefficients of its left factor, and every congruence c q c^T through
-``congruence``.  ``is_diag_minus_one`` splits a diagonal -1 off with a
+``congruence``.  ``is_diag_minus_one`` drops a split -e_i row by index, a
+permutation plus a deletion, and splits any other diagonal -1 off with a
 closed-form complement, exactly the one-row SNF kernel, so no SNF runs on
-that path; ``det`` runs only before a lattice search.
+either path.  ``mul`` runs there only for a general unit row, after a
+lattice search, and in the witness check; ``det`` runs only before a search.
 """
 
 from __future__ import annotations
@@ -88,8 +90,7 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.at(i, j) == self.at(j, i) for i in range(self.rows) for j in range(i))
+        return self.rows == self.cols and self.entries == self.transpose().entries
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -420,6 +421,21 @@ def _unit_complement(r: tuple[int, ...]) -> IntMatrix:
     return IntMatrix(m - 1, m, tuple(entries))
 
 
+def _drop_split_slot(current: IntMatrix, basis: IntMatrix,
+                     i: int) -> tuple[IntMatrix, IntMatrix]:
+    """``current`` and ``basis`` after splitting off a row -e_i at slot i.
+    ``_unit_complement`` of -e_i is e_1..e_{m-1} with e_0 standing in slot
+    i, so its congruence is a permutation plus a deletion, taken by index."""
+    def take(t):  # t at perm = [1..m-1], with perm[i-1] = 0 when i > 0
+        return t[1:i] + t[:1] + t[i + 1:] if i else t[1:]
+
+    m = current.rows
+    rows = take(list(map(current.row, range(m))))
+    return (IntMatrix(m - 1, m - 1, tuple(chain.from_iterable(map(take, rows)))),
+            IntMatrix(m - 1, basis.cols,
+                      tuple(chain.from_iterable(take(list(map(basis.row, range(m))))))))
+
+
 SEARCH_HEIGHT = 4  # coefficient bound of the norm -1 vector search
 
 
@@ -430,9 +446,12 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
     lattice.  While the current form has a -1 on its diagonal, the first such
     slot is split off with ``_unit_complement``, the one-row SNF kernel in
     closed form, so verdicts and witnesses are those of the general step.
+    When that slot's row is -e_i, the complement is a permutation of the
+    unit vectors, so ``_drop_split_slot`` takes it by index, with no
+    product; the form of a wheel, -I itself, is peeled this way throughout.
     Only when no diagonal entry is -1 does the lattice search run, for a norm
     -1 vector with coefficients bounded by ``SEARCH_HEIGHT``, followed by an
-    SNF kernel.  Both steps update the form through ``congruence``.  Each
+    SNF kernel.  Those steps update the form through ``congruence``.  Each
     splits off a norm -1 vector, so |det| of the current form stays |det q|:
     ``det`` runs only before a search, and a peel that needs none proves
     |det q| = 1.  Returns a definite False on any definiteness or determinant
@@ -457,8 +476,13 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
         m = current.rows
         i = next((k for k in range(m) if current.at(k, k) == -1), None)
         if i is not None:
+            row = current.row(i)
+            if sum(map(bool, row)) == 1:  # row i is -e_i
+                columns.append(basis.row(i))
+                current, basis = _drop_split_slot(current, basis, i)
+                continue
             vec = tuple(int(k == i) for k in range(m))
-            complement = _unit_complement(current.row(i))
+            complement = _unit_complement(row)
         else:
             if abs(det(current)) != 1:
                 return DiagMinusOneResult(False, None, "determinant is not a unit")

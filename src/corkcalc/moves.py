@@ -30,7 +30,9 @@ pair.  ``cork_twist_pair`` requires the pair to be algebraically separated;
 rewriting external handles that hang on the affected pairs (letters through
 a circle losing its dot become linkings with the new 0-framed handle, and
 vice versa; re-entered letters append at the word end, the only convention
-available at this fidelity).
+available at this fidelity).  A pair twist rewrites only the handles that
+pass its dotted circle or link its 0-framed handle; every other handle
+object carries over unchanged.
 
 All moves are pure: they return fresh data and never mutate inputs.
 """
@@ -283,15 +285,19 @@ def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
     sigma = h0.word.letters[0][1]
 
     # pairs with the framed handle turn into letters of the new dotted
-    # circle; passes through the old one turn into pairs with its new handle
+    # circle; passes through the old one turn into pairs with its new handle.
+    # A handle that does neither keeps its object; its pair entry with the
+    # dotted name is still written (as 0, so the store drops it).
     links = {k: v for k, v in d.links if framed not in k}
     new_handles = [TwoHandle(dotted, single(framed) ** sigma, 0)]
     for e in d.two_handles:
         if e.id != framed:
             links[link_key(dotted, e.id)] = e.word.exponent_sum(dotted)
-            new_word = (e.word.delete_generator(dotted)
-                        * single(framed) ** d.lk(e.id, framed))
-            new_handles.append(TwoHandle(e.id, new_word, e.framing))
+            k = d.lk(e.id, framed)
+            if k or any(g == dotted for g, _ in e.word.letters):
+                e = TwoHandle(e.id, e.word.delete_generator(dotted) * single(framed) ** k,
+                              e.framing)
+            new_handles.append(e)
 
     ones = tuple(u for u in d.one_handles if u != dotted) + (framed,)
     meta = d.meta_map

@@ -3,14 +3,30 @@
 Criteria 1-8 run the ``verify`` suites at their default grids; criterion 9
 checks the exact linear algebra against independent oracles. Each test
 prints one PASS/FAIL line (run with ``pytest -s`` to see them all) and
-asserts that its suite passed with the case count its grid implies.
+asserts that its suite passed with the case count its grid implies, and
+that its report is byte for byte the one pinned in ``REPORT_SHA256``.
 """
 
+import hashlib
+import json
 import random
 import time
 
 from corkcalc.linalg import IntMatrix, det, snf
 from corkcalc.suites import run_suite
+
+# sha256 of each suite's report at its default grid, as ``verify -o`` writes
+# it: a change that alters any certificate fails here
+REPORT_SHA256 = {
+    "lemma-2-2": "bb21d06efab66f3990c3ccd3d28f0f461656e48e5ad95ff3987387517c7fd8c4",
+    "cork-order": "43155721a1fd945bc301798f8bac1c2f0d3713b19d62d3c334236ab2dfff3264",
+    "prop-2-6": "221932f46b6ffc5c31a6d7ca758f6b292d81806c5d22c80d7dd928114447866c",
+    "lemma-3-4-scripts": "7eabb1bfea9a19c7ddba0856a7dac799cd3429a46c7c8b1707fb0019ac9bd6f4",
+    "move-audit": "7748eb8ca3c549f008759b4acbec3168eb99ff47051d25d06105ae5ced4d3043",
+    "w-family": "1b097c76a9963c7e6a15ffb7190026818cad0cbec861d71294922d9b2c461d8a",
+    "stein-framings": "1f37d35b36720cf08d875d4705cd2cc9cb9b5ca67adb253a073fa397757f3191",
+    "thm-1-7-arith": "2beb1f7f7062f6bb079e47b353fea5abac42f789ea03ccf424f41e42150d1590",
+}
 
 
 def _line(name, ok, detail=""):
@@ -28,6 +44,8 @@ def _gate(criterion, suite, expected_cases):
           f"{len(result.cases)} cases, failures={failures[:3]}")
     assert result.passed, failures
     assert len(result.cases) == expected_cases
+    report = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256[suite]
 
 
 def test_criterion_1_contractibility_sweep():

@@ -324,6 +324,23 @@ def test_congruence_matches_per_entry_reference():
         assert congruence(q, c) == want
 
 
+def test_is_symmetric_matches_per_entry_definition():
+    rng = random.Random(61)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [
+        (rng.randint(0, 6), rng.randint(0, 6)) for _ in range(300)]
+    for r, c in shapes:
+        a = random_sparse(rng, r, c, rng.choice((0.0, 0.3, 0.8)))
+        cases = [a]
+        if r == c:  # and its upper triangle mirrored, which is symmetric
+            cases.append(IntMatrix(r, r, tuple(a.at(min(i, j), max(i, j))
+                                               for i in range(r) for j in range(r))))
+        for m in cases:
+            want = m.rows == m.cols and all(m.at(i, j) == m.at(j, i)
+                                            for i in range(m.rows) for j in range(i))
+            assert m.is_symmetric() == want
+    assert IntMatrix.zero(0, 0).is_symmetric() and not IntMatrix.zero(0, 2).is_symmetric()
+
+
 # --- the -I recognizer against its SNF-kernel reference --------------------------------
 
 def reference_is_diag_minus_one(q, height=4):
@@ -406,7 +423,15 @@ def assert_same_verdict(q):
     return got
 
 
-def test_diag_minus_one_matches_reference_on_congruences_of_minus_identity():
+def test_diag_minus_one_matches_reference_on_congruences_of_minus_identity(monkeypatch):
+    dropped = []  # the slot of every split -e_i row dropped by index
+    drop = linalg._drop_split_slot
+
+    def recording_drop(current, basis, i):
+        dropped.append(i)
+        return drop(current, basis, i)
+
+    monkeypatch.setattr(linalg, "_drop_split_slot", recording_drop)
     rng = random.Random(47)
     pivot_before_row = verdicts_true = 0
     for _ in range(1200):
@@ -417,6 +442,7 @@ def test_diag_minus_one_matches_reference_on_congruences_of_minus_identity():
         verdicts_true += assert_same_verdict(q).verdict is True
     assert pivot_before_row >= 100
     assert verdicts_true >= 1000
+    assert 0 in dropped and any(i > 0 for i in dropped)
 
 
 def test_diag_minus_one_matches_reference_on_random_symmetric_forms():
@@ -449,6 +475,23 @@ def test_diag_minus_one_splits_without_snf_kernel(monkeypatch):
     assert res.verdict is True
     assert res.witness.transpose().mul(q).mul(res.witness) == IntMatrix(
         q.rows, q.rows, tuple(-int(i == j) for i in range(q.rows) for j in range(q.rows)))
+
+
+def test_diag_minus_one_multiplies_only_in_the_witness_check(monkeypatch):
+    # the form of W(11) is -I itself: every step drops a split -e_i by index,
+    # so the only products are the two of congruence(q, W^T)
+    q = intersection_form(build_W(11, 1))
+    assert q.rows == 55
+    calls = []
+    mul = IntMatrix.mul
+
+    def counting_mul(self, other):
+        calls.append(other.cols)
+        return mul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", counting_mul)
+    assert is_diag_minus_one(q).verdict is True
+    assert len(calls) == 2
 
 
 def test_diag_minus_one_needs_no_determinant_when_the_peel_finishes(monkeypatch):

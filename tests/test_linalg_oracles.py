@@ -4,10 +4,11 @@
 at every pivot), ``seed_signature`` (rational congruence),
 ``seed_full_linking_matrix`` (one ``d.lk`` per entry),
 ``seed_exponent_matrix`` (one ``exponent_sum`` per entry) and
-``seed_intersection_form`` (B^T L B entry by entry) are kept here as
+``seed_intersection_form`` (B^T L B entry by entry) and ``seed_flip_pair``
+(every 2-handle's word rebuilt at each pair twist) are kept here as
 oracles: the new code must give identical SNF transforms, diagonal and
-sign, identical inertia, identical linking and exponent matrices and
-identical intersection forms.
+sign, identical inertia, identical linking and exponent matrices,
+identical intersection forms and identical twisted data.
 """
 
 from fractions import Fraction
@@ -16,16 +17,19 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corkcalc.datum import exponent_matrix, full_linking_matrix, make_datum, two_handle
+from corkcalc import moves
+from corkcalc.datum import (TwoHandle, exponent_matrix, full_linking_matrix, link_key,
+                            make_datum, two_handle, wheel_sequence)
+from corkcalc.errors import NotSeparatedError
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, build_W,
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
-                               load_elliptic_surface)
+                               dot_zero_exchange, load_elliptic_surface)
 from corkcalc.invariants import intersection_form, intersection_form_with_basis
 from corkcalc.linalg import IntMatrix, SNFResult, kernel_basis, signature, snf
-from corkcalc.moves import blow_down
+from corkcalc.moves import blow_down, cork_twist_pair
 from corkcalc.presentations import GroupPresentation
-from corkcalc.sequences import all_sequences
-from corkcalc.words import Word
+from corkcalc.sequences import STAR, ZERO, all_sequences, pair_ids
+from corkcalc.words import Word, single
 
 
 def seed_snf(m: IntMatrix) -> SNFResult:
@@ -362,3 +366,113 @@ def test_intersection_form_matches_the_seed():
         assert got == seed_intersection_form(d)
         ranks.append(got[0].rows)
     assert ranks[-1] == 2 and max(ranks) == 46  # b2 of E(4)
+
+
+def seed_flip_pair(d, dotted, framed):
+    """``moves._flip_pair`` rebuilding the word of every 2-handle but the
+    framed one, whether or not the twist touches it."""
+    moves._require_generator(d, dotted)
+    h0 = moves._require_handle(d, framed)
+    if h0.framing != 0:
+        raise NotSeparatedError(f"{framed} must have framing 0 to twist")
+    if not h0.word.is_single(dotted):
+        raise NotSeparatedError(f"{framed} must pass {dotted} exactly once to twist")
+    sigma = h0.word.letters[0][1]
+
+    links = {k: v for k, v in d.links if framed not in k}
+    new_handles = [TwoHandle(dotted, single(framed) ** sigma, 0)]
+    for e in d.two_handles:
+        if e.id != framed:
+            links[link_key(dotted, e.id)] = e.word.exponent_sum(dotted)
+            new_word = (e.word.delete_generator(dotted)
+                        * single(framed) ** d.lk(e.id, framed))
+            new_handles.append(TwoHandle(e.id, new_word, e.framing))
+
+    ones = tuple(u for u in d.one_handles if u != dotted) + (framed,)
+    meta = d.meta_map
+    seq = wheel_sequence(d)
+    for j, sym in enumerate(seq or ""):
+        if pair_ids(j, sym) == (dotted, framed):
+            meta["sequence"] = seq[:j] + (ZERO if sym == STAR else STAR) + seq[j + 1:]
+    return moves._rebuild(d, new_handles, one_handles=ones, meta=meta, links=links)
+
+
+@pytest.fixture
+def checked_flips(monkeypatch):
+    """Runs every pair twist against ``seed_flip_pair``, and checks that each
+    handle the twist leaves alone comes back as the same object; yields the
+    counts of flips and of handles kept."""
+    flip = moves._flip_pair
+    counts = {"flips": 0, "kept": 0}
+
+    def checked(d, dotted, framed):
+        got = flip(d, dotted, framed)
+        assert got == seed_flip_pair(d, dotted, framed)
+        for e in d.two_handles:
+            if (e.id != framed and dotted not in e.word.generators()
+                    and not d.lk(e.id, framed)):
+                assert got.handle(e.id) is e
+                counts["kept"] += 1
+        counts["flips"] += 1
+        return got
+
+    monkeypatch.setattr(moves, "_flip_pair", checked)
+    return counts
+
+
+def test_flip_pair_matches_the_seed_on_twisted_wheels(checked_flips):
+    for n in range(2, 12):
+        for i in range(1, n):
+            build_W_twisted(n, 1, i)
+            build_Z_twisted(n, 1, i)
+    for n in range(1, 7):
+        for x in all_sequences(n):
+            dot_zero_exchange(build_X(n, 1, x))
+    assert checked_flips["flips"] > 800 and checked_flips["kept"] > 7000
+
+
+def test_flip_pair_matches_the_seed_off_the_wheels(checked_flips):
+    # cork_twist_pair refuses a pair that another handle passes or links, so
+    # its external handles pass other circles and link each other only
+    d = make_datum(["a", "c"],
+                   [two_handle("h", [("a", -1)], 0),
+                    two_handle("e", [("c", 1), ("c", 1)], -1),
+                    two_handle("f", [("c", -1)], 2)],
+                   links={("e", "f"): 3})
+    twisted = cork_twist_pair(d, "a", "h")
+    assert twisted.one_handles == ("c", "h")
+    assert twisted.handle("e") is d.handle("e") and twisted.handle("f") is d.handle("f")
+    # the pair twist itself rewrites handles that pass the circle (also with
+    # exponent sum 0) or link the handle, and keeps the one that does neither
+    d = make_datum(["a", "c"],
+                   [two_handle("h", [("a", 1)], 0),
+                    two_handle("e", [("a", 1), ("c", 1), ("a", 1)], -1),
+                    two_handle("f", [("a", 1), ("c", 1), ("a", -1)], 2),
+                    two_handle("g", [("c", -1)], 1),
+                    two_handle("k", [("c", 1)], 0)],
+                   links={("e", "h"): 2, ("g", "h"): -1, ("f", "k"): 4})
+    twisted = moves._flip_pair(d, "a", "h")
+    assert twisted.handle("e").word == Word((("c", 1), ("h", 1), ("h", 1)))
+    assert twisted.handle("f").word == single("c")
+    assert twisted.handle("g").word == Word((("c", -1), ("h", -1)))
+    assert twisted.handle("k") is d.handle("k")
+    assert dict(twisted.links) == {("a", "e"): 2, ("f", "k"): 4}
+    assert checked_flips == {"flips": 2, "kept": 3}
+
+
+def test_flip_pair_matches_the_seed_off_the_store_rules(checked_flips):
+    # a stored linking of k with the dotted circle a, which the twist drops;
+    # a 2-handle named like the dotted circle c, whose linking with h d.lk
+    # reads from h's word, not from the store entry (c, h); and one named
+    # like the circle a itself
+    d = make_datum(["a", "c"],
+                   [two_handle("h", [("a", 1)], 0),
+                    two_handle("k", [("c", 1)], -2),
+                    two_handle("c", [], 1)],
+                   links={("a", "k"): 7, ("c", "h"): 2})
+    twisted = moves._flip_pair(d, "a", "h")
+    assert ("a", "k") not in dict(twisted.links)
+    assert twisted.handle("k") is d.handle("k")
+    d = make_datum(["a"], [two_handle("h", [("a", -1)], 0), two_handle("a", [], -1)])
+    assert moves._flip_pair(d, "a", "h").handle("a").word == single("h", -1)
+    assert checked_flips["flips"] == 2
