@@ -404,5 +404,5 @@ def loads(text: str) -> KirbyDatum:
     return from_canonical(obj)
 
 
-def dumps(d: KirbyDatum, indent: int | None = 2) -> str:
-    return json.dumps(canonical_form(d), sort_keys=True, indent=indent) + "\n"
+def dumps(d: KirbyDatum) -> str:
+    return json.dumps(canonical_form(d), sort_keys=True, indent=2) + "\n"

@@ -11,10 +11,9 @@ square matrix) determinant.  It builds the transform V only for
 Every product goes through ``IntMatrix.mul``, which skips the zero
 coefficients of its left factor, and every congruence c q c^T through
 ``congruence``.  ``is_diag_minus_one`` drops a split -e_i row by index, a
-permutation plus a deletion, and splits any other diagonal -1 off with a
-closed-form complement, exactly the one-row SNF kernel, so no SNF runs on
-either path.  ``mul`` runs there only for a general unit row, after a
-lattice search, and in the witness check; ``det`` runs only before a search.
+permutation plus a deletion, with no SNF and no product; any other norm -1
+vector, a diagonal -1 or a lattice search's find, is split off with the SNF
+kernel of its row.  ``det`` runs only before a search.
 """
 
 from __future__ import annotations
@@ -404,28 +403,12 @@ def _frac_floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _unit_complement(r: tuple[int, ...]) -> IntMatrix:
-    """Rows spanning the kernel of the row r, which has a unit entry: exactly
-    the vectors ``kernel_basis`` returns for r, in closed form.  The one-row
-    SNF pivots on the first unit r_p (swapping slots 0 and p), so its kernel
-    vectors are e_s - r_s r_p e_p for s = 1..m-1, with s = p read as 0."""
-    m = len(r)
-    p = next(k for k, x in enumerate(r) if x in (1, -1))
-    entries = []
-    for s in range(1, m):
-        s = 0 if s == p else s
-        row = [0] * m
-        row[s] = 1
-        row[p] = -r[s] * r[p]
-        entries.extend(row)
-    return IntMatrix(m - 1, m, tuple(entries))
-
-
 def _drop_split_slot(current: IntMatrix, basis: IntMatrix,
                      i: int) -> tuple[IntMatrix, IntMatrix]:
     """``current`` and ``basis`` after splitting off a row -e_i at slot i.
-    ``_unit_complement`` of -e_i is e_1..e_{m-1} with e_0 standing in slot
-    i, so its congruence is a permutation plus a deletion, taken by index."""
+    The one-row SNF kernel of -e_i is e_1..e_{m-1} with e_0 standing in
+    slot i, so its congruence is a permutation plus a deletion, taken by
+    index."""
     def take(t):  # t at perm = [1..m-1], with perm[i-1] = 0 when i > 0
         return t[1:i] + t[:1] + t[i + 1:] if i else t[1:]
 
@@ -444,14 +427,14 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
 
     Greedy: peel off norm -1 vectors and recurse on the orthogonal complement
     lattice.  While the current form has a -1 on its diagonal, the first such
-    slot is split off with ``_unit_complement``, the one-row SNF kernel in
-    closed form, so verdicts and witnesses are those of the general step.
-    When that slot's row is -e_i, the complement is a permutation of the
-    unit vectors, so ``_drop_split_slot`` takes it by index, with no
-    product; the form of a wheel, -I itself, is peeled this way throughout.
-    Only when no diagonal entry is -1 does the lattice search run, for a norm
-    -1 vector with coefficients bounded by ``SEARCH_HEIGHT``, followed by an
-    SNF kernel.  Those steps update the form through ``congruence``.  Each
+    slot i is split off.  When its row is -e_i, the complement is a
+    permutation of the unit vectors, so ``_drop_split_slot`` takes it by
+    index, with no product; the form of a wheel, -I itself, is peeled this
+    way throughout.  Any other such slot takes vec = e_i, and only when no
+    diagonal entry is -1 does the lattice search run, for a norm -1 vector
+    with coefficients bounded by ``SEARCH_HEIGHT``; either vec is followed
+    by the SNF kernel of its row, and the form is updated through
+    ``congruence``.  Each
     splits off a norm -1 vector, so |det| of the current form stays |det q|:
     ``det`` runs only before a search, and a peel that needs none proves
     |det q| = 1.  Returns a definite False on any definiteness or determinant
@@ -476,13 +459,11 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
         m = current.rows
         i = next((k for k in range(m) if current.at(k, k) == -1), None)
         if i is not None:
-            row = current.row(i)
-            if sum(map(bool, row)) == 1:  # row i is -e_i
+            if sum(map(bool, current.row(i))) == 1:  # row i is -e_i
                 columns.append(basis.row(i))
                 current, basis = _drop_split_slot(current, basis, i)
                 continue
             vec = tuple(int(k == i) for k in range(m))
-            complement = _unit_complement(row)
         else:
             if abs(det(current)) != 1:
                 return DiagMinusOneResult(False, None, "determinant is not a unit")
@@ -490,8 +471,8 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
             vec = next(_norm_one_vectors(p_rows, SEARCH_HEIGHT), None)
             if vec is None:
                 return DiagMinusOneResult(None, None, "search budget exhausted")
-            kernel = kernel_basis(IntMatrix(1, m, vec).mul(current))
-            complement = IntMatrix(len(kernel), m, tuple(chain.from_iterable(kernel)))
+        kernel = kernel_basis(IntMatrix(1, m, vec).mul(current))
+        complement = IntMatrix(len(kernel), m, tuple(chain.from_iterable(kernel)))
         columns.append(IntMatrix(1, m, vec).mul(basis).entries)
         basis = complement.mul(basis)
         current = congruence(current, complement)

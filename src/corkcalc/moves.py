@@ -11,8 +11,14 @@ the word gains the slid-over handle's word, the framing changes by
 other 2-handle x, and ``lk(h1,h2)`` itself gains ``sign*f2``.  On the full
 linking matrix this is a unimodular congruence.
 
-``cancel_1_2`` removes a dotted circle together with a 2-handle passing it
-exactly once, after sliding every other word free of the circle.
+``cancel_1_2`` removes a dotted circle g together with a 2-handle h whose
+word is g^s0, after sliding every other word free of g in one pass: a
+handle x with a g-letter is slid net S_x = -s0 * (exponent sum of g in x)
+times, so its word loses its g-letters, its framing becomes
+``f_x + 2*S_x*lk(x,h) + S_x**2 * f_h``, and ``lk(x,y)`` gains
+``S_x*lk(h,y)`` for every other partner y of h.  Handles are taken in id
+order, and each reads ``lk(h,x) + S_x*f_h`` for a handle x slid before it;
+a handle without a g-letter keeps its object.
 
 ``remove_split_zero_handle`` is the fused pair "split 0-framed 2-handle
 plus the 3-handle that caps it": the handle disappears and the modeled
@@ -102,36 +108,26 @@ def _partners(d: KirbyDatum, hid: str) -> dict[str, int]:
 
 # --- handle slides ------------------------------------------------------------
 
-def _slide_2_over_2_at(d: KirbyDatum, h1_id: str, h2_id: str, sign: int,
-                       position: int | None) -> KirbyDatum:
-    if h1_id == h2_id:
+def slide_2_over_2(d: KirbyDatum, h1: str, h2: str, sign: int) -> KirbyDatum:
+    """Slide 2-handle h1 over h2 (band at the word end)."""
+    if h1 == h2:
         raise IllegalMoveError("cannot slide a handle over itself")
     if sign not in (1, -1):
         raise IllegalMoveError("slide sign must be +1 or -1")
-    h1 = _require_handle(d, h1_id)
-    h2 = _require_handle(d, h2_id)
+    x = _require_handle(d, h1)
+    y = _require_handle(d, h2)
 
-    inserted = h2.word if sign > 0 else h2.word.inverse()
-    letters = h1.word.letters
-    pos = len(letters) if position is None else position
-    new_word = Word(letters[:pos] + inserted.letters + letters[pos:])
-
-    lk12 = d.lk(h1_id, h2_id)
+    lk12 = d.lk(h1, h2)
     links = dict(d.links)
-    for x, value in _partners(d, h2_id).items():
-        if x not in (h1_id, h2_id):
-            key = link_key(h1_id, x)
+    for z, value in _partners(d, h2).items():
+        if z not in (h1, h2):
+            key = link_key(h1, z)
             links[key] = links.get(key, 0) + sign * value
-    links[link_key(h1_id, h2_id)] = lk12 + sign * h2.framing
-    new_h1 = TwoHandle(h1_id, new_word, h1.framing + h2.framing + 2 * sign * lk12)
-    out = [new_h1 if h.id == h1_id else h for h in d.two_handles]
-    meta = _drop_wheel_meta_if_touched(d, {h1_id})
+    links[link_key(h1, h2)] = lk12 + sign * y.framing
+    new_x = TwoHandle(h1, x.word * y.word ** sign, x.framing + y.framing + 2 * sign * lk12)
+    out = [new_x if h.id == h1 else h for h in d.two_handles]
+    meta = _drop_wheel_meta_if_touched(d, {h1})
     return _rebuild(d, out, meta=meta, links=links)
-
-
-def slide_2_over_2(d: KirbyDatum, h1: str, h2: str, sign: int) -> KirbyDatum:
-    """Slide 2-handle h1 over h2 (band at the word end)."""
-    return _slide_2_over_2_at(d, h1, h2, sign, None)
 
 
 def slide_2_over_1(d: KirbyDatum, h: str, g: str, sign: int, end: str = BACK) -> KirbyDatum:
@@ -160,40 +156,39 @@ def slide_2_over_1(d: KirbyDatum, h: str, g: str, sign: int, end: str = BACK) ->
 def cancel_1_2(d: KirbyDatum, g: str, h: str) -> KirbyDatum:
     """Cancel the dotted circle g against the 2-handle h passing it once.
 
-    Every other word is first slid over h until g-free (band placed at each
-    g-occurrence), then the pair is erased.
+    Every other 2-handle x with a g-letter is slid over h, net
+    S_x = -s0 * (exponent sum of g in x) times, where h's word is g^s0, and
+    the pair is erased; ids assumed distinct, as ``validate`` requires.
     """
     _require_generator(d, g)
     handle = _require_handle(d, h)
     if not handle.word.is_single(g):
         raise NotCancellableError(
             f"word of {h} does not reduce to a single pass through {g}")
-    s0 = handle.word.letters[0][1]
+    s0, f = handle.word.letters[0][1], handle.framing
 
-    current = d
+    # lk(h, x) of a slid x is read by every handle slid after it
+    partners = _partners(d, h)
+    links = dict(d.links)
+    survivors = []
     touched = {g, h}
-    progress = True
-    while progress:
-        progress = False
-        for other in current.two_handles:
-            if other.id == h:
-                continue
-            occurrence = next(((i, l) for i, l in enumerate(other.word.letters)
-                               if l[0] == g), None)
-            if occurrence is None:
-                continue
-            idx, (unused, e) = occurrence
-            sigma = -e * s0  # inserted copy is g^{-e}, cancelling the occurrence
-            current = _slide_2_over_2_at(current, other.id, h, sigma, idx + 1)
-            touched.add(other.id)
-            progress = True
-            break
+    for x in d.two_handles:
+        if x.id != h and any(l == g for l, _ in x.word.letters):
+            s, lk = -s0 * x.word.exponent_sum(g), partners.get(x.id, 0)
+            for y, value in partners.items():
+                if y not in (x.id, h):
+                    key = link_key(x.id, y)
+                    links[key] = links.get(key, 0) + s * value
+            partners[x.id] = lk + s * f
+            x = TwoHandle(x.id, x.word.delete_generator(g), x.framing + 2 * s * lk + s * s * f)
+            touched.add(x.id)
+        if x.id != h:
+            survivors.append(x)
 
-    survivors = [x for x in current.two_handles if x.id != h]
-    links = {k: v for k, v in current.links if h not in k}
-    ones = tuple(u for u in current.one_handles if u != g)
-    meta = _drop_wheel_meta_if_touched(current, touched)
-    return _rebuild(current, survivors, one_handles=ones, meta=meta, links=links)
+    links = {k: v for k, v in links.items() if h not in k}
+    ones = tuple(u for u in d.one_handles if u != g)
+    meta = _drop_wheel_meta_if_touched(d, touched)
+    return _rebuild(d, survivors, one_handles=ones, meta=meta, links=links)
 
 
 def remove_split_zero_handle(d: KirbyDatum, h: str) -> KirbyDatum:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .datum import KirbyDatum
-from .errors import (CorrespondenceIncompleteError, FrontFormatError,
+from .errors import (CorkCalcError, CorrespondenceIncompleteError, FrontFormatError,
                      OddCuspImbalanceError)
 from .families import c_sequence
 from .sequences import pair_ids
@@ -251,14 +251,18 @@ class SteinReport:
 def stein_check(d: KirbyDatum, front: LegendrianFront,
                 correspondence: dict[str, str]) -> SteinReport:
     """Verdict per 2-handle: framing must be tb - 1, and front linking
-    numbers must match the datum's 2-handle linkings."""
+    numbers must match the datum's 2-handle linkings.  Each handle needs
+    its own front component."""
     missing = [h.id for h in d.two_handles if h.id not in correspondence]
     if missing:
         raise CorrespondenceIncompleteError(
             f"no front component assigned to handles {missing}")
-    rows = []
+    rows, owner = [], {}
     for h in d.two_handles:
         comp = correspondence[h.id]
+        if owner.setdefault(comp, h.id) != h.id:
+            raise CorkCalcError(f"handles {owner[comp]} and {h.id} both map to "
+                                f"front component {comp}")
         value = tb(front, comp)
         rows.append(SteinRow(h.id, comp, h.framing, value, h.framing == value - 1))
     mismatches = []
@@ -372,6 +376,8 @@ def front_from_text(text: str) -> FrontDocument:
         if tokens[0] == "map":
             if len(tokens) != 3:
                 raise FrontFormatError("map records need exactly 2 fields", line=lineno)
+            if any(handle == tokens[1] for handle, _ in corr):
+                raise FrontFormatError(f"handle {tokens[1]} is mapped twice", line=lineno)
             corr.append((tokens[1], tokens[2]))
             continue
         if len(tokens) != 4:

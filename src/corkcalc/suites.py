@@ -474,6 +474,7 @@ def run_suite(name: str, grid: dict | None = None, jobs: int = 1) -> SuiteResult
     grid = grid or {}
     cases = iter_cases(resolved, grid)
     _CONTRACTIBLE.clear()
+    jobs = min(jobs, len(cases))
     if jobs > 1:
         # one strided batch per worker: neighbouring cases cost about the same
         from concurrent.futures import ProcessPoolExecutor

@@ -47,13 +47,8 @@ class Word:
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        base = self if k >= 0 else self.inverse()
+        return Word(base.letters * abs(k))  # free reduction is unique
 
     def is_single(self, gen: str) -> bool:
         """Whether the word is one letter on ``gen``, of either sign."""

@@ -448,6 +448,30 @@ def test_stein_check_front_flag_line_exit_2(tmp_path, capsys):
     assert "line 1" in captured.err and captured.out == ""
 
 
+def test_stein_check_two_handles_on_one_component_exit_2(tmp_path, capsys):
+    datum_path = tmp_path / "c21.json"
+    run(["gen", "C", "2", "1", "-o", str(datum_path)])
+    front_path = tmp_path / "C_2_1.front"
+    _write_wheel_front(front_path, 2, 1)
+    front_path.write_text(front_path.read_text().replace("map a1 k1", "map a1 k0"))
+    assert run(["stein-check", str(datum_path), str(front_path)]) == 2
+    captured = capsys.readouterr()
+    assert "a1 and b0 both map to front component k0" in captured.err
+    assert "internal error" not in captured.err and captured.out == ""
+
+
+def test_stein_check_handle_mapped_twice_exit_2(tmp_path, capsys):
+    datum_path = tmp_path / "c21.json"
+    run(["gen", "C", "2", "1", "-o", str(datum_path)])
+    front_path = tmp_path / "C_2_1.front"
+    _write_wheel_front(front_path, 2, 1)
+    front_path.write_text("map b0 k1\n" + front_path.read_text())
+    assert run(["stein-check", str(datum_path), str(front_path)]) == 2
+    captured = capsys.readouterr()
+    assert "b0 is mapped twice" in captured.err and "line 3" in captured.err
+    assert captured.out == ""
+
+
 def test_stein_check_failure_exit_1(tmp_path, capsys):
     # wrong wheel size: every handle still maps, but framings disagree with tb;
     # the wheel meta is dropped so the datum stays valid after the reframing

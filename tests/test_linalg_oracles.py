@@ -4,23 +4,25 @@
 at every pivot), ``seed_signature`` (rational congruence),
 ``seed_full_linking_matrix`` (one ``d.lk`` per entry),
 ``seed_exponent_matrix`` (one ``exponent_sum`` per entry) and
-``seed_intersection_form`` (B^T L B entry by entry) and ``seed_flip_pair``
-(every 2-handle's word rebuilt at each pair twist) are kept here as
-oracles: the new code must give identical SNF transforms, diagonal and
-sign, identical inertia, identical linking and exponent matrices,
-identical intersection forms and identical twisted data.
+``seed_intersection_form`` (B^T L B entry by entry), ``seed_flip_pair``
+(every 2-handle's word rebuilt at each pair twist) and ``seed_cancel_1_2``
+(one letter slid at a time) are kept here as oracles: the new code must
+give identical SNF transforms, diagonal and sign, identical inertia,
+identical linking and exponent matrices, identical intersection forms,
+identical twisted data and identical cancellations.
 """
 
+import random
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corkcalc import moves
-from corkcalc.datum import (TwoHandle, exponent_matrix, full_linking_matrix, link_key,
-                            make_datum, two_handle, wheel_sequence)
-from corkcalc.errors import NotSeparatedError
+from corkcalc import moves, suites
+from corkcalc.datum import (TwoHandle, datum_hash, exponent_matrix, full_linking_matrix,
+                            link_key, make_datum, two_handle, validate, wheel_sequence)
+from corkcalc.errors import NotCancellableError, NotSeparatedError
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, build_W,
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
                                dot_zero_exchange, load_elliptic_surface)
@@ -476,3 +478,154 @@ def test_flip_pair_matches_the_seed_off_the_store_rules(checked_flips):
     d = make_datum(["a"], [two_handle("h", [("a", -1)], 0), two_handle("a", [], -1)])
     assert moves._flip_pair(d, "a", "h").handle("a").word == single("h", -1)
     assert checked_flips["flips"] == 2
+
+
+def _seed_slide_at(d, h1_id, h2_id, sign, position):
+    """``slide_2_over_2`` with the band inserted after ``position`` letters."""
+    h1 = moves._require_handle(d, h1_id)
+    h2 = moves._require_handle(d, h2_id)
+    letters = h1.word.letters
+    new_word = Word(letters[:position] + (h2.word ** sign).letters + letters[position:])
+    lk12 = d.lk(h1_id, h2_id)
+    links = dict(d.links)
+    for x, value in moves._partners(d, h2_id).items():
+        if x not in (h1_id, h2_id):
+            key = link_key(h1_id, x)
+            links[key] = links.get(key, 0) + sign * value
+    links[link_key(h1_id, h2_id)] = lk12 + sign * h2.framing
+    new_h1 = TwoHandle(h1_id, new_word, h1.framing + h2.framing + 2 * sign * lk12)
+    out = [new_h1 if h.id == h1_id else h for h in d.two_handles]
+    meta = moves._drop_wheel_meta_if_touched(d, {h1_id})
+    return moves._rebuild(d, out, meta=meta, links=links)
+
+
+def seed_cancel_1_2(d, g, h):
+    """``moves.cancel_1_2`` as a fixpoint loop: slide the first handle with
+    a g-letter over h at that letter, rebuild, rescan, until no handle but h
+    passes g; then erase the pair."""
+    moves._require_generator(d, g)
+    handle = moves._require_handle(d, h)
+    if not handle.word.is_single(g):
+        raise NotCancellableError(f"word of {h} does not reduce to a single pass through {g}")
+    s0 = handle.word.letters[0][1]
+    current, touched = d, {g, h}
+    while True:
+        occurrence = next(((x.id, i, e) for x in current.two_handles if x.id != h
+                           for i, (l, e) in enumerate(x.word.letters) if l == g), None)
+        if occurrence is None:
+            break
+        x, idx, e = occurrence
+        current = _seed_slide_at(current, x, h, -e * s0, idx + 1)
+        touched.add(x)
+    survivors = [x for x in current.two_handles if x.id != h]
+    links = {k: v for k, v in current.links if h not in k}
+    ones = tuple(u for u in current.one_handles if u != g)
+    meta = moves._drop_wheel_meta_if_touched(current, touched)
+    return moves._rebuild(current, survivors, one_handles=ones, meta=meta, links=links)
+
+
+def _check_cancel(d, g, h) -> bool:
+    """``cancel_1_2`` against the seed; each handle without a g-letter comes
+    back as the same object.  Broken wheel metadata stays as it was, where
+    the seed drops it if one of its single-letter slides happened to repair
+    it; True exactly then."""
+    got, want = moves.cancel_1_2(d, g, h), seed_cancel_1_2(d, g, h)
+    for x in d.two_handles:
+        if x.id != h and g not in x.word.generators():
+            assert got.handle(x.id) is x
+    repaired = ("sequence" in d.meta_map and wheel_sequence(d) is None
+                and got.meta == d.meta and want.meta != d.meta)
+    if repaired:
+        got = got.replace(meta=want.meta)
+    assert got == want and datum_hash(got) == datum_hash(want)
+    return repaired
+
+
+def _cancel_every_pair(d) -> int:
+    pairs = [(x.word.letters[0][0], x.id) for x in d.two_handles if len(x.word) == 1]
+    for g, h in pairs:
+        assert not _check_cancel(d, g, h)
+    return len(pairs)
+
+
+def test_cancel_1_2_matches_the_seed_on_every_family():
+    data = [build_W(n, 1) for n in range(2, 8)]
+    for n in range(1, 8):
+        data += [build_X(n, 1, x) for x in all_sequences(n)]
+    for n in range(2, 8):
+        data += [build_W_twisted(n, 1, i) for i in range(1, n)]
+        data += [build_Z(n, 1, i) for i in range(1, n)]
+        data += [build_Z_twisted(n, 1, i) for i in range(1, n)]
+    assert sum(map(_cancel_every_pair, data)) > 2000
+
+
+def test_cancel_1_2_matches_the_seed_on_the_move_audit(monkeypatch):
+    # every state a walk reaches is validated once: check its pairs there
+    states = []
+
+    def checked(d):
+        states.append(_cancel_every_pair(d))
+        return validate(d)
+
+    monkeypatch.setattr(suites, "validate", checked)
+    for _, build in suites._AUDIT_STARTS:
+        _cancel_every_pair(build())
+    assert suites.run_suite("move-audit").passed
+    assert len(states) == suites.AUDIT_WALKS * suites.AUDIT_MOVES and sum(states) > 900
+
+
+def _random_cancellation(rng):
+    """A wheel datum with pair handles passing extra circles, extra handles,
+    a random pair store (partners of k included, one unknown), framed pair
+    handles not always 0-framed (broken wheel metadata), and the cancelling
+    handle k on a random circle g; no two ids shared."""
+    seq = "".join(rng.choice(STAR + ZERO) for _ in range(rng.randint(1, 3)))
+    ones, handles = [], []
+    for j, sym in enumerate(seq):
+        dotted, framed = pair_ids(j, sym)
+        ones.append(dotted)
+        handles.append((framed, [(dotted, rng.choice((1, -1)))], rng.choice((0, 0, 0, 1, -1))))
+    ones += [f"g{k}" for k in range(rng.randint(1, 2))]
+    handles += [(f"e{k}", [], rng.randint(-3, 3)) for k in range(rng.randint(1, 3))]
+
+    def letters():
+        return [(rng.choice(ones), rng.choice((1, -1))) for _ in range(rng.randint(0, 5))]
+
+    handles = [(x, letters() + w + letters() if rng.random() < 0.6 else w, f)
+               for x, w, f in handles]
+    g = rng.choice(ones)
+    handles.append(("k", [(g, rng.choice((1, -1)))], rng.randint(-3, 3)))
+    ids = [x for x, _, _ in handles]
+    links = {(x, y): rng.randint(-3, 3) for i, x in enumerate(ids) for y in ids[i + 1:]
+             if rng.random() < 0.4}
+    if rng.random() < 0.1:
+        links[("k", "zz")] = rng.randint(1, 2)
+    meta = ({"family": "W", "sequence": seq, "n": len(seq), "m": 1, "i": 0}
+            if rng.random() < 0.8 else {})
+    d = make_datum(ones, [two_handle(x, w, f) for x, w, f in handles], 0, meta, links)
+    return d, g
+
+
+def test_cancel_1_2_matches_the_seed_on_random_data():
+    rng = random.Random(16)
+    repaired = 0
+    for _ in range(3000):
+        d, g = _random_cancellation(rng)
+        repaired += _check_cancel(d, g, "k")
+    assert 0 < repaired < 100
+
+
+def test_cancel_1_2_calls_no_other_move(monkeypatch):
+    rebuilds = []
+    rebuild = moves._rebuild
+    monkeypatch.setattr(moves, "_rebuild", lambda *a, **kw: rebuilds.append(1) or rebuild(*a, **kw))
+    d = make_datum(["a", "c"],
+                   [two_handle("h", [("a", 1)], -1),
+                    two_handle("e", [("a", 1), ("c", 1), ("a", 1)], 2),
+                    two_handle("f", [("c", 1)], 0)],
+                   links={("e", "h"): 1, ("f", "h"): 3})
+    out = moves.cancel_1_2(d, "a", "h")
+    assert rebuilds == [1]
+    # S_e = -2: framing 2 + 2*(-2)*1 + 4*(-1) = -6, lk(e,f) = -2*3
+    assert out.handle("e") == two_handle("e", [("c", 1)], -6)
+    assert dict(out.links) == {("e", "f"): -6} and out.handle("f") is d.handle("f")

@@ -1,6 +1,8 @@
 """The worker pool of ``run_suite`` against its serial path, and the
 contractibility memo against the per-case code it replaces."""
 
+import concurrent.futures
+
 import pytest
 
 from corkcalc import families, sequences, suites
@@ -33,6 +35,32 @@ def test_pool_with_more_workers_than_cases():
     pooled = suites.run_suite("lemma-2-2", grid, jobs=3)
     assert len(pooled.cases) == 2
     assert pooled == suites.run_suite("lemma-2-2", grid, jobs=1)
+
+
+def test_pool_starts_at_most_one_worker_per_case(monkeypatch):
+    # a stand-in pool: records its size and maps in this process
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    grid = {"n_max": 1}
+    assert suites.run_suite("cork-order", grid, jobs=64) == suites.run_suite("cork-order", grid)
+    assert started == [4]
+    # one case: no pool at all
+    assert suites.run_suite("thm-1-7-arith", {"l": 1, "n": 1}, jobs=64).passed
+    assert started == [4]
 
 
 def test_a_zero_grid_value_is_not_read_as_absent():

@@ -61,6 +61,16 @@ def test_powers():
     assert (a ** 3).letters == (("a", 1),) * 3
     assert (a ** -2).letters == (("a", -1),) * 2
     assert (a ** 0).letters == ()
+    # against repeated products, on words that reduce across the seam
+    rng = random.Random(4)
+    for _ in range(300):
+        w = Word(tuple((rng.choice("ab"), rng.choice((1, -1)))
+                       for _ in range(rng.randint(0, 6))))
+        for k in range(-6, 7):
+            out = Word()
+            for _ in range(abs(k)):
+                out = out * (w if k > 0 else w.inverse())
+            assert w ** k == out
 
 
 def test_parse_serialize_round_trip():
