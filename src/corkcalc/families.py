@@ -11,7 +11,7 @@ m rides along as metadata and re-enters in the Legendrian front data.
 
 from __future__ import annotations
 
-from .datum import KirbyDatum, make_datum, two_handle, wheel_sequence
+from .datum import KirbyDatum, TwoHandle, make_datum, two_handle, wheel_sequence
 from .errors import BadIndexError, LengthMismatchError
 from .moves import twist_pairs, twist_wheel
 from .sequences import STAR, ZERO, check_sequence, pair_ids
@@ -32,7 +32,7 @@ def build_X(n: int, m: int, x: str, family: str = "X") -> KirbyDatum:
     for j, sym in enumerate(x):
         dotted, framed = pair_ids(j, sym)
         ones.append(dotted)
-        handles.append(two_handle(framed, single(dotted), 0))
+        handles.append(TwoHandle(framed, single(dotted), 0))
     meta = {"family": family, "n": n, "m": m, "sequence": x}
     return make_datum(ones, handles, 0, meta)
 

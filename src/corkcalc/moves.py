@@ -335,18 +335,16 @@ def rotate(d: KirbyDatum, i: int) -> KirbyDatum:
     """Relabel wheel pairs by the rotation ``sequences.rotation_ids``.
 
     The result is the datum of the shifted sequence; the rotation is an
-    automorphism exactly when the shift fixes the sequence.
+    automorphism exactly when the shift fixes the sequence.  A relabel is
+    a bijection of ids, so every word stays reduced (``Word.rename``).
     """
     seq = _require_wheel(d)
     mapping = rotation_ids(len(seq), i)
-
-    def rename(x: str) -> str:
-        return mapping.get(x, x)
-
-    ones = tuple(rename(g) for g in d.one_handles)
-    handles = [TwoHandle(rename(h.id), h.word.rename(mapping), h.framing)
+    rename = mapping.get
+    ones = tuple(rename(g, g) for g in d.one_handles)
+    handles = [TwoHandle(rename(h.id, h.id), h.word.rename(mapping), h.framing)
                for h in d.two_handles]
-    links = {(rename(x), rename(y)): v for (x, y), v in d.links}
+    links = {(rename(x, x), rename(y, y)): v for (x, y), v in d.links}
     meta = d.meta_map | {"sequence": shift(seq, i)}
     return _rebuild(d, handles, one_handles=ones, meta=meta, links=links)
 

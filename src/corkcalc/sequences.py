@@ -8,11 +8,21 @@ Cork-order computation rests on the (documented) composability axiom: if
 two boundary self-maps of a manifold each extend over the interior, so does
 their composite, hence a rotation extends whenever some power fixing the
 sequence does.
+
+Each public function validates its sequence once (``check_sequence``, a
+C-level ``lstrip`` over the alphabet).  ``period`` is then the doubled-string
+test: the least p > 0 with ``shift(x, p) == x`` is the first index p >= 1
+at which x occurs in x + x, one substring search instead of a shift per
+candidate.  ``rotation_ids`` depends only on (n, i mod n) and is memoized
+as a read-only mapping.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import MappingProxyType
+from typing import Mapping
 
 STAR = "*"
 ZERO = "0"
@@ -22,9 +32,9 @@ def check_sequence(x: str) -> str:
     """Validate a {*,0}-sequence literal and return it unchanged."""
     if not isinstance(x, str) or len(x) < 1:
         raise ValueError("sequence must be a nonempty string of '*' and '0'")
-    for ch in x:
-        if ch not in (STAR, ZERO):
-            raise ValueError(f"invalid sequence symbol {ch!r}")
+    bad = x.lstrip(STAR + ZERO)  # starts at the first symbol outside the alphabet
+    if bad:
+        raise ValueError(f"invalid sequence symbol {bad[0]!r}")
     return x
 
 
@@ -38,7 +48,8 @@ def pair_ids(j: int, symbol: str) -> tuple[str, str]:
 
 def dotted_sequence(dotted) -> str | None:
     """The sequence that the dotted circles ``dotted`` spell in increasing
-    pair index (``pair_ids`` read backwards), or None if they spell none."""
+    pair index (``pair_ids`` read backwards), or None if they spell none
+    (no circles spell none: a sequence is nonempty)."""
     symbols = {}
     for g in dotted:
         if not g[1:].isdecimal():
@@ -48,15 +59,23 @@ def dotted_sequence(dotted) -> str | None:
         if symbol is None or j in symbols:
             return None
         symbols[j] = symbol
-    return "".join(symbols[j] for j in sorted(symbols))
+    return "".join(symbols[j] for j in sorted(symbols)) or None
 
 
-def rotation_ids(n: int, i: int) -> dict[str, str]:
+def rotation_ids(n: int, i: int) -> Mapping[str, str]:
     """The circle relabeling of rotating an n-pair wheel by i: each circle
     of pair j goes to the same circle of pair j + i mod n, whatever the
-    sequence, which rotates with it (``shift``)."""
-    return {old: new for j in range(n)
-            for old, new in zip(pair_ids(j, STAR), pair_ids((j + i) % n, STAR))}
+    sequence, which rotates with it (``shift``).  A read-only mapping,
+    shared by every call with the same n and i mod n."""
+    if n < 1:
+        raise ValueError("wheel size must be >= 1")
+    return _rotation_ids(n, i % n)
+
+
+@functools.cache
+def _rotation_ids(n: int, i: int) -> Mapping[str, str]:
+    return MappingProxyType({old: new for j in range(n)
+                             for old, new in zip(pair_ids(j, STAR), pair_ids((j + i) % n, STAR))})
 
 
 def shift(x: str, i: int) -> str:
@@ -77,29 +96,29 @@ def least_rotation(x: str) -> tuple[str, int]:
 
 
 def period(x: str) -> int:
-    """Least p > 0 with shift(x, p) == x.  Always divides len(x)."""
+    """Least p > 0 with shift(x, p) == x.  Always divides len(x).
+
+    x occurs in x + x at index p exactly when shift(x, p) == x, and at
+    index len(x) at the latest."""
     check_sequence(x)
-    for p in range(1, len(x) + 1):
-        if shift(x, p) == x:
-            return p
-    raise AssertionError("unreachable: shift by n is the identity")
+    return (x + x).find(x, 1)
 
 
 def is_constant(x: str) -> bool:
     check_sequence(x)
-    return len(set(x)) == 1
+    return not x.strip(x[0])
 
 
 def cork_order(x: str) -> int | None:
     """Certified cork order of the wheel manifold indexed by x.
 
     Returns the sequence period when x is non-constant (period > 1).
-    Returns None for constant sequences: the period-based certificate does
-    not apply there, reported as NOT_A_CORK by the CLI.
+    Returns None for constant sequences, the sequences of period 1: the
+    period-based certificate does not apply there, reported as NOT_A_CORK
+    by the CLI.
     """
-    if is_constant(x):
-        return None
-    return period(x)
+    p = period(x)
+    return p if p > 1 else None
 
 
 def rotation_map_order(n: int) -> int:
@@ -115,6 +134,8 @@ def rotation_map_order(n: int) -> int:
 
 
 def all_sequences(n: int):
-    """Iterate all 2**n sequences of length n in lexicographic order."""
-    for combo in itertools.product((ZERO, STAR), repeat=n):
-        yield "".join(combo)
+    """Iterate all 2**n sequences of length n in lexicographic order, ``0``
+    before ``*``; n >= 1, since a sequence is nonempty."""
+    if n < 1:
+        raise ValueError("sequence length must be >= 1")
+    return map("".join, itertools.product((ZERO, STAR), repeat=n))

@@ -3,6 +3,9 @@
 Letters are (generator, sign) pairs with sign +1 or -1.  Words are stored
 base-pointed and freely reduced; cyclic reduction and rotations serve the
 relator-style comparisons of the isomorphism search and Tietze moves.
+``Word(letters)`` reduces its letters; ``_reduced`` wraps letters that
+are already reduced, as a single letter is and as the relabel of a reduced
+word by a map injective on its generators is.
 """
 
 from __future__ import annotations
@@ -70,7 +73,13 @@ class Word:
         return Word(tuple(l for l in self.letters if l[0] != gen))
 
     def rename(self, mapping: Mapping[str, str]) -> "Word":
-        return Word(tuple((mapping.get(g, g), s) for g, s in self.letters))
+        """Relabel generators by ``mapping`` (unmapped ones stay).  A map
+        injective on the word's generators cannot create a cancelling pair,
+        so only a merging map reduces again."""
+        letters = tuple([(mapping.get(g, g), s) for g, s in self.letters])
+        if len(letters) < 2 or len({g for g, _ in letters}) == len(self.generators()):
+            return _reduced(letters)
+        return Word(letters)
 
     def cyclic_reduce(self) -> "Word":
         ls = list(self.letters)
@@ -95,8 +104,18 @@ class Word:
         return ".".join(self.serialize())
 
 
+def _reduced(letters: tuple[Letter, ...]) -> Word:
+    """The word of ``letters``, which must already be freely reduced with
+    signs +1 or -1: the one constructor that skips the reduction pass."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def single(gen: str, sign: int = 1) -> Word:
-    return Word(((gen, sign),))
+    if sign not in (1, -1):
+        raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+    return _reduced(((gen, sign),))
 
 
 def parse_word(tokens: Iterable[str]) -> Word:

@@ -5,12 +5,15 @@ checks the exact linear algebra against independent oracles. Each test
 prints one PASS/FAIL line (run with ``pytest -s`` to see them all) and
 asserts that its suite passed with the case count its grid implies, and
 that its report is byte for byte the one pinned in ``REPORT_SHA256``.
+``GRID_REPORT_SHA256`` pins the reports of the benchmark's larger grids.
 """
 
 import hashlib
 import json
 import random
 import time
+
+import pytest
 
 from corkcalc.linalg import IntMatrix, det, snf
 from corkcalc.suites import run_suite
@@ -26,6 +29,13 @@ REPORT_SHA256 = {
     "w-family": "1b097c76a9963c7e6a15ffb7190026818cad0cbec861d71294922d9b2c461d8a",
     "stein-framings": "1f37d35b36720cf08d875d4705cd2cc9cb9b5ca67adb253a073fa397757f3191",
     "thm-1-7-arith": "2beb1f7f7062f6bb079e47b353fea5abac42f789ea03ccf424f41e42150d1590",
+}
+
+# the same for the two larger grids the benchmark runs: every cork order of
+# length <= 13, and the contractibility grid n <= 10, m <= 2
+GRID_REPORT_SHA256 = {
+    ("cork-order", 13, None): "2acf0ce5d64db0a5de7fb8318e46e2f2c2665ddf9e021dc8b7f209f7983810a3",
+    ("lemma-2-2", 10, 2): "4e3280b623253391fcef5530b46a43a2e3c708b89ae17f689b86e3fa760eb192",
 }
 
 
@@ -44,8 +54,19 @@ def _gate(criterion, suite, expected_cases):
           f"{len(result.cases)} cases, failures={failures[:3]}")
     assert result.passed, failures
     assert len(result.cases) == expected_cases
+    assert _report_sha256(result) == REPORT_SHA256[suite]
+
+
+def _report_sha256(result):
     report = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256[suite]
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("suite, n_max, m_max", sorted(GRID_REPORT_SHA256, key=str))
+def test_benchmark_grid_reports_are_pinned(suite, n_max, m_max):
+    result = run_suite(suite, {"n_max": n_max, "m_max": m_max})
+    assert result.passed
+    assert _report_sha256(result) == GRID_REPORT_SHA256[suite, n_max, m_max]
 
 
 def test_criterion_1_contractibility_sweep():

@@ -5,11 +5,13 @@ at every pivot), ``seed_signature`` (rational congruence),
 ``seed_full_linking_matrix`` (one ``d.lk`` per entry),
 ``seed_exponent_matrix`` (one ``exponent_sum`` per entry) and
 ``seed_intersection_form`` (B^T L B entry by entry), ``seed_flip_pair``
-(every 2-handle's word rebuilt at each pair twist) and ``seed_cancel_1_2``
-(one letter slid at a time) are kept here as oracles: the new code must
-give identical SNF transforms, diagonal and sign, identical inertia,
-identical linking and exponent matrices, identical intersection forms,
-identical twisted data and identical cancellations.
+(every 2-handle's word rebuilt at each pair twist), ``seed_cancel_1_2``
+(one letter slid at a time) and ``seed_rotate`` (a fresh relabeling dict
+and a reduction pass per word, ``seed_rename``) are kept here as oracles:
+the new code must give identical SNF transforms, diagonal and sign,
+identical inertia, identical linking and exponent matrices, identical
+intersection forms, identical twisted data, identical cancellations and
+identical rotations.
 """
 
 import random
@@ -30,8 +32,8 @@ from corkcalc.invariants import intersection_form, intersection_form_with_basis
 from corkcalc.linalg import IntMatrix, SNFResult, kernel_basis, signature, snf
 from corkcalc.moves import blow_down, cork_twist_pair
 from corkcalc.presentations import GroupPresentation
-from corkcalc.sequences import STAR, ZERO, all_sequences, pair_ids
-from corkcalc.words import Word, single
+from corkcalc.sequences import STAR, ZERO, all_sequences, pair_ids, rotation_ids, shift
+from corkcalc.words import Word, reduce_letters, single
 
 
 def seed_snf(m: IntMatrix) -> SNFResult:
@@ -629,3 +631,118 @@ def test_cancel_1_2_calls_no_other_move(monkeypatch):
     # S_e = -2: framing 2 + 2*(-2)*1 + 4*(-1) = -6, lk(e,f) = -2*3
     assert out.handle("e") == two_handle("e", [("c", 1)], -6)
     assert dict(out.links) == {("e", "f"): -6} and out.handle("f") is d.handle("f")
+
+
+# --- rotation as a relabel ---------------------------------------------------------
+
+def seed_rotation_ids(n, i):
+    return {old: new for j in range(n)
+            for old, new in zip(pair_ids(j, STAR), pair_ids((j + i) % n, STAR))}
+
+
+def seed_rename(w, mapping):
+    return Word(tuple((mapping.get(g, g), s) for g, s in w.letters))
+
+
+def seed_rotate(d, i):
+    seq = moves._require_wheel(d)
+    mapping = seed_rotation_ids(len(seq), i)
+
+    def rename(x):
+        return mapping.get(x, x)
+
+    ones = tuple(rename(g) for g in d.one_handles)
+    handles = [TwoHandle(rename(h.id), seed_rename(h.word, mapping), h.framing)
+               for h in d.two_handles]
+    links = {(rename(x), rename(y)): v for (x, y), v in d.links}
+    meta = d.meta_map | {"sequence": shift(seq, i)}
+    return moves._rebuild(d, handles, one_handles=ones, meta=meta, links=links)
+
+
+def memo_key(d):
+    """The content part of ``suites._contractible``'s memo key."""
+    return repr((d.one_handles, [(h.id, h.word.letters, h.framing) for h in d.two_handles],
+                 d.three_handles, d.links))
+
+
+def test_memo_key_is_the_one_contractible_stores():
+    suites._CONTRACTIBLE.clear()
+    d = moves.rotate(build_X(3, 1, "*00"), 1)
+    suites._contractible(d, 7)
+    assert list(suites._CONTRACTIBLE) == [(memo_key(d), 7)]
+    suites._CONTRACTIBLE.clear()
+
+
+def _check_rotations(d) -> int:
+    """Every rotation k in [-n, 2n) of the wheel d against the seed, which
+    reads k only mod n: the same datum and the same memo key, whose repr
+    also tells the letter signs' types apart, and, once per residue, the
+    same hash."""
+    n = len(wheel_sequence(d))
+    for i in range(n):
+        want = seed_rotate(d, i)
+        key = memo_key(want)
+        for k in (i - n, i, i + n):
+            got = moves.rotate(d, k)
+            assert got == want and memo_key(got) == key, (d.meta, k)
+        assert datum_hash(got) == datum_hash(want)
+    return 3 * n
+
+
+def test_rotate_matches_the_seed_on_every_wheel():
+    # m only rides along in meta, so it alternates over the sequences
+    count = 0
+    for n in range(1, 11):
+        for k, x in enumerate(all_sequences(n)):
+            count += _check_rotations(build_X(n, 1 + k % 2, x))
+    assert count == 3 * sum(n * 2 ** n for n in range(1, 11))
+
+
+def test_rotate_matches_the_seed_on_the_decorated_wheels():
+    count = 0
+    for n in range(2, 8):
+        data = [build_W(n, 1)]
+        for i in range(1, n):
+            data += [build_W_twisted(n, 1, i), build_Z(n, 1, i), build_Z_twisted(n, 1, i)]
+        count += sum(map(_check_rotations, data))
+    assert count > 1000
+
+
+def test_rotate_matches_the_seed_on_the_move_audit(monkeypatch):
+    # every state a walk reaches is validated once: rotate it there if it
+    # is still a wheel
+    rotations = []
+
+    def checked(d):
+        if wheel_sequence(d) is not None:
+            rotations.append(_check_rotations(d))
+        return validate(d)
+
+    monkeypatch.setattr(suites, "validate", checked)
+    assert suites.run_suite("move-audit").passed
+    assert len(rotations) > 20
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), max_size=12),
+       st.sampled_from("ab"), st.sampled_from("abx"))
+def test_rename_under_a_merging_map_returns_a_reduced_word(letters, a_to, c_to):
+    # a and b go to one name, so the map is not injective on a word that
+    # passes both, and the relabel may create cancelling pairs
+    w = Word(tuple(letters))
+    mapping = {"a": a_to, "b": a_to, "c": c_to}
+    got = w.rename(mapping)
+    assert reduce_letters(got.letters) == got.letters
+    assert got == seed_rename(w, mapping)
+
+
+def test_rotation_ids_is_the_seed_dict_and_read_only():
+    for n in range(1, 13):
+        for i in range(-n, 2 * n):
+            ids = rotation_ids(n, i)
+            assert dict(ids) == seed_rotation_ids(n, i)
+            assert ids is rotation_ids(n, i + n)  # memoized on (n, i mod n)
+            with pytest.raises(TypeError):
+                ids["a0"] = "b0"
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="wheel size must be >= 1"):
+            rotation_ids(n, 1)

@@ -1,10 +1,20 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from corkcalc import sequences
-from corkcalc.sequences import (all_sequences, cork_order, dotted_sequence, is_constant,
-                                least_rotation, pair_ids, period, rotation_ids,
+from corkcalc import sequences, suites
+from corkcalc.sequences import (all_sequences, check_sequence, cork_order, dotted_sequence,
+                                is_constant, least_rotation, pair_ids, period, rotation_ids,
                                 rotation_map_order, shift)
+
+
+def seed_check_sequence(x: str) -> str:
+    """The character loop that ``check_sequence`` replaced, kept as its oracle."""
+    if not isinstance(x, str) or len(x) < 1:
+        raise ValueError("sequence must be a nonempty string of '*' and '0'")
+    for ch in x:
+        if ch not in ("*", "0"):
+            raise ValueError(f"invalid sequence symbol {ch!r}")
+    return x
 
 
 def brute_shift(x: str, i: int) -> str:
@@ -66,13 +76,49 @@ def test_period_examples():
 
 
 def test_period_divides_length_exhaustive():
-    for n in range(1, 13):
+    for n in range(1, 15):
         for x in all_sequences(n):
+            rotations = [brute_shift(x, k) for k in range(n)]
             p = period(x)
+            # brute_period, on the rotations already at hand
+            assert p == next(q for q in range(1, n + 1) if rotations[q % n] == x)
             assert n % p == 0
-            assert shift(x, p) == x
-            for q in range(1, p):
-                assert shift(x, q) != x
+            assert is_constant(x) == (p == 1) == (rotations[1 % n] == x)
+            assert cork_order(x) == (p if p > 1 else None)
+            r = min(rotations)
+            assert least_rotation(x) == (r, rotations.index(r))
+
+
+@st.composite
+def texts_with_a_bad_symbol(draw):
+    """A valid prefix, then one symbol outside the alphabet, then anything."""
+    prefix = draw(st.text(alphabet="*0", max_size=6))
+    bad = draw(st.characters(exclude_characters="*0"))
+    return prefix + bad + draw(st.text(max_size=4))
+
+
+def _outcome(check, x):
+    try:
+        return "ok", check(x)
+    except ValueError as e:
+        return "refused", str(e)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="*0"), texts_with_a_bad_symbol(),
+                 st.none(), st.integers(), st.binary(), st.lists(st.sampled_from("*0"))))
+@example("*0\"")
+@example("'*0")
+@example("*0*\\")
+@example("**0é")
+@example("00\U0001f600")
+@example("*0*0x")
+@example("*0\x00")
+@example(" *0")
+@example("")
+@example(b"*0")
+@example(["*", "0"])
+def test_check_sequence_matches_the_seed(x):
+    assert _outcome(check_sequence, x) == _outcome(seed_check_sequence, x)
 
 
 def test_cork_order_head_pattern():
@@ -111,8 +157,8 @@ def test_dotted_sequence_reads_pair_ids_backwards():
         for x in all_sequences(n):
             dotted = [pair_ids(j, sym)[0] for j, sym in enumerate(x)]
             assert dotted_sequence(reversed(dotted)) == x
-            # the survivors of a deletion keep their labels
-            assert dotted_sequence(dotted[1:]) == x[1:]
+            # the survivors of a deletion keep their labels (none spell none)
+            assert dotted_sequence(dotted[1:]) == (x[1:] or None)
     for bad in (["a0", "b0"], ["c0"], ["a"], ["a01"], ["a-1"], ["a²"], ["m1_1"]):
         assert dotted_sequence(bad) is None
 
@@ -134,3 +180,30 @@ def test_invalid_sequences_rejected():
 
 def test_all_sequences_counts():
     assert len(list(all_sequences(5))) == 32
+
+
+def test_all_sequences_refuses_an_empty_length():
+    # a sequence is nonempty, so no length below 1 spells one
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            all_sequences(n)
+
+
+def test_dotted_sequence_of_no_circles_is_none():
+    assert dotted_sequence([]) is None
+    assert dotted_sequence(iter(())) is None
+
+
+def test_cork_order_suite_validates_each_sequence_at_most_four_times(monkeypatch):
+    # period is one substring search: no shift per candidate, and each
+    # sequence function validates its argument once
+    counts = {"check_sequence": 0, "shift": 0}
+    for name in counts:
+        def counted(*args, _f=getattr(sequences, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(sequences, name, counted)
+    result = suites.run_suite("cork-order", {"n_max": 8})
+    assert result.passed
+    assert counts["shift"] == 0
+    assert counts["check_sequence"] <= 4 * len(result.cases)
