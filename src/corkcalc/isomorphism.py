@@ -166,10 +166,11 @@ def _general_isomorphic(d1: KirbyDatum, d2: KirbyDatum) -> IsoWitness | None:
             if cand.id in used:
                 continue
             for orient in (1, -1):
-                for alignment in _word_alignments(h.word, cand.word, orient, gmap, gsign):
-                    new_gmap, new_gsign = alignment
-                    if not _links_compatible(d1, d2, hmap, hsign, h, cand, orient):
-                        continue
+                # the linkings with the placed handles do not depend on the alignment
+                if not _links_compatible(d1, d2, hmap, hsign, h, cand, orient):
+                    continue
+                for new_gmap, new_gsign in _word_alignments(h.word, cand.word, orient,
+                                                             gmap, gsign):
                     hmap2 = dict(hmap)
                     hmap2[h.id] = cand.id
                     hsign2 = dict(hsign)

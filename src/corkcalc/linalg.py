@@ -131,27 +131,8 @@ class SNFResult:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise NotSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a square m: ``snf(m).det()``."""
+    return snf(m).det()
 
 
 def congruence(q: IntMatrix, c: IntMatrix) -> IntMatrix:

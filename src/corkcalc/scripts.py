@@ -11,6 +11,13 @@ the source pictures is invisible at datum fidelity; the replayed result is
 checked against the freshly generated smaller wheel, which is where any
 transcription error would surface.
 
+A single deletion and a whole chain of them down to one pair have one
+shape: a single ``MoveTrace`` recorded by ``_record``, in which surviving
+pairs keep their labels and which declares the wheel of the surviving
+symbols as its target.  So ``check_trace`` (the check ``corkcalc replay``
+prints) verifies both, and ``verify_deletion`` and ``verify_chain`` add
+only the rule that the surviving dotted circles are those x prescribes.
+
 A deletion script doubles as the witness for the reverse inclusion: the
 insertion of a symbol into a sequence embeds the smaller wheel manifold in
 the larger one through the same homology cobordism, read backwards.
@@ -18,11 +25,9 @@ the larger one through the same homology cobordism, read backwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .datum import KirbyDatum
 from .errors import BadIndexError, CorkCalcError
-from .families import build_Cm, build_X
+from .families import build_X
 from .isomorphism import datum_isomorphic
 from .moves import MoveTrace, Recorder, replay
 from .sequences import STAR, check_sequence, dotted_sequence, is_constant, pair_ids
@@ -44,20 +49,37 @@ def deleted_sequence(x: str, i: int) -> str:
     return x[:i] + x[i + 1:]
 
 
+def _split(x: str, positions) -> tuple[list, list]:
+    """The pairs (label j, symbol x[j]) that deleting the entry at each of
+    ``positions`` of the shrinking sequence removes, in order, and the pairs
+    that survive."""
+    kept = list(enumerate(x))
+    return [kept.pop(p) for p in positions], kept
+
+
+def _record(start: KirbyDatum, m: int, x: str, positions) -> MoveTrace:
+    """One trace deleting the pairs at ``positions`` of the shrinking
+    sequence from ``start``, the wheel datum of x.  Surviving pairs keep
+    their labels in x, and the trace declares the wheel of the surviving
+    symbols as its target."""
+    deleted, kept = _split(x, positions)
+    rest = "".join(sym for _, sym in kept)
+    rec = Recorder(start, target={"family": "X", "n": len(rest), "m": m, "sequence": rest})
+    for j, sym in deleted:
+        _delete_steps(rec, j, sym)
+    return rec.trace()
+
+
 def deletion_script(n: int, m: int, x: str, i: int) -> MoveTrace:
     """Move trace deleting pair i from the wheel datum of x.
 
     Replaying it on build_X(n, m, x) yields a datum isomorphic to
-    build_X(n-1, m, x with entry i deleted).
+    build_X(n-1, m, x with entry i deleted), the target it declares.
     """
     check_sequence(x)
     if len(x) != n or n < 2 or not 0 <= i < n:
         raise BadIndexError(f"bad deletion parameters n={n}, i={i}")
-    start = build_X(n, m, x)
-    target = {"family": "X", "n": n - 1, "m": m, "sequence": deleted_sequence(x, i)}
-    rec = Recorder(start, target=target)
-    _delete_steps(rec, i, x[i])
-    return rec.trace()
+    return _record(build_X(n, m, x), m, x, [i])
 
 
 def insertion_script(n: int, m: int, x: str, position: int, symbol: str) -> MoveTrace:
@@ -71,11 +93,13 @@ def insertion_script(n: int, m: int, x: str, position: int, symbol: str) -> Move
 
 
 def chain_deletion_indices(x: str) -> list[int]:
-    """Deterministic index choices reducing x to a single star.
+    """Deterministic index choices reducing x to a single entry.
 
     While the sequence is longer than one entry, delete the smallest index
-    whose removal keeps the sequence non-constant; when none exists the
-    sequence has length two, and the non-star entry goes."""
+    whose removal keeps the sequence non-constant; when none exists (a
+    sequence of length two, or a constant one) its first non-star entry
+    goes, or its first entry when it has none.  So the chain ends at a
+    single star unless x has none: an all-``0`` x ends at ``"0"``."""
     seq = x
     out = []
     while len(seq) > 1:
@@ -89,34 +113,17 @@ def chain_deletion_indices(x: str) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    sequence: str
-    index: int
-    trace: MoveTrace
+def deletion_chain(n: int, m: int, x: str) -> MoveTrace:
+    """One trace deleting pairs of the wheel datum of x at
+    ``chain_deletion_indices(x)``, down to a single-pair datum.
 
-
-def deletion_chain(n: int, m: int, x: str) -> list[ChainStep]:
-    """Composite of deletion scripts from x down to a single-pair datum.
-
-    Each step's trace is recorded against the datum produced by the previous
-    step, so surviving pairs keep their original labels throughout; replaying
-    the traces in order reproduces the whole reduction."""
+    Surviving pairs keep their original labels throughout, and the trace
+    declares the wheel of the last symbol as its target: the basic cork
+    C_m's wheel ``*`` when x has a star."""
     check_sequence(x)
     if len(x) != n:
         raise BadIndexError(f"sequence length {len(x)} does not match n={n}")
-    steps = []
-    current = build_X(n, m, x)
-    pairs = list(enumerate(x))
-    for position in chain_deletion_indices(x):
-        symbols = "".join(sym for _, sym in pairs)
-        orig, sym = pairs[position]
-        rec = Recorder(current)
-        _delete_steps(rec, orig, sym)
-        steps.append(ChainStep(symbols, position, rec.trace()))
-        current = rec.current
-        pairs.pop(position)
-    return steps
+    return _record(build_X(n, m, x), m, x, chain_deletion_indices(x))
 
 
 # --- verification -------------------------------------------------------------
@@ -146,21 +153,25 @@ def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum |
     return report, result
 
 
+def _verify(trace: MoveTrace, n: int, m: int, x: str, positions) -> bool:
+    """The trace replays on build_X(n, m, x) to the wheel it declares, and
+    the surviving dotted circles are exactly those x prescribes for the
+    pairs that deleting at ``positions`` keeps."""
+    report, result = check_trace(build_X(n, m, x), trace)
+    _, kept = _split(x, positions)
+    return (report.get("target_isomorphic") is True
+            and set(result.one_handles) == {pair_ids(j, sym)[0] for j, sym in kept})
+
+
 def verify_deletion(n: int, m: int, x: str, i: int) -> bool:
     """Check the deletion script sharply: its trace replays to the smaller
     wheel it declares, and the surviving dotted roles are exactly those the
     sequence prescribes."""
-    trace = deletion_script(n, m, x, i)
-    report, result = check_trace(build_X(n, m, x), trace)
-    expected_dotted = {pair_ids(j, sym)[0] for j, sym in enumerate(x) if j != i}
-    return (report.get("target_isomorphic") is True
-            and set(result.one_handles) == expected_dotted)
+    return _verify(deletion_script(n, m, x, i), n, m, x, [i])
 
 
 def verify_chain(n: int, m: int, x: str) -> bool:
-    """Replay the whole chain; the final datum must match the basic
-    two-component cork datum."""
-    current = build_X(n, m, x)
-    for step in deletion_chain(n, m, x):
-        current = replay(current, step.trace)
-    return datum_isomorphic(current, build_Cm(m)) is not None
+    """Check the deletion chain as sharply: its one trace replays to the
+    single-pair wheel it declares, whose dotted circle is the one x
+    prescribes for the surviving pair."""
+    return _verify(deletion_chain(n, m, x), n, m, x, chain_deletion_indices(x))

@@ -31,11 +31,14 @@ REPORT_SHA256 = {
     "thm-1-7-arith": "2beb1f7f7062f6bb079e47b353fea5abac42f789ea03ccf424f41e42150d1590",
 }
 
-# the same for the two larger grids the benchmark runs: every cork order of
-# length <= 13, and the contractibility grid n <= 10, m <= 2
+# the same for the larger grids the benchmark runs: every cork order of
+# length <= 13, the contractibility grid n <= 10, m <= 2, the deletion
+# scripts and chains of length <= 7, m = 1, and W(n) for n <= 11, m = 1
 GRID_REPORT_SHA256 = {
     ("cork-order", 13, None): "2acf0ce5d64db0a5de7fb8318e46e2f2c2665ddf9e021dc8b7f209f7983810a3",
     ("lemma-2-2", 10, 2): "4e3280b623253391fcef5530b46a43a2e3c708b89ae17f689b86e3fa760eb192",
+    ("lemma-3-4-scripts", 7, 1): "1a0bdd1f69bb15bfd9fdcad45c721b3b2a3f60a926bcb73baa66b83caf3a7efd",
+    ("w-family", 11, 1): "b720a5eca154bcbac05b6b513d584255d75f6f3decbf1c30cbc8358cebe1c810",
 }
 
 

@@ -260,6 +260,22 @@ def test_replay_deletion_with_a_wrong_target_sequence_exit_1(tmp_path, capsys):
     assert report["integrity"] == "ok" and report["target_isomorphic"] is False
 
 
+def test_replay_checks_a_deletion_chain_against_its_declared_target(tmp_path, capsys):
+    datum_path = tmp_path / "x.json"
+    assert run(["gen", "X", "4", "1", "--seq", "*0*0", "-o", str(datum_path)]) == 0
+    text = trace_to_text(scripts.deletion_chain(4, 1, "*0*0"))
+    trace_path = tmp_path / "chain.trace"
+    trace_path.write_text(text)
+    assert run(["replay", str(datum_path), str(trace_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["integrity"] == "ok" and report["target_isomorphic"] is True
+    # the surviving radial dot spells "*", which "0" is no rotation of
+    trace_path.write_text(text.replace('"sequence": "*"', '"sequence": "0"', 1))
+    assert run(["replay", str(datum_path), str(trace_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["integrity"] == "ok" and report["target_isomorphic"] is False
+
+
 def _replay_c21(tmp_path, trace_lines):
     datum_path = tmp_path / "c21.json"
     datum_path.write_text(datum_io.dumps(build_C(2, 1)))

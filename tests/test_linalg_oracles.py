@@ -1,17 +1,20 @@
-"""The linear algebra against frozen copies of the dense code it replaced.
+"""The linear algebra, and the moves and scripts built on it, against
+frozen copies of the code they replaced.
 
 ``seed_snf`` (transforms always built, full pivot scan, divisibility scan
-at every pivot), ``seed_signature`` (rational congruence),
+at every pivot), ``seed_det`` (Bareiss elimination), ``seed_signature``
+(rational congruence),
 ``seed_full_linking_matrix`` (one ``d.lk`` per entry),
 ``seed_exponent_matrix`` (one ``exponent_sum`` per entry) and
 ``seed_intersection_form`` (B^T L B entry by entry), ``seed_flip_pair``
 (every 2-handle's word rebuilt at each pair twist), ``seed_cancel_1_2``
-(one letter slid at a time) and ``seed_rotate`` (a fresh relabeling dict
-and a reduction pass per word, ``seed_rename``) are kept here as oracles:
+(one letter slid at a time), ``seed_rotate`` (a fresh relabeling dict
+and a reduction pass per word, ``seed_rename``) and
+``seed_deletion_chain`` (one trace per deletion) are kept here as oracles:
 the new code must give identical SNF transforms, diagonal and sign,
-identical inertia, identical linking and exponent matrices, identical
-intersection forms, identical twisted data, identical cancellations and
-identical rotations.
+identical determinants, identical inertia, identical linking and
+exponent matrices, identical intersection forms, identical twisted data,
+identical cancellations, identical rotations and identical chain steps.
 """
 
 import random
@@ -21,18 +24,19 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corkcalc import moves, suites
+from corkcalc import moves, scripts, suites
 from corkcalc.datum import (TwoHandle, datum_hash, exponent_matrix, full_linking_matrix,
                             link_key, make_datum, two_handle, validate, wheel_sequence)
-from corkcalc.errors import NotCancellableError, NotSeparatedError
+from corkcalc.errors import NotCancellableError, NotSeparatedError, NotSquareError
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, build_W,
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
                                dot_zero_exchange, load_elliptic_surface)
 from corkcalc.invariants import intersection_form, intersection_form_with_basis
-from corkcalc.linalg import IntMatrix, SNFResult, kernel_basis, signature, snf
-from corkcalc.moves import blow_down, cork_twist_pair
+from corkcalc.linalg import IntMatrix, SNFResult, det, kernel_basis, signature, snf
+from corkcalc.moves import Recorder, blow_down, cork_twist_pair
 from corkcalc.presentations import GroupPresentation
-from corkcalc.sequences import STAR, ZERO, all_sequences, pair_ids, rotation_ids, shift
+from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, pair_ids,
+                                rotation_ids, shift)
 from corkcalc.words import Word, reduce_letters, single
 
 
@@ -224,6 +228,58 @@ def test_kernel_basis_needs_the_transform_v():
     with pytest.raises(ValueError):
         snf(IntMatrix.from_rows([[1, 1]])).kernel_basis()
     assert snf(IntMatrix.from_rows([[1, 1]]), v=True).kernel_basis() == [(-1, 1)]
+
+
+# --- one determinant ----------------------------------------------------------------
+
+def seed_det(m: IntMatrix) -> int:
+    """Fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise NotSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def square_matrices(max_n=8):
+    entries = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))  # zero pivots, too
+    return st.integers(0, max_n).flatmap(lambda n: st.lists(
+        entries, min_size=n * n, max_size=n * n).map(lambda xs: IntMatrix(n, n, tuple(xs))))
+
+
+@given(square_matrices(), st.booleans())
+@settings(max_examples=1000, deadline=None)
+def test_det_matches_the_seed_on_random_square_matrices(m, singular):
+    rows = m.to_rows()
+    if singular and rows:
+        rows[-1] = [2 * v for v in rows[0]] if len(rows) > 1 else [0]
+        m = IntMatrix.from_rows(rows)
+        assert seed_det(m) == 0
+    assert det(m) == seed_det(m)
+
+
+def test_det_refuses_a_non_square_matrix_as_the_seed_does():
+    for r, c in ((2, 3), (3, 2), (0, 1), (1, 0)):
+        with pytest.raises(NotSquareError) as want:
+            seed_det(IntMatrix.zero(r, c))
+        with pytest.raises(NotSquareError) as got:
+            det(IntMatrix.zero(r, c))
+        assert str(got.value) == str(want.value)
 
 
 def symmetric_matrices(max_n=8):
@@ -746,3 +802,34 @@ def test_rotation_ids_is_the_seed_dict_and_read_only():
     for n in (0, -1):
         with pytest.raises(ValueError, match="wheel size must be >= 1"):
             rotation_ids(n, 1)
+
+
+# --- a deletion chain as one trace ----------------------------------------------------
+
+def seed_deletion_chain(n, m, x):
+    """One trace per deletion, each recorded against the datum the previous
+    one produced, surviving pairs keeping their labels."""
+    traces = []
+    current = build_X(n, m, x)
+    pairs = list(enumerate(x))
+    for position in scripts.chain_deletion_indices(x):
+        j, sym = pairs.pop(position)
+        rec = Recorder(current)
+        scripts._delete_steps(rec, j, sym)
+        traces.append(rec.trace())
+        current = rec.current
+    return traces
+
+
+def test_deletion_chain_is_the_seed_steps_concatenated():
+    count = 0
+    for n in range(2, 7):
+        for m in (1, 2):
+            for x in all_sequences(n):
+                if is_constant(x):
+                    continue
+                trace, seed = scripts.deletion_chain(n, m, x), seed_deletion_chain(n, m, x)
+                assert trace.initial == seed[0].initial, (n, m, x)
+                assert trace.steps == tuple(chain.from_iterable(t.steps for t in seed))
+                count += 1
+    assert count == 228

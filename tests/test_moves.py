@@ -542,16 +542,13 @@ def _tampered(trace):
 
 
 def _recorded_traces():
-    """(start datum, trace): every deletion script with n <= 4, and each step
-    of one deletion chain from the datum it starts from."""
+    """(start datum, trace): every deletion script with n <= 4, and one
+    deletion chain, a single trace of four deletions."""
     for n in (2, 3, 4):
         for x in all_sequences(n):
             for i in range(n):
                 yield build_X(n, 1, x), deletion_script(n, 1, x, i)
-    current = build_X(5, 2, "*0*00")
-    for step in deletion_chain(5, 2, "*0*00"):
-        yield current, step.trace
-        current = reference_replay(current, step.trace)
+    yield build_X(5, 2, "*0*00"), deletion_chain(5, 2, "*0*00")
 
 
 def test_replay_matches_the_reference_on_recorded_and_tampered_traces():
@@ -565,7 +562,7 @@ def test_replay_matches_the_reference_on_recorded_and_tampered_traces():
             assert expected[0] != "ok"
             assert _outcome(replay, start, bad) == expected
             checked += 1
-    assert checked == 96 * 10 + 4 * 10
+    assert checked == 96 * 10 + (1 + 12 * 3)  # a trace of k steps has 1 + 3k tamperings
 
 
 # --- the move-audit suite ----------------------------------------------------------------------------------

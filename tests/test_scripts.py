@@ -103,12 +103,40 @@ def test_chain_indices_end_at_star():
 
 
 def test_chain_traces_compose():
-    steps = deletion_chain(4, 2, "*0*0")
-    current = build_X(4, 2, "*0*0")
-    for step in steps:
-        assert datum_hash(current) == step.trace.initial
-        current = replay(current, step.trace)
-    assert datum_isomorphic(current, build_Cm(2)) is not None
+    trace = deletion_chain(4, 2, "*0*0")
+    start = build_X(4, 2, "*0*0")
+    assert trace.initial == datum_hash(start)
+    assert len(trace.steps) == 3 * len(chain_deletion_indices("*0*0"))
+    assert trace.target_dict == {"family": "X", "n": 1, "m": 2, "sequence": "*"}
+    assert datum_isomorphic(replay(start, trace), build_Cm(2)) is not None
+    report, result = scripts.check_trace(start, trace)
+    assert report["target_isomorphic"] is True and result is not None
+
+
+def test_chain_of_an_all_zero_sequence_declares_a_zero():
+    trace = deletion_chain(3, 1, "000")
+    assert trace.target_dict == {"family": "X", "n": 1, "m": 1, "sequence": "0"}
+    assert verify_chain(3, 1, "000")
+
+
+def test_verify_chain_checks_the_target_its_trace_declares(monkeypatch):
+    real = scripts.deletion_chain
+
+    def declaring(target_sequence):
+        def chain(n, m, x):
+            target = {"family": "X", "n": len(target_sequence), "m": m,
+                      "sequence": target_sequence}
+            return replace(real(n, m, x), target=json.dumps(target, sort_keys=True))
+        return chain
+
+    monkeypatch.setattr(scripts, "deletion_chain", declaring("*"))
+    assert verify_chain(4, 1, "0*0*")
+    # the surviving dot is a radial one, which "0" does not spell
+    monkeypatch.setattr(scripts, "deletion_chain", declaring("0"))
+    assert not verify_chain(4, 1, "0*0*")
+    # a wheel of the wrong size
+    monkeypatch.setattr(scripts, "deletion_chain", declaring("*0"))
+    assert not verify_chain(4, 1, "0*0*")
 
 
 def test_insertion_script_is_reverse_embedding_witness():
