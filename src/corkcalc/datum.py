@@ -19,6 +19,18 @@ is the basis for file round-trips and trace hashing.  The ``/1`` format
 lists every linking of a 2-handle on its record, so each pair is written on
 both handles and each dotted linking next to the word; ``from_canonical``
 is the one place where those copies meet.
+
+``canonical_form`` is the reference for the canonical JSON: ``dumps``
+writes it, and ``canonical_json`` has the bytes of ``json.dumps`` of it with
+sorted keys and compact separators.  ``canonical_json`` assembles those
+bytes from per-handle fragments instead, each cached on its ``TwoHandle``
+(moves keep most handle objects, so most fragments are built once per
+trace); only the stored partners of a handle are merged into its fragment
+per call.  Data the fragments cannot spell byte for byte go through the
+reference: duplicate 2-handle ids (``linking_records`` keys by id, so both
+handles are written with the last one's dotted entries; ``validate``
+reports them as DUPLICATE_ID), and an id, generator or number that is not
+a ``str`` or an ``int``.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
 from .errors import DatumFormatError
@@ -36,6 +49,7 @@ from .sequences import STAR, ZERO, pair_ids
 from .words import Word, parse_word
 
 DATUM_FORMAT = "corkcalc-datum/1"
+_FORMAT_JSON = json.dumps(DATUM_FORMAT)
 
 Pair = tuple[str, str]
 
@@ -45,11 +59,38 @@ def link_key(x: str, y: str) -> Pair:
     return (x, y) if x <= y else (y, x)
 
 
+# how ``json.dumps`` (ensure_ascii) spells a string and an int, and the
+# encoder it builds for sorted keys and compact separators
+_json_str = encode_basestring_ascii
+_json_int = int.__repr__
+_meta_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class TwoHandle:
     id: str
     word: Word
     framing: int
+
+    @cached_property
+    def _json(self) -> tuple[str, dict[str, str], str, str] | None:
+        """This handle's record in the canonical JSON, in parts: the head up
+        to its linking list, its dotted entries by generator, the tail after
+        the list, and the whole record for a handle with no stored partners.
+        None when the parts cannot be spelled exactly: an id or generator
+        that is not a ``str`` (the formatters raise TypeError), or a framing
+        or exponent sum that is not an ``int``."""
+        if type(self.framing) is not int:  # a bool would print as 1, not true
+            return None
+        try:
+            dotted = {g: f"[{_json_str(g)},{_json_int(e)}]"
+                      for g, e in self.word.exponents().items() if e}
+            head = (f'{{"framing":{_json_int(self.framing)},"id":{_json_str(self.id)},'
+                    '"linking":[')
+            tail = f'],"word":[{",".join(map(_json_str, self.word.serialize()))}]}}'
+        except TypeError:
+            return None
+        return head, dotted, tail, head + ",".join([dotted[g] for g in sorted(dotted)]) + tail
 
 
 def two_handle(hid: str, letters, framing: int) -> TwoHandle:
@@ -318,7 +359,47 @@ def canonical_form(d: KirbyDatum) -> dict:
 
 
 def canonical_json(d: KirbyDatum) -> str:
-    return json.dumps(canonical_form(d), sort_keys=True, separators=(",", ":"))
+    """``json.dumps(canonical_form(d), sort_keys=True, separators=(",", ":"))``,
+    assembled from the handles' cached fragments where they spell it."""
+    try:
+        text = _assembled_json(d)
+    except TypeError:  # an id or a dotted circle that is not a str
+        text = None
+    if text is None:
+        return json.dumps(canonical_form(d), sort_keys=True, separators=(",", ":"))
+    return text
+
+
+def _assembled_json(d: KirbyDatum) -> str | None:
+    """The canonical JSON from per-handle fragments, with each stored
+    partner merged into its handle's dotted entries (the store value wins
+    on a shared key, as in ``linking_records``); None for data the
+    fragments cannot spell."""
+    partners: dict[str, dict[str, int]] = {}
+    for (x, y), v in d.links:
+        partners.setdefault(x, {})[y] = v
+        partners.setdefault(y, {})[x] = v
+    records, previous = [], None
+    for h in d.two_handles:  # sorted by id, so a repeated id comes next
+        parts = h._json
+        if parts is None or h.id == previous:
+            return None
+        previous = h.id
+        mine = partners.get(h.id)
+        if mine is None:
+            records.append(parts[3])
+            continue
+        head, dotted, tail, _ = parts
+        entries = dict(dotted)
+        for other, v in mine.items():
+            entries[other] = f"[{_json_str(other)},{_json_int(v)}]"
+        records.append(head + ",".join([entries[k] for k in sorted(entries)]) + tail)
+    if type(d.three_handles) is not int:
+        return None
+    meta = _meta_json({k: v for k, v in d.meta}) if d.meta else "{}"
+    return (f'{{"format":{_FORMAT_JSON},"meta":{meta},'
+            f'"one_handles":[{",".join(map(_json_str, d.one_handles))}],'
+            f'"three_handles":{_json_int(d.three_handles)},"two_handles":[{",".join(records)}]}}')
 
 
 def datum_hash(d: KirbyDatum) -> str:

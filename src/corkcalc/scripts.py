@@ -17,6 +17,12 @@ pairs keep their labels and which declares the wheel of the surviving
 symbols as its target.  So ``check_trace`` (the check ``corkcalc replay``
 prints) verifies both, and ``verify_deletion`` and ``verify_chain`` add
 only the rule that the surviving dotted circles are those x prescribes.
+The dotted circles of the result spell a rotation of the target's
+sequence, and that spelling names the relabeling to try first: surviving
+pair k goes to the target's pair k - r, with every sign +1.  The bounded
+isomorphism search runs only when ``check_witness`` refuses it, so a
+result that is isomorphic to its target by another relabeling still
+passes.
 
 A deletion script doubles as the witness for the reverse inclusion: the
 insertion of a symbol into a sequence embeds the smaller wheel manifold in
@@ -28,9 +34,9 @@ from __future__ import annotations
 from .datum import KirbyDatum
 from .errors import BadIndexError, CorkCalcError
 from .families import build_X
-from .isomorphism import datum_isomorphic
+from .isomorphism import IsoWitness, check_witness, datum_isomorphic
 from .moves import MoveTrace, Recorder, replay
-from .sequences import STAR, check_sequence, dotted_sequence, is_constant, pair_ids
+from .sequences import STAR, ZERO, check_sequence, dotted_sequence, is_constant, pair_ids
 
 
 def _delete_steps(rec: Recorder, pair_index: int, symbol: str) -> None:
@@ -99,15 +105,19 @@ def chain_deletion_indices(x: str) -> list[int]:
     whose removal keeps the sequence non-constant; when none exists (a
     sequence of length two, or a constant one) its first non-star entry
     goes, or its first entry when it has none.  So the chain ends at a
-    single star unless x has none: an all-``0`` x ends at ``"0"``."""
-    seq = x
+    single star unless x has none: an all-``0`` x ends at ``"0"``.
+
+    The choice follows from symbol counts: deleting entry 0 of a
+    non-constant sequence longer than two leaves a constant one exactly
+    when its first symbol occurs only once, and then deleting entry 1 does
+    not."""
+    seq = check_sequence(x)
     out = []
     while len(seq) > 1:
-        choice = next((j for j in range(len(seq))
-                       if not is_constant(deleted_sequence(seq, j))), None)
-        if choice is None:
-            non_star = [j for j in range(len(seq)) if seq[j] != STAR]
-            choice = non_star[0] if non_star else 0
+        if len(seq) > 2 and not is_constant(seq):
+            choice = 1 if seq.count(seq[0]) == 1 else 0
+        else:
+            choice = max(seq.find(ZERO), 0)
         out.append(choice)
         seq = deleted_sequence(seq, choice)
     return out
@@ -132,7 +142,12 @@ def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum |
     """Replay a trace and compare the result with the wheel it declares as
     its target, if any (isomorphic, with dotted circles that spell a rotation
     of its sequence): the report that ``corkcalc replay`` prints, and the
-    result, or None when the hash chain, a move or the target fails."""
+    result, or None when the hash chain, a move or the target fails.
+
+    The spelling names a witness: the relabeling that takes the circles of
+    the k-th surviving pair to the target's pair k - r, where the target's
+    sequence starts at index r of the spelled one, all signs +1.  Only when
+    ``check_witness`` refuses it does the bounded search run."""
     try:
         result = replay(start, trace)
     except CorkCalcError as e:
@@ -145,12 +160,30 @@ def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum |
                            family=target.get("family", "X"))
         report["target"] = target
         spelled, x = dotted_sequence(result.one_handles), target["sequence"]
-        report["target_isomorphic"] = (spelled is not None and len(spelled) == len(x)
-                                       and x in spelled + spelled  # a rotation of it
-                                       and datum_isomorphic(result, expected) is not None)
+        # x is a rotation of the spelling exactly when it occurs in it doubled
+        rotation = (spelled + spelled).find(x) if spelled and len(spelled) == len(x) else -1
+        report["target_isomorphic"] = rotation >= 0 and (
+            _spelled_witness_holds(result, expected, rotation)
+            or datum_isomorphic(result, expected) is not None)
         if not report["target_isomorphic"]:
             return report, None
     return report, result
+
+
+def _spelled_witness_holds(result: KirbyDatum, expected: KirbyDatum, rotation: int) -> bool:
+    """Whether the relabeling that the dotted circles of ``result`` spell
+    (its k-th pair to the ``expected`` wheel's pair k - rotation, all signs
+    +1) is an isomorphism; False too when a 2-handle lies on no such pair."""
+    pairs = sorted(int(g[1:]) for g in result.one_handles)  # dotted_sequence parsed them
+    ids = {}
+    for k, j in enumerate(pairs):
+        ids.update(zip(pair_ids(j, STAR), pair_ids((k - rotation) % len(pairs), STAR)))
+    if not all(h in ids for h in result.handle_ids):
+        return False
+    gmap = tuple((g, ids[g]) for g in result.one_handles)
+    hmap = tuple((h, ids[h]) for h in result.handle_ids)
+    return check_witness(result, expected, IsoWitness(
+        gmap, hmap, tuple((g, 1) for g, _ in gmap), tuple((h, 1) for h, _ in hmap)))
 
 
 def _verify(trace: MoveTrace, n: int, m: int, x: str, positions) -> bool:

@@ -1,15 +1,17 @@
+import hashlib
 import json
 
 import pytest
 
-from corkcalc.datum import (CorkPair, KirbyDatum, TwoHandle, canonical_json,
+from corkcalc import moves, suites
+from corkcalc.datum import (CorkPair, KirbyDatum, TwoHandle, canonical_form, canonical_json,
                             datum_hash, dumps, from_canonical, loads, make_datum,
                             two_handle, validate, validate_cork_pair,
                             full_linking_matrix, exponent_matrix)
 from corkcalc.errors import DatumFormatError
 from corkcalc.families import build_C, build_W, build_X, load_elliptic_surface
 from corkcalc.linalg import IntMatrix
-from corkcalc.words import parse_word, single
+from corkcalc.words import Word, parse_word, single
 
 
 def test_datum_stores_each_pair_once():
@@ -142,3 +144,83 @@ def test_full_linking_matrix_of_basic_cork():
     mat, order = full_linking_matrix(d)
     assert order == ("a0", "b0")
     assert mat == IntMatrix.from_rows([[0, 1], [1, 0]])
+
+
+# --- the hash against its reference -------------------------------------------------
+
+def reference_hash(d):
+    """The hash of the reference serialization: ``canonical_form`` through
+    ``json.dumps``, which ``canonical_json`` assembles from fragments."""
+    text = json.dumps(canonical_form(d), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_hash_matches_the_reference_on_every_state_the_scripts_suite_records(monkeypatch):
+    hashed = []
+
+    def checked_hash(d):
+        assert datum_hash(d) == reference_hash(d), canonical_json(d)
+        hashed.append(d)
+        return datum_hash(d)
+
+    monkeypatch.setattr(moves, "datum_hash", checked_hash)  # recording and replay
+    assert suites.run_suite("lemma-3-4-scripts", {"n_max": 7, "m_max": 1}).passed
+    assert len(hashed) == 19_788
+
+
+def test_hash_matches_the_reference_on_every_datum_the_move_audit_visits(monkeypatch):
+    real_validate = suites.validate
+    visited = [build() for _, build in suites._AUDIT_STARTS]
+
+    def validate_and_keep(d):
+        visited.append(d)
+        return real_validate(d)
+
+    monkeypatch.setattr(suites, "validate", validate_and_keep)  # every result of a move
+    assert suites.run_suite("move-audit").passed
+    assert len(visited) == len(suites._AUDIT_STARTS) + suites.AUDIT_WALKS * suites.AUDIT_MOVES
+    for d in visited:
+        assert datum_hash(d) == reference_hash(d), canonical_json(d)
+
+
+ESCAPED = 'q"b\\c\x01\n\u00e9\u2028\U0001f600'  # a quote, a backslash, controls, non-ASCII
+
+
+def _handle(hid, tokens, framing):
+    return two_handle(hid, parse_word(tokens), framing)
+
+
+@pytest.mark.parametrize("d", [
+    # duplicate 2-handle ids: the reference writes the last one's dotted entries on both
+    make_datum(("a", "b"), [_handle("h", ["a"], 0), _handle("h", ["b", "b"], 1)]),
+    make_datum(("a",), [_handle("h", ["a"], 0), _handle("h", [], 0)], links={("h", "k"): 2}),
+    # a stored partner that is also a word generator: the store value wins
+    make_datum(("a",), [_handle("h", ["a"], 0), _handle("a", [], 1)], links={("a", "h"): 3}),
+    make_datum((), [_handle("h", ["g", "g"], 0), _handle("g", [], 0)], links={("g", "h"): -1}),
+    # self-linking, and a linking with an id that is no 2-handle
+    make_datum((), [_handle("h", [], 0)], links={("h", "h"): 1, ("h", "ghost"): 2}),
+    # meta values that are floats, nested, or strings JSON escapes
+    build_X(2, 1, "*0").replace(meta=(("n", 2.0), ("x", {"b": [1, {"a": None}], "a": 1.5}))),
+    make_datum((ESCAPED,), [_handle(ESCAPED + "h", [ESCAPED, "-" + ESCAPED, "b"], -2)],
+               meta={ESCAPED: ESCAPED, "k": [ESCAPED, True, None]}),
+    # values the fragments do not spell: a bool framing or 3-handle count,
+    # a float sign, ids and generators that are not strings
+    make_datum(("a",), [TwoHandle("h", parse_word(["a"]), True)]),
+    make_datum(("a",), [_handle("h", ["a"], 0)], three_handles=True),
+    make_datum(("a",), [TwoHandle("h", Word((("a", 1.0),)), 0)]),
+    make_datum((), [TwoHandle(7, Word(()), 0), TwoHandle(8, Word(()), 0)], links={(7, 8): 1}),
+    make_datum((1,), [TwoHandle("h", Word(((1, 1),)), 0)]),
+], ids=["duplicate-ids", "duplicate-ids-linked", "partner-is-generator",
+        "partner-is-generator-not-dotted", "self-linking", "float-and-nested-meta",
+        "escaped-strings", "bool-framing", "bool-three-handles", "float-sign",
+        "int-handle-ids", "int-generator"])
+def test_hash_matches_the_reference_on_data_only_the_api_builds(d):
+    assert datum_hash(d) == reference_hash(d)
+    assert datum_hash(d) == datum_hash(d)  # with the fragments cached
+
+
+def test_a_handle_keeps_its_fragment_and_its_equality():
+    h = _handle("h", ["a"], 0)
+    first = canonical_json(make_datum(("a",), [h]))
+    assert "_json" in vars(h) and canonical_json(make_datum(("a",), [h])) == first
+    assert h == _handle("h", ["a"], 0) and hash(h) == hash(_handle("h", ["a"], 0))

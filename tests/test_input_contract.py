@@ -1,15 +1,20 @@
 """Every loader of outside input returns a value or raises ``CorkCalcError``,
 nothing else.  Documents are fuzzed by mutating valid ones (a node replaced
 by an arbitrary JSON value, removed, or given a sibling) and as raw text;
-the inputs that once escaped are kept as explicit examples."""
+the inputs that once escaped are kept as explicit examples.  A datum that
+loads hashes as its reference serialization does, and ``corkcalc replay``
+on fuzzed datum and trace files keeps the CLI's exit-code contract."""
 
 import copy
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corkcalc import datum, moves, scripts, stein
+from corkcalc import cli, datum, moves, scripts, stein
 from corkcalc.errors import CorkCalcError
 from corkcalc.families import build_C, build_W, build_X, load_elliptic_surface
 from corkcalc.presentations import GroupPresentation
@@ -72,15 +77,30 @@ _DATA = [json.loads(datum.dumps(d)) for d in
          (build_C(3, 1), build_W(3, 2), load_elliptic_surface(1))]
 
 
+# ids and meta strings that JSON escapes: a quote, a backslash, controls, non-ASCII
+ESCAPED = 'q"b\\c\x01\n\u00e9\u2028\U0001f600'
+_ESCAPED_DATUM = json.dumps({
+    "format": datum.DATUM_FORMAT, "one_handles": [ESCAPED, "a"], "three_handles": 1,
+    "meta": {ESCAPED: [ESCAPED, 1.5, {"k": None}], "n": ESCAPED},
+    "two_handles": [
+        {"id": ESCAPED + "h", "word": [ESCAPED, "-a", "a", ESCAPED], "framing": -1,
+         "linking": [[ESCAPED, 2], ["k" + ESCAPED, 3]]},
+        {"id": "k" + ESCAPED, "word": [], "framing": 0, "linking": [[ESCAPED + "h", 3]]}]})
+
+
 @FUZZ
-@given(st.one_of(st.sampled_from(_DATA).flatmap(mutated).map(json.dumps),
+@given(st.one_of(st.sampled_from(_DATA + [json.loads(_ESCAPED_DATUM)])
+                 .flatmap(mutated).map(json.dumps),
                  st.text(max_size=40)))
 @example(OVERLONG_INTEGER)
 @example(DEEP_NESTING)
+@example(_ESCAPED_DATUM)
 def test_datum_loads_returns_a_datum_or_raises_corkcalc_error(text):
     d = _value_or_corkcalc_error(datum.loads, text)
     if d is not None:
         datum.validate(d)
+        reference = json.dumps(datum.canonical_form(d), sort_keys=True, separators=(",", ":"))
+        assert datum.datum_hash(d) == hashlib.sha256(reference.encode("utf-8")).hexdigest()
 
 
 # --- trace files ------------------------------------------------------------------
@@ -120,6 +140,33 @@ def test_trace_from_text_and_its_check_return_a_value_or_raise_corkcalc_error(ca
     trace = _value_or_corkcalc_error(moves.trace_from_text, text)
     if trace is not None:
         _value_or_corkcalc_error(lambda t: scripts.check_trace(_STARTS[name], t), trace)
+
+
+def _as_is_or_mutated(doc):
+    return st.just(doc) | mutated(doc)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(_TRACES)).flatmap(lambda name: st.tuples(
+    _as_is_or_mutated(json.loads(datum.dumps(_STARTS[name]))),
+    _as_is_or_mutated(_lines(_TRACES[name])))))
+def test_replay_of_fuzzed_files_keeps_the_exit_code_contract(case):
+    # exit 1 means only that the check failed on a datum and trace that both load
+    datum_doc, trace_doc = case
+    with tempfile.TemporaryDirectory(prefix="corkcalc-replay-") as tmp:
+        datum_path, trace_path = Path(tmp, "datum.json"), Path(tmp, "trace.jsonl")
+        datum_path.write_text(json.dumps(datum_doc), encoding="utf-8")
+        trace_path.write_text(_as_text(trace_doc), encoding="utf-8")
+        code = cli.main(["replay", str(datum_path), str(trace_path),
+                         "-o", str(Path(tmp, "report.json"))])
+    assert code in (0, 1, 2, 3)
+    start = _value_or_corkcalc_error(datum.loads, json.dumps(datum_doc))
+    trace = _value_or_corkcalc_error(moves.trace_from_text, _as_text(trace_doc))
+    if start is None or not datum.validate(start).ok or trace is None:
+        assert code == 2
+    else:
+        _, result = scripts.check_trace(start, trace)
+        assert code == (0 if result is not None else 1)
 
 
 @FUZZ

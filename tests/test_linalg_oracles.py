@@ -10,11 +10,13 @@ at every pivot), ``seed_det`` (Bareiss elimination), ``seed_signature``
 (every 2-handle's word rebuilt at each pair twist), ``seed_cancel_1_2``
 (one letter slid at a time), ``seed_rotate`` (a fresh relabeling dict
 and a reduction pass per word, ``seed_rename``) and
-``seed_deletion_chain`` (one trace per deletion) are kept here as oracles:
-the new code must give identical SNF transforms, diagonal and sign,
-identical determinants, identical inertia, identical linking and
-exponent matrices, identical intersection forms, identical twisted data,
-identical cancellations, identical rotations and identical chain steps.
+``seed_deletion_chain`` (one trace per deletion) and
+``seed_chain_deletion_indices`` (an ``is_constant`` test per candidate
+index) are kept here as oracles: the new code must give identical SNF
+transforms, diagonal and sign, identical determinants, identical inertia,
+identical linking and exponent matrices, identical intersection forms,
+identical twisted data, identical cancellations, identical rotations,
+identical chain steps and identical chain choices.
 """
 
 import random
@@ -833,3 +835,28 @@ def test_deletion_chain_is_the_seed_steps_concatenated():
                 assert trace.steps == tuple(chain.from_iterable(t.steps for t in seed))
                 count += 1
     assert count == 228
+
+
+def seed_chain_deletion_indices(x):
+    """The smallest index whose deletion keeps the sequence non-constant,
+    found by testing each; else the first non-star entry, else 0."""
+    seq = x
+    out = []
+    while len(seq) > 1:
+        choice = next((j for j in range(len(seq))
+                       if not is_constant(scripts.deleted_sequence(seq, j))), None)
+        if choice is None:
+            non_star = [j for j in range(len(seq)) if seq[j] != STAR]
+            choice = non_star[0] if non_star else 0
+        out.append(choice)
+        seq = scripts.deleted_sequence(seq, choice)
+    return out
+
+
+def test_chain_deletion_indices_match_the_seed():
+    count = 0
+    for n in range(1, 15):
+        for x in all_sequences(n):
+            assert scripts.chain_deletion_indices(x) == seed_chain_deletion_indices(x), x
+            count += 1
+    assert count == 2 ** 15 - 2

@@ -3,16 +3,17 @@ from dataclasses import replace
 
 import pytest
 
-from corkcalc import scripts
-from corkcalc.datum import datum_hash
+from corkcalc import scripts, suites
+from corkcalc.datum import datum_hash, make_datum, two_handle
 from corkcalc.errors import BadIndexError
 from corkcalc.families import build_Cm, build_X
 from corkcalc.isomorphism import datum_isomorphic
-from corkcalc.moves import replay
+from corkcalc.moves import Recorder, replay
 from corkcalc.scripts import (chain_deletion_indices, deleted_sequence,
                               deletion_chain, deletion_script, insertion_script,
                               verify_chain, verify_deletion)
 from corkcalc.sequences import all_sequences, is_constant
+from corkcalc.words import parse_word
 
 
 def test_deletion_star_branch():
@@ -156,3 +157,37 @@ def test_insertion_bad_parameters():
 def test_deletion_trace_declares_target():
     trace = deletion_script(4, 1, "*000", 1)
     assert trace.target_dict == {"family": "X", "n": 3, "m": 1, "sequence": "*00"}
+
+
+def _counting_search(monkeypatch):
+    calls = []
+
+    def search(d1, d2):
+        calls.append((d1, d2))
+        return datum_isomorphic(d1, d2)
+
+    monkeypatch.setattr(scripts, "datum_isomorphic", search)
+    return calls
+
+
+@pytest.mark.parametrize("handle, isomorphic", [
+    (("b0", ["-a0"], 0), True),   # the spelled witness has the wrong orientation
+    (("z", ["a0"], 0), True),     # the handle lies on no pair, so nothing is spelled for it
+    (("b0", ["a0"], 1), False),   # a framing no relabeling mends
+    (("b0", ["-a0"], 1), False),
+])
+def test_a_failed_spelled_witness_falls_back_to_the_search(monkeypatch, handle, isomorphic):
+    hid, word, framing = handle
+    start = make_datum(("a0",), [two_handle(hid, parse_word(word), framing)])
+    trace = Recorder(start, target={"family": "X", "n": 1, "m": 1, "sequence": "*"}).trace()
+    calls = _counting_search(monkeypatch)
+    report, result = scripts.check_trace(start, trace)
+    assert report["target_isomorphic"] is isomorphic and (result is not None) is isomorphic
+    assert len(calls) == 1
+
+
+def test_the_spelled_witness_decides_every_case_of_the_scripts_grid(monkeypatch):
+    calls = _counting_search(monkeypatch)
+    result = suites.run_suite("lemma-3-4-scripts", {"n_max": 5})
+    assert result.passed and len(result.cases) == 560
+    assert calls == []
