@@ -15,6 +15,7 @@ back to general bounded backtracking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .datum import KirbyDatum, link_key, linking_records, wheel_sequence
 from .errors import SearchBudgetExceededError
@@ -42,11 +43,12 @@ class IsoWitness:
 
 
 def _cyclic_rotation_equal(w1: Word, w2: Word) -> bool:
-    """Equality of cyclic words, orientation NOT quotiented out."""
-    a, b = w1.cyclic_reduce(), w2.cyclic_reduce()
+    """Equality of cyclic words, orientation NOT quotiented out.  A rotation
+    of a cyclically reduced word is reduced, so letter tuples compare."""
+    a, b = w1.cyclic_reduce().letters, w2.cyclic_reduce().letters
     if len(a) != len(b):
         return False
-    return any(rot.letters == b.letters for rot in a.rotations())
+    return a == b or any(a[i:] + a[:i] == b for i in range(1, len(a)))
 
 
 def check_witness(d1: KirbyDatum, d2: KirbyDatum, w: IsoWitness) -> bool:
@@ -66,8 +68,10 @@ def check_witness(d1: KirbyDatum, d2: KirbyDatum, w: IsoWitness) -> bool:
         return False
     if d1.three_handles != d2.three_handles:
         return False
+    # the first handle of each id, as ``KirbyDatum.handle`` finds it
+    handles2 = {h.id: h for h in reversed(d2.two_handles)}
     for h in d1.two_handles:
-        target = d2.handle(hmap[h.id])
+        target = handles2.get(hmap[h.id])
         if target is None or target.framing != h.framing:
             return False
         mapped = _mapped_word(h.word, gmap, gsign)
@@ -78,6 +82,20 @@ def check_witness(d1: KirbyDatum, d2: KirbyDatum, w: IsoWitness) -> bool:
     mapped_links = {link_key(hmap[x], hmap[y]): v * hsign.get(x, 1) * hsign.get(y, 1)
                     for (x, y), v in d1.links}
     return mapped_links == dict(d2.links)
+
+
+def relabeling_witness(d1: KirbyDatum, d2: KirbyDatum,
+                       ids: Mapping[str, str]) -> IsoWitness | None:
+    """The witness that relabels the circles and 2-handles of d1 by ``ids``
+    with every sign +1, when ``ids`` names each of them and ``check_witness``
+    accepts it; None otherwise."""
+    if not all(x in ids for x in d1.one_handles + d1.handle_ids):
+        return None
+    gmap = tuple((g, ids[g]) for g in d1.one_handles)
+    hmap = tuple((h, ids[h]) for h in d1.handle_ids)
+    witness = IsoWitness(gmap, hmap, tuple((g, 1) for g, _ in gmap),
+                         tuple((h, 1) for h, _ in hmap))
+    return witness if check_witness(d1, d2, witness) else None
 
 
 def _mapped_word(word: Word, gmap: dict[str, str], gsign: dict[str, int]) -> Word:
@@ -123,12 +141,8 @@ def _wheel_isomorphic(d1, seq1, d2, seq2) -> IsoWitness | None:
     n = len(seq1)  # both data are bare wheels with the same handle counts
     for r in range(n):
         if shift(seq1, r) == seq2:
-            ids = rotation_ids(n, r)
-            gmap = sorted((g, ids[g]) for g in d1.one_handles)
-            hmap = sorted((h, ids[h]) for h in d1.handle_ids)
-            witness = IsoWitness(tuple(gmap), tuple(hmap), tuple((g, 1) for g, _ in gmap),
-                                 tuple((h, 1) for h, _ in hmap))
-            if check_witness(d1, d2, witness):
+            witness = relabeling_witness(d1, d2, rotation_ids(n, r))
+            if witness is not None:
                 return witness
     return None
 

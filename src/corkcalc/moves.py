@@ -334,9 +334,9 @@ def twist_wheel(d: KirbyDatum, i: int) -> KirbyDatum:
 def rotate(d: KirbyDatum, i: int) -> KirbyDatum:
     """Relabel wheel pairs by the rotation ``sequences.rotation_ids``.
 
-    The result is the datum of the shifted sequence; the rotation is an
-    automorphism exactly when the shift fixes the sequence.  A relabel is
-    a bijection of ids, so every word stays reduced (``Word.rename``).
+    The result is the datum of the shifted sequence (the rotation of
+    ``build_X(n, m, x)`` by i is ``build_X(n, m, shift(x, i))``); the
+    rotation is an automorphism exactly when the shift fixes the sequence.
     """
     seq = _require_wheel(d)
     mapping = rotation_ids(len(seq), i)

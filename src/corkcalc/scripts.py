@@ -20,7 +20,7 @@ only the rule that the surviving dotted circles are those x prescribes.
 The dotted circles of the result spell a rotation of the target's
 sequence, and that spelling names the relabeling to try first: surviving
 pair k goes to the target's pair k - r, with every sign +1.  The bounded
-isomorphism search runs only when ``check_witness`` refuses it, so a
+isomorphism search runs only when ``relabeling_witness`` refuses it, so a
 result that is isomorphic to its target by another relabeling still
 passes.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from .datum import KirbyDatum
 from .errors import BadIndexError, CorkCalcError
 from .families import build_X
-from .isomorphism import IsoWitness, check_witness, datum_isomorphic
+from .isomorphism import datum_isomorphic, relabeling_witness
 from .moves import MoveTrace, Recorder, replay
 from .sequences import STAR, ZERO, check_sequence, dotted_sequence, is_constant, pair_ids
 
@@ -92,8 +92,9 @@ def insertion_script(n: int, m: int, x: str, position: int, symbol: str) -> Move
     """Embedding witness for inserting a symbol: the deletion script of the
     enlarged sequence at that position."""
     check_sequence(x)
-    if not 0 <= position <= n or symbol not in "*0":
-        raise BadIndexError(f"bad insertion parameters position={position}")
+    if len(x) != n or not 0 <= position <= n or symbol not in (STAR, ZERO):
+        raise BadIndexError(f"bad insertion parameters n={n}, position={position}, "
+                            f"symbol={symbol!r}")
     enlarged = x[:position] + symbol + x[position:]
     return deletion_script(n + 1, m, enlarged, position)
 
@@ -147,7 +148,7 @@ def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum |
     The spelling names a witness: the relabeling that takes the circles of
     the k-th surviving pair to the target's pair k - r, where the target's
     sequence starts at index r of the spelled one, all signs +1.  Only when
-    ``check_witness`` refuses it does the bounded search run."""
+    ``relabeling_witness`` refuses it does the bounded search run."""
     try:
         result = replay(start, trace)
     except CorkCalcError as e:
@@ -163,27 +164,21 @@ def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum |
         # x is a rotation of the spelling exactly when it occurs in it doubled
         rotation = (spelled + spelled).find(x) if spelled and len(spelled) == len(x) else -1
         report["target_isomorphic"] = rotation >= 0 and (
-            _spelled_witness_holds(result, expected, rotation)
+            relabeling_witness(result, expected, _spelled_ids(result, rotation)) is not None
             or datum_isomorphic(result, expected) is not None)
         if not report["target_isomorphic"]:
             return report, None
     return report, result
 
 
-def _spelled_witness_holds(result: KirbyDatum, expected: KirbyDatum, rotation: int) -> bool:
-    """Whether the relabeling that the dotted circles of ``result`` spell
-    (its k-th pair to the ``expected`` wheel's pair k - rotation, all signs
-    +1) is an isomorphism; False too when a 2-handle lies on no such pair."""
+def _spelled_ids(result: KirbyDatum, rotation: int) -> dict[str, str]:
+    """The relabeling that the dotted circles of ``result`` spell: the
+    circles of its k-th pair go to those of the target's pair k - rotation."""
     pairs = sorted(int(g[1:]) for g in result.one_handles)  # dotted_sequence parsed them
     ids = {}
     for k, j in enumerate(pairs):
         ids.update(zip(pair_ids(j, STAR), pair_ids((k - rotation) % len(pairs), STAR)))
-    if not all(h in ids for h in result.handle_ids):
-        return False
-    gmap = tuple((g, ids[g]) for g in result.one_handles)
-    hmap = tuple((h, ids[h]) for h in result.handle_ids)
-    return check_witness(result, expected, IsoWitness(
-        gmap, hmap, tuple((g, 1) for g, _ in gmap), tuple((h, 1) for h, _ in hmap)))
+    return ids
 
 
 def _verify(trace: MoveTrace, n: int, m: int, x: str, positions) -> bool:

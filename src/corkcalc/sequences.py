@@ -13,16 +13,12 @@ Each public function validates its sequence once (``check_sequence``, a
 C-level ``lstrip`` over the alphabet).  ``period`` is then the doubled-string
 test: the least p > 0 with ``shift(x, p) == x`` is the first index p >= 1
 at which x occurs in x + x, one substring search instead of a shift per
-candidate.  ``rotation_ids`` depends only on (n, i mod n) and is memoized
-as a read-only mapping.
+candidate.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from types import MappingProxyType
-from typing import Mapping
 
 STAR = "*"
 ZERO = "0"
@@ -62,20 +58,14 @@ def dotted_sequence(dotted) -> str | None:
     return "".join(symbols[j] for j in sorted(symbols)) or None
 
 
-def rotation_ids(n: int, i: int) -> Mapping[str, str]:
+def rotation_ids(n: int, i: int) -> dict[str, str]:
     """The circle relabeling of rotating an n-pair wheel by i: each circle
     of pair j goes to the same circle of pair j + i mod n, whatever the
-    sequence, which rotates with it (``shift``).  A read-only mapping,
-    shared by every call with the same n and i mod n."""
+    sequence, which rotates with it (``shift``)."""
     if n < 1:
         raise ValueError("wheel size must be >= 1")
-    return _rotation_ids(n, i % n)
-
-
-@functools.cache
-def _rotation_ids(n: int, i: int) -> Mapping[str, str]:
-    return MappingProxyType({old: new for j in range(n)
-                             for old, new in zip(pair_ids(j, STAR), pair_ids((j + i) % n, STAR))})
+    return {old: new for j in range(n)
+            for old, new in zip(pair_ids(j, STAR), pair_ids((j + i) % n, STAR))}
 
 
 def shift(x: str, i: int) -> str:

@@ -22,8 +22,7 @@ from .invariants import (HomologyProfile, boundary_h1, char_numbers_from_datum,
                          connected_sum, cp2, cp2_bar, homology, intersection_form)
 from .isomorphism import datum_isomorphic
 from .linalg import IntMatrix, congruence, is_diag_minus_one
-from .moves import (apply_move, blow_down, minus_one_sphere_present, rotate,
-                    slide_2_over_2)
+from .moves import apply_move, blow_down, minus_one_sphere_present, slide_2_over_2
 from .presentations import TIETZE_BUDGET, pi1_presentation, tietze_simplify
 
 
@@ -62,13 +61,13 @@ class SuiteResult:
 # (content repr, budget) -> (homology profile, pi1 certified trivial).
 # A wheel's twist parameter m lives only in ``meta``, so the data of one
 # sequence recur for every m (and E(n, .) is C(n, .) under another tag).
-# ``lemma-2-2`` also rotates each wheel onto the least rotation of its
-# sequence, a relabeling of its circles that keeps its homology and the
-# triviality of its pi1. The key is the exact content, so a hit checks that
-# this case's rotated datum equals the one certified: each rotation class
-# (binary necklace) is certified once, 261 classes for the 2,046 sequences
-# of length <= 10. Cleared by ``run_suite``: it lives for one grid, and a
-# forked pool worker inherits it empty.
+# ``lemma-2-2`` also builds each case's wheel at the least rotation of its
+# sequence: rotating the wheel (the cork twist) relabels its circles, which
+# keeps its homology and the triviality of its pi1. The key is the exact
+# content, so a hit checks that this case's datum equals the one certified:
+# each rotation class (binary necklace) is certified once, 261 classes for
+# the 2,046 sequences of length <= 10. Cleared by ``run_suite``: it lives
+# for one grid, and a forked pool worker inherits it empty.
 _CONTRACTIBLE: dict[tuple[str, int], tuple[HomologyProfile, bool]] = {}
 
 
@@ -100,8 +99,8 @@ def _cases_contractibility(n_max=6, m_max=3, budget=TIETZE_BUDGET):
 def _run_contractibility(case):
     n, m, x, budget = case
     cid = f"X({n},{m},{x})"
-    _, i = sequences.least_rotation(x)
-    profile, certified = _contractible(rotate(families.build_X(n, m, x), i), budget)
+    least, _ = sequences.least_rotation(x)
+    profile, certified = _contractible(families.build_X(n, m, least), budget)
     if not profile.is_contractible_homology:
         return CaseResult(cid, False, f"homology profile {profile}")
     if not certified:

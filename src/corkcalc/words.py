@@ -4,8 +4,7 @@ Letters are (generator, sign) pairs with sign +1 or -1.  Words are stored
 base-pointed and freely reduced; cyclic reduction and rotations serve the
 relator-style comparisons of the isomorphism search and Tietze moves.
 ``Word(letters)`` reduces its letters; ``_reduced`` wraps letters that
-are already reduced, as a single letter is and as the relabel of a reduced
-word by a map injective on its generators is.
+are already reduced, as a single letter is.
 """
 
 from __future__ import annotations
@@ -73,13 +72,9 @@ class Word:
         return Word(tuple(l for l in self.letters if l[0] != gen))
 
     def rename(self, mapping: Mapping[str, str]) -> "Word":
-        """Relabel generators by ``mapping`` (unmapped ones stay).  A map
-        injective on the word's generators cannot create a cancelling pair,
-        so only a merging map reduces again."""
-        letters = tuple([(mapping.get(g, g), s) for g, s in self.letters])
-        if len(letters) < 2 or len({g for g, _ in letters}) == len(self.generators()):
-            return _reduced(letters)
-        return Word(letters)
+        """Relabel generators by ``mapping`` (unmapped ones stay), reducing
+        again where two generators merge."""
+        return Word(tuple((mapping.get(g, g), s) for g, s in self.letters))
 
     def cyclic_reduce(self) -> "Word":
         ls = list(self.letters)

@@ -2,8 +2,9 @@
 nothing else.  Documents are fuzzed by mutating valid ones (a node replaced
 by an arbitrary JSON value, removed, or given a sibling) and as raw text;
 the inputs that once escaped are kept as explicit examples.  A datum that
-loads hashes as its reference serialization does, and ``corkcalc replay``
-on fuzzed datum and trace files keeps the CLI's exit-code contract."""
+loads hashes as its reference serialization does, and ``corkcalc replay``,
+``invariants``, ``simplify`` and ``stein-check`` on fuzzed files keep the
+CLI's exit-code contract: never 4, and 1 only for a failed verification."""
 
 import copy
 import hashlib
@@ -233,3 +234,79 @@ _PRESENTATIONS = [{"generators": ["a", "b"], "relators": [["a", "-b", "a"], ["b"
 @given(st.sampled_from(_PRESENTATIONS).flatmap(mutated) | json_values)
 def test_presentation_from_dict_returns_a_value_or_raises_corkcalc_error(obj):
     _value_or_corkcalc_error(GroupPresentation.from_dict, obj)
+
+
+# --- the other commands that read files ----------------------------------------------
+
+def _cli(command, **texts):
+    """The exit code of ``corkcalc command`` on files holding ``texts``, in order."""
+    with tempfile.TemporaryDirectory(prefix="corkcalc-cli-") as tmp:
+        paths = []
+        for name, text in texts.items():
+            paths.append(Path(tmp, name))
+            paths[-1].write_text(text, encoding="utf-8")
+        return cli.main([command, *map(str, paths), "-o", str(Path(tmp, "report.json"))])
+
+
+def _loaded_datum(doc):
+    """The datum of ``doc`` if it loads and validates, as the CLI requires; else None."""
+    d = _value_or_corkcalc_error(datum.loads, json.dumps(doc))
+    return d if d is not None and datum.validate(d).ok else None
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def renumbered(draw, doc):
+    """``doc`` with one to three of its integers replaced by small ones: a
+    document of the same shape, which mostly still loads and so reaches the
+    engine with other framings, linkings and counts."""
+    doc = copy.deepcopy(doc)
+    ints = [path for path in _paths(doc) if path and type(_node(doc, path)) is int]
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(ints))
+        _node(doc, path[:-1])[path[-1]] = draw(st.integers(-3, 3))
+    return doc
+
+
+_cli_data = st.sampled_from([json.loads(datum.dumps(d)) for d in (build_C(2, 2), build_W(3, 1))]
+                            ).flatmap(lambda doc: _as_is_or_mutated(doc) | renumbered(doc))
+
+
+@FUZZ
+@given(_cli_data)
+def test_invariants_of_fuzzed_datum_files_keeps_the_exit_code_contract(doc):
+    # a report verifies nothing, so it never exits 1
+    code = _cli("invariants", datum=json.dumps(doc))
+    assert code in (0, 2, 3)
+    if _loaded_datum(doc) is None:
+        assert code == 2
+
+
+@FUZZ
+@given(st.sampled_from(_PRESENTATIONS).flatmap(_as_is_or_mutated) | json_values)
+def test_simplify_of_fuzzed_presentation_files_keeps_the_exit_code_contract(obj):
+    code = _cli("simplify", presentation=json.dumps(obj))
+    assert code in (0, 2, 3)
+    if _value_or_corkcalc_error(GroupPresentation.from_dict, obj) is None:
+        assert code == 2
+
+
+@FUZZ
+@given(_cli_data, st.just("\n".join(_FRONT) + "\n") | edited_front())
+def test_stein_check_of_fuzzed_files_keeps_the_exit_code_contract(doc, front_text):
+    # exit 1 means only a failed framing report on files that both load
+    code = _cli("stein-check", datum=json.dumps(doc), front=front_text)
+    assert code in (0, 1, 2, 3)
+    d = _loaded_datum(doc)
+    front = _value_or_corkcalc_error(stein.front_from_text, front_text)
+    if d is None or front is None:
+        assert code == 2
+    else:
+        report = _value_or_corkcalc_error(
+            lambda f: stein.stein_check(d, f.front, f.correspondence_dict), front)
+        assert code == (2 if report is None else 0 if report.passed else 1)

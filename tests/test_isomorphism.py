@@ -4,7 +4,9 @@ from corkcalc.datum import TwoHandle, make_datum, two_handle
 from corkcalc.errors import SearchBudgetExceededError
 from corkcalc.families import (build_C, build_D, build_W, build_X,
                                dot_zero_exchange)
-from corkcalc.isomorphism import check_witness, datum_isomorphic
+from corkcalc.isomorphism import (IsoWitness, check_witness, datum_isomorphic,
+                                  relabeling_witness)
+from corkcalc.sequences import rotation_ids, shift
 from corkcalc.words import parse_word, single
 
 
@@ -86,3 +88,30 @@ def test_search_budget_guard():
     big = make_datum((), [two_handle(f"h{k}", (), 0) for k in range(25)])
     with pytest.raises(SearchBudgetExceededError):
         datum_isomorphic(big, big)
+
+
+def test_check_witness_reads_the_first_handle_of_a_repeated_id():
+    # two handles of d1 go to the id "h" that d2 names twice, and each is
+    # compared with the first of them, as ``KirbyDatum.handle`` finds it
+    def on_a(*handles):
+        return make_datum(("a",), [two_handle(hid, single("a"), f) for hid, f in handles])
+
+    d1 = on_a(("x", 0), ("y", 0))
+    first_fits, last_fits = on_a(("h", 0), ("h", 1)), on_a(("h", 1), ("h", 0))
+    w = IsoWitness((("a", "a"),), (("x", "h"), ("y", "h")), (("a", 1),), (("x", 1), ("y", 1)))
+    assert check_witness(d1, first_fits, w)
+    assert not check_witness(d1, last_fits, w)
+
+
+def test_relabeling_witness_needs_every_name_and_a_check_that_holds():
+    x = "*00*0"
+    d = build_X(5, 1, x)
+    for i in range(5):
+        ids = rotation_ids(5, i)
+        w = relabeling_witness(d, build_X(5, 1, shift(x, i)), ids)
+        assert w is not None and w.generator_map_dict == {g: ids[g] for g in d.one_handles}
+        assert all(sign == 1 for _, sign in w.generator_signs + w.handle_signs)
+        del ids["b4"]  # the map no longer names every circle and handle of d
+        assert relabeling_witness(d, build_X(5, 1, shift(x, i)), ids) is None
+    # "0*0*0" is shift(x, 3), so the identity names everything but is no witness
+    assert relabeling_witness(d, build_X(5, 1, "0*0*0"), rotation_ids(5, 0)) is None

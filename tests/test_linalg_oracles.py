@@ -10,13 +10,15 @@ at every pivot), ``seed_det`` (Bareiss elimination), ``seed_signature``
 (every 2-handle's word rebuilt at each pair twist), ``seed_cancel_1_2``
 (one letter slid at a time), ``seed_rotate`` (a fresh relabeling dict
 and a reduction pass per word, ``seed_rename``) and
+``seed_cyclic_rotation_equal`` (a ``Word`` per rotation),
 ``seed_deletion_chain`` (one trace per deletion) and
 ``seed_chain_deletion_indices`` (an ``is_constant`` test per candidate
 index) are kept here as oracles: the new code must give identical SNF
 transforms, diagonal and sign, identical determinants, identical inertia,
 identical linking and exponent matrices, identical intersection forms,
 identical twisted data, identical cancellations, identical rotations,
-identical chain steps and identical chain choices.
+identical cyclic word verdicts, identical chain steps and identical chain
+choices.
 """
 
 import random
@@ -24,9 +26,9 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from corkcalc import moves, scripts, suites
+from corkcalc import isomorphism, moves, scripts, suites
 from corkcalc.datum import (TwoHandle, datum_hash, exponent_matrix, full_linking_matrix,
                             link_key, make_datum, two_handle, validate, wheel_sequence)
 from corkcalc.errors import NotCancellableError, NotSeparatedError, NotSquareError
@@ -37,8 +39,8 @@ from corkcalc.invariants import intersection_form, intersection_form_with_basis
 from corkcalc.linalg import IntMatrix, SNFResult, det, kernel_basis, signature, snf
 from corkcalc.moves import Recorder, blow_down, cork_twist_pair
 from corkcalc.presentations import GroupPresentation
-from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, pair_ids,
-                                rotation_ids, shift)
+from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, least_rotation,
+                                pair_ids, rotation_ids, shift)
 from corkcalc.words import Word, reduce_letters, single
 
 
@@ -724,8 +726,10 @@ def memo_key(d):
 
 
 def test_memo_key_is_the_one_contractible_stores():
+    # the sweep builds the wheel of the least rotation of each sequence
     suites._CONTRACTIBLE.clear()
-    d = moves.rotate(build_X(3, 1, "*00"), 1)
+    least, _ = least_rotation("*00")
+    d = build_X(3, 1, least)
     suites._contractible(d, 7)
     assert list(suites._CONTRACTIBLE) == [(memo_key(d), 7)]
     suites._CONTRACTIBLE.clear()
@@ -748,11 +752,16 @@ def _check_rotations(d) -> int:
 
 
 def test_rotate_matches_the_seed_on_every_wheel():
-    # m only rides along in meta, so it alternates over the sequences
+    # m only rides along in meta, so it alternates over the sequences; each
+    # rotation is also the wheel of the shifted sequence, which is what lets
+    # ``lemma-2-2`` build its least rotation instead of rotating to it
     count = 0
     for n in range(1, 11):
         for k, x in enumerate(all_sequences(n)):
-            count += _check_rotations(build_X(n, 1 + k % 2, x))
+            d = build_X(n, 1 + k % 2, x)
+            count += _check_rotations(d)
+            for i in range(n):
+                assert moves.rotate(d, i) == build_X(n, 1 + k % 2, shift(x, i)), (x, i)
     assert count == 3 * sum(n * 2 ** n for n in range(1, 11))
 
 
@@ -793,17 +802,59 @@ def test_rename_under_a_merging_map_returns_a_reduced_word(letters, a_to, c_to):
     assert got == seed_rename(w, mapping)
 
 
-def test_rotation_ids_is_the_seed_dict_and_read_only():
+def test_rotation_ids_is_the_seed_dict():
     for n in range(1, 13):
         for i in range(-n, 2 * n):
             ids = rotation_ids(n, i)
-            assert dict(ids) == seed_rotation_ids(n, i)
-            assert ids is rotation_ids(n, i + n)  # memoized on (n, i mod n)
-            with pytest.raises(TypeError):
-                ids["a0"] = "b0"
+            assert ids == seed_rotation_ids(n, i)
+            ids["a0"] = "b0"  # a fresh dict: editing it changes no other call's
+            assert rotation_ids(n, i) == seed_rotation_ids(n, i)
     for n in (0, -1):
         with pytest.raises(ValueError, match="wheel size must be >= 1"):
             rotation_ids(n, 1)
+
+
+# --- cyclic word equality ------------------------------------------------------------
+
+def seed_cyclic_rotation_equal(w1, w2):
+    """Equality of cyclic words by a ``Word`` built for each rotation."""
+    a, b = w1.cyclic_reduce(), w2.cyclic_reduce()
+    if len(a) != len(b):
+        return False
+    return any(rot.letters == b.letters for rot in a.rotations())
+
+
+# two generators make equal cyclic words likely; a raw letter list is
+# freely reduced by ``Word`` but often not cyclically reduced
+words = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))),
+                 max_size=8).map(lambda ls: Word(tuple(ls)))
+
+
+@st.composite
+def word_pairs(draw):
+    w = draw(words)
+    kind = draw(st.sampled_from(("other", "same", "inverse", "rotated", "conjugated")))
+    if kind == "other":
+        return w, draw(words)
+    if kind == "same":
+        return w, w
+    if kind == "inverse":
+        return w, w.inverse()
+    if kind == "rotated":
+        k = draw(st.integers(0, max(len(w) - 1, 0)))
+        return w, Word(w.letters[k:] + w.letters[:k])
+    c = draw(words)
+    return w, c * w * c.inverse()
+
+
+@given(word_pairs())
+@example((Word(), Word()))
+@example((Word((("a", 1), ("b", 1), ("a", -1))), single("b")))
+@example((Word((("a", 1), ("b", 1))), Word((("b", -1), ("a", -1)))))
+def test_cyclic_rotation_equal_matches_the_seed(pair):
+    w, v = pair
+    for a, b in ((w, v), (v, w)):
+        assert isomorphism._cyclic_rotation_equal(a, b) is seed_cyclic_rotation_equal(a, b)
 
 
 # --- a deletion chain as one trace ----------------------------------------------------

@@ -152,6 +152,13 @@ def test_insertion_bad_parameters():
         insertion_script(2, 1, "*0", 5, "0")
     with pytest.raises(BadIndexError):
         insertion_script(2, 1, "*0", 0, "x")
+    # only exactly one of the two symbols, and a sequence of length n
+    for symbol in (None, "", "*0"):
+        with pytest.raises(BadIndexError, match="bad insertion parameters"):
+            insertion_script(2, 1, "*0", 0, symbol)
+    for n in (1, 3):
+        with pytest.raises(BadIndexError, match="bad insertion parameters"):
+            insertion_script(n, 1, "*0", 0, "0")
 
 
 def test_deletion_trace_declares_target():

@@ -10,7 +10,7 @@ from corkcalc.datum import make_datum, two_handle
 from corkcalc.errors import CorkCalcError
 from corkcalc.invariants import homology
 from corkcalc.presentations import pi1_presentation, tietze_simplify
-from corkcalc.words import parse_word
+from corkcalc.words import Word, parse_word
 
 
 @pytest.mark.parametrize("name", suites.SUITE_NAMES)
@@ -175,6 +175,22 @@ def test_each_run_starts_from_an_empty_memo(homology_calls):
 def test_the_benchmark_grid_certifies_each_rotation_class_once(homology_calls):
     suites.run_suite("lemma-2-2", {"n_max": 10, "m_max": 2})
     assert len(homology_calls) == len(suites._CONTRACTIBLE) == 261
+
+
+def test_the_sweep_builds_each_least_rotation_and_renames_no_word(monkeypatch):
+    # lemma-2-2 certifies the wheel of each class's least rotation as built,
+    # with no relabel of a built wheel on the way
+    renames = []
+    real = Word.rename
+
+    def counting(w, mapping):
+        renames.append(w)
+        return real(w, mapping)
+
+    monkeypatch.setattr(Word, "rename", counting)
+    result = suites.run_suite("lemma-2-2")
+    assert result.passed and len(result.cases) == 378
+    assert renames == []
 
 
 def _unmemoized_case(name, case):
