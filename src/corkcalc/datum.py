@@ -25,8 +25,8 @@ writes it, and ``canonical_json`` has the bytes of ``json.dumps`` of it with
 sorted keys and compact separators.  ``canonical_json`` assembles those
 bytes from per-handle fragments instead, each cached on its ``TwoHandle``
 (moves keep most handle objects, so most fragments are built once per
-trace); only the stored partners of a handle are merged into its fragment
-per call.  Data the fragments cannot spell byte for byte go through the
+trace); a handle's stored partners, read from the datum's partner map,
+are merged into its fragment per call.  Data the fragments cannot spell byte for byte go through the
 reference: duplicate 2-handle ids (``linking_records`` keys by id, so both
 handles are written with the last one's dotted entries; ``validate``
 reports them as DUPLICATE_ID), and an id, generator or number that is not
@@ -118,6 +118,13 @@ class KirbyDatum:
         if len({k for k, _ in links}) != len(links):
             raise ValueError("a linking pair is given twice")
         object.__setattr__(self, "links", links)
+        # the first handle of each id, and each id's stored partners
+        object.__setattr__(self, "_by_id", {h.id: h for h in reversed(self.two_handles)})
+        partners: dict[str, dict[str, int]] = {}
+        for (x, y), v in links:
+            partners.setdefault(x, {})[y] = v
+            partners.setdefault(y, {})[x] = v
+        object.__setattr__(self, "_partners", partners)
 
     @property
     def meta_map(self) -> dict[str, Any]:
@@ -128,14 +135,12 @@ class KirbyDatum:
         return tuple(h.id for h in self.two_handles)
 
     def handle(self, hid: str) -> TwoHandle | None:
-        for h in self.two_handles:
-            if h.id == hid:
-                return h
-        return None
+        """The first 2-handle with id ``hid``, or None."""
+        return self._by_id.get(hid)
 
-    @cached_property
-    def _link_map(self) -> dict[Pair, int]:
-        return dict(self.links)
+    def partners(self, hid: str) -> dict[str, int]:
+        """The stored linkings of a 2-handle, by partner id (do not mutate)."""
+        return self._partners.get(hid, {})
 
     def lk(self, x: str, y: str) -> int:
         """Linking number of two components: the stored value for two
@@ -146,7 +151,7 @@ class KirbyDatum:
         if x in self.one_handles:
             h = self.handle(y)
             return 0 if h is None else h.word.exponent_sum(x)
-        return self._link_map.get(link_key(x, y), 0)
+        return self.partners(x).get(y, 0)
 
     def replace(self, **kw) -> "KirbyDatum":
         return dataclasses.replace(self, **kw)
@@ -232,7 +237,6 @@ def _wheel_violations(d: KirbyDatum) -> list[Violation]:
             or not isinstance(n, int) or isinstance(n, bool) or n != len(seq)):
         return [Violation("META_INCONSISTENT", f"bad wheel metadata {meta}")]
     gens = set(d.one_handles)
-    handles = {h.id: h for h in d.two_handles}
     out = []
     for j, sym in enumerate(seq):
         dotted, framed = pair_ids(j, sym)
@@ -240,7 +244,7 @@ def _wheel_violations(d: KirbyDatum) -> list[Violation]:
             out.append(Violation("META_INCONSISTENT",
                                  f"pair {j}: expected dotted circle {dotted}", (dotted,)))
             continue
-        h = handles.get(framed)
+        h = d.handle(framed)
         if h is None:
             out.append(Violation("META_INCONSISTENT",
                                  f"pair {j}: expected 2-handle {framed}", (framed,)))
@@ -342,9 +346,8 @@ def linking_records(d: KirbyDatum) -> dict[str, dict[str, int]]:
     its word's exponent sums for dotted circles, the store for 2-handles."""
     records = {h.id: {g: e for g, e in h.word.exponents().items() if e}
                for h in d.two_handles}
-    for (x, y), v in d.links:
-        records.setdefault(x, {})[y] = v
-        records.setdefault(y, {})[x] = v
+    for hid, partners in d._partners.items():
+        records.setdefault(hid, {}).update(partners)
     return records
 
 
@@ -375,24 +378,18 @@ def _assembled_json(d: KirbyDatum) -> str | None:
     partner merged into its handle's dotted entries (the store value wins
     on a shared key, as in ``linking_records``); None for data the
     fragments cannot spell."""
-    partners: dict[str, dict[str, int]] = {}
-    for (x, y), v in d.links:
-        partners.setdefault(x, {})[y] = v
-        partners.setdefault(y, {})[x] = v
     records, previous = [], None
     for h in d.two_handles:  # sorted by id, so a repeated id comes next
         parts = h._json
         if parts is None or h.id == previous:
             return None
         previous = h.id
-        mine = partners.get(h.id)
+        mine = d._partners.get(h.id)
         if mine is None:
             records.append(parts[3])
             continue
         head, dotted, tail, _ = parts
-        entries = dict(dotted)
-        for other, v in mine.items():
-            entries[other] = f"[{_json_str(other)},{_json_int(v)}]"
+        entries = dotted | {k: f"[{_json_str(k)},{_json_int(v)}]" for k, v in mine.items()}
         records.append(head + ",".join([entries[k] for k in sorted(entries)]) + tail)
     if type(d.three_handles) is not int:
         return None

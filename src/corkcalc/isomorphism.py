@@ -68,10 +68,8 @@ def check_witness(d1: KirbyDatum, d2: KirbyDatum, w: IsoWitness) -> bool:
         return False
     if d1.three_handles != d2.three_handles:
         return False
-    # the first handle of each id, as ``KirbyDatum.handle`` finds it
-    handles2 = {h.id: h for h in reversed(d2.two_handles)}
     for h in d1.two_handles:
-        target = handles2.get(hmap[h.id])
+        target = d2.handle(hmap[h.id])
         if target is None or target.framing != h.framing:
             return False
         mapped = _mapped_word(h.word, gmap, gsign)

@@ -101,11 +101,6 @@ def _rebuild(d: KirbyDatum, handles: list[TwoHandle], one_handles=None,
                       links if links is not None else d.links)
 
 
-def _partners(d: KirbyDatum, hid: str) -> dict[str, int]:
-    """The stored linkings of one 2-handle, by partner id."""
-    return {y if x == hid else x: v for (x, y), v in d.links if hid in (x, y)}
-
-
 # --- handle slides ------------------------------------------------------------
 
 def slide_2_over_2(d: KirbyDatum, h1: str, h2: str, sign: int) -> KirbyDatum:
@@ -119,7 +114,7 @@ def slide_2_over_2(d: KirbyDatum, h1: str, h2: str, sign: int) -> KirbyDatum:
 
     lk12 = d.lk(h1, h2)
     links = dict(d.links)
-    for z, value in _partners(d, h2).items():
+    for z, value in d.partners(h2).items():
         if z not in (h1, h2):
             key = link_key(h1, z)
             links[key] = links.get(key, 0) + sign * value
@@ -168,7 +163,7 @@ def cancel_1_2(d: KirbyDatum, g: str, h: str) -> KirbyDatum:
     s0, f = handle.word.letters[0][1], handle.framing
 
     # lk(h, x) of a slid x is read by every handle slid after it
-    partners = _partners(d, h)
+    partners = dict(d.partners(h))
     links = dict(d.links)
     survivors = []
     touched = {g, h}
@@ -198,7 +193,7 @@ def remove_split_zero_handle(d: KirbyDatum, h: str) -> KirbyDatum:
     3-handle and cancels it against the removed 2-handle in one step.
     """
     handle = _require_handle(d, h)
-    if handle.word or handle.framing != 0 or _partners(d, h):
+    if handle.word or handle.framing != 0 or d.partners(h):
         raise NotSplitError(f"{h} is not a split 0-framed handle")
     survivors = [x for x in d.two_handles if x.id != h]
     meta = _drop_wheel_meta_if_touched(d, {h})
@@ -216,10 +211,9 @@ def attach_2handle(d: KirbyDatum, id: str, word, framing: int,
     unknown = w.generators() - set(d.one_handles)
     if unknown:
         raise UnknownGeneratorError(f"word uses unknown generators {sorted(unknown)}")
-    links = dict(linking or {})
-    handle_ids = set(d.handle_ids)
+    links = linking or {}
     for key in links:
-        if key not in handle_ids:
+        if d.handle(key) is None:
             raise BadLinkingError(f"linking names {key}, which is not a 2-handle")
     store = dict(d.links) | {link_key(id, key): v for key, v in links.items()}
     return _rebuild(d, list(d.two_handles) + [TwoHandle(id, w, int(framing))],
@@ -242,7 +236,7 @@ def blow_down(d: KirbyDatum, h: str) -> KirbyDatum:
     eps = handle.framing
     if handle.word or eps not in (1, -1):
         raise NotBlowdownableError(f"{h} is not a +-1-framed empty-word handle")
-    k = _partners(d, h)
+    k = d.partners(h)
     ks = sorted(k.items())
     links = {pair: v for pair, v in d.links if h not in pair}
     for i, (x, kx) in enumerate(ks):

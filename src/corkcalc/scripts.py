@@ -16,7 +16,8 @@ shape: a single ``MoveTrace`` recorded by ``_record``, in which surviving
 pairs keep their labels and which declares the wheel of the surviving
 symbols as its target.  So ``check_trace`` (the check ``corkcalc replay``
 prints) verifies both, and ``verify_deletion`` and ``verify_chain`` add
-only the rule that the surviving dotted circles are those x prescribes.
+only the rule that the surviving dotted circles are those x prescribes, on
+the one start wheel of a case that they record and replay on.
 The dotted circles of the result spell a rotation of the target's
 sequence, and that spelling names the relabeling to try first: surviving
 pair k goes to the target's pair k - r, with every sign +1.  The bounded
@@ -55,25 +56,40 @@ def deleted_sequence(x: str, i: int) -> str:
     return x[:i] + x[i + 1:]
 
 
-def _split(x: str, positions) -> tuple[list, list]:
-    """The pairs (label j, symbol x[j]) that deleting the entry at each of
-    ``positions`` of the shrinking sequence removes, in order, and the pairs
-    that survive."""
+def _record(start: KirbyDatum, m: int, x: str, positions) -> tuple[MoveTrace, list]:
+    """One trace deleting the entries at ``positions`` of the shrinking
+    sequence from ``start``, the wheel datum of x, and the pairs (label j,
+    symbol x[j]) that survive.  Surviving pairs keep their labels in x, and
+    the trace declares the wheel of their symbols as its target."""
     kept = list(enumerate(x))
-    return [kept.pop(p) for p in positions], kept
-
-
-def _record(start: KirbyDatum, m: int, x: str, positions) -> MoveTrace:
-    """One trace deleting the pairs at ``positions`` of the shrinking
-    sequence from ``start``, the wheel datum of x.  Surviving pairs keep
-    their labels in x, and the trace declares the wheel of the surviving
-    symbols as its target."""
-    deleted, kept = _split(x, positions)
+    deleted = [kept.pop(p) for p in positions]
     rest = "".join(sym for _, sym in kept)
     rec = Recorder(start, target={"family": "X", "n": len(rest), "m": m, "sequence": rest})
     for j, sym in deleted:
         _delete_steps(rec, j, sym)
-    return rec.trace()
+    return rec.trace(), kept
+
+
+def _check_parameters(what: str, n, m, x, in_range=lambda n: True, **indices) -> None:
+    """Refuse ``what`` parameters with ``BadIndexError`` unless n, m and each
+    index are ints (a bool is not one), m >= 1, x has length n and
+    ``in_range(n, **indices)`` holds; ``check_sequence`` checks x first."""
+    check_sequence(x)
+    values = {"n": n, "m": m, **indices}
+    if not (all(isinstance(v, int) and not isinstance(v, bool) for v in values.values())
+            and m >= 1 and len(x) == n and in_range(n, **indices)):
+        raise BadIndexError(f"bad {what} parameters "
+                            + ", ".join(f"{k}={v!r}" for k, v in values.items()))
+
+
+def _case(n: int, m: int, x: str, *i: int) -> tuple:
+    """The ``_record`` arguments that delete pair i from the wheel datum of
+    x or, with no i, its pairs at ``chain_deletion_indices(x)``."""
+    if i:
+        _check_parameters("deletion", n, m, x, lambda n, i: n >= 2 and 0 <= i < n, i=i[0])
+        return build_X(n, m, x), m, x, list(i)
+    _check_parameters("chain", n, m, x)
+    return build_X(n, m, x), m, x, chain_deletion_indices(x)
 
 
 def deletion_script(n: int, m: int, x: str, i: int) -> MoveTrace:
@@ -82,19 +98,16 @@ def deletion_script(n: int, m: int, x: str, i: int) -> MoveTrace:
     Replaying it on build_X(n, m, x) yields a datum isomorphic to
     build_X(n-1, m, x with entry i deleted), the target it declares.
     """
-    check_sequence(x)
-    if len(x) != n or n < 2 or not 0 <= i < n:
-        raise BadIndexError(f"bad deletion parameters n={n}, i={i}")
-    return _record(build_X(n, m, x), m, x, [i])
+    return _record(*_case(n, m, x, i))[0]
 
 
 def insertion_script(n: int, m: int, x: str, position: int, symbol: str) -> MoveTrace:
     """Embedding witness for inserting a symbol: the deletion script of the
     enlarged sequence at that position."""
-    check_sequence(x)
-    if len(x) != n or not 0 <= position <= n or symbol not in (STAR, ZERO):
-        raise BadIndexError(f"bad insertion parameters n={n}, position={position}, "
-                            f"symbol={symbol!r}")
+    _check_parameters("insertion", n, m, x, lambda n, position: 0 <= position <= n,
+                      position=position)
+    if symbol not in (STAR, ZERO):
+        raise BadIndexError(f"bad insertion parameters symbol={symbol!r}")
     enlarged = x[:position] + symbol + x[position:]
     return deletion_script(n + 1, m, enlarged, position)
 
@@ -131,10 +144,7 @@ def deletion_chain(n: int, m: int, x: str) -> MoveTrace:
     Surviving pairs keep their original labels throughout, and the trace
     declares the wheel of the last symbol as its target: the basic cork
     C_m's wheel ``*`` when x has a star."""
-    check_sequence(x)
-    if len(x) != n:
-        raise BadIndexError(f"sequence length {len(x)} does not match n={n}")
-    return _record(build_X(n, m, x), m, x, chain_deletion_indices(x))
+    return _record(*_case(n, m, x))[0]
 
 
 # --- verification -------------------------------------------------------------
@@ -181,12 +191,12 @@ def _spelled_ids(result: KirbyDatum, rotation: int) -> dict[str, str]:
     return ids
 
 
-def _verify(trace: MoveTrace, n: int, m: int, x: str, positions) -> bool:
-    """The trace replays on build_X(n, m, x) to the wheel it declares, and
-    the surviving dotted circles are exactly those x prescribes for the
-    pairs that deleting at ``positions`` keeps."""
-    report, result = check_trace(build_X(n, m, x), trace)
-    _, kept = _split(x, positions)
+def _verify(start: KirbyDatum, m: int, x: str, positions) -> bool:
+    """The trace ``_record`` makes replays on ``start``, the datum it was
+    recorded on, to the wheel it declares, and the surviving dotted circles
+    are exactly those x prescribes for the pairs it keeps."""
+    trace, kept = _record(start, m, x, positions)
+    report, result = check_trace(start, trace)
     return (report.get("target_isomorphic") is True
             and set(result.one_handles) == {pair_ids(j, sym)[0] for j, sym in kept})
 
@@ -195,11 +205,11 @@ def verify_deletion(n: int, m: int, x: str, i: int) -> bool:
     """Check the deletion script sharply: its trace replays to the smaller
     wheel it declares, and the surviving dotted roles are exactly those the
     sequence prescribes."""
-    return _verify(deletion_script(n, m, x, i), n, m, x, [i])
+    return _verify(*_case(n, m, x, i))
 
 
 def verify_chain(n: int, m: int, x: str) -> bool:
     """Check the deletion chain as sharply: its one trace replays to the
     single-pair wheel it declares, whose dotted circle is the one x
     prescribes for the surviving pair."""
-    return _verify(deletion_chain(n, m, x), n, m, x, chain_deletion_indices(x))
+    return _verify(*_case(n, m, x))

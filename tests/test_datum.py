@@ -6,7 +6,7 @@ import pytest
 from corkcalc import moves, suites
 from corkcalc.datum import (CorkPair, KirbyDatum, TwoHandle, canonical_form, canonical_json,
                             datum_hash, dumps, from_canonical, loads, make_datum,
-                            two_handle, validate, validate_cork_pair,
+                            two_handle, validate, validate_cork_pair, wheel_sequence,
                             full_linking_matrix, exponent_matrix)
 from corkcalc.errors import DatumFormatError
 from corkcalc.families import build_C, build_W, build_X, load_elliptic_surface
@@ -80,6 +80,22 @@ def test_self_and_unknown_pairs_are_flagged():
 def test_duplicate_ids_are_flagged():
     d = make_datum(("a",), [TwoHandle("a", parse_word([]), 0)])
     assert any(v.code == "DUPLICATE_ID" for v in validate(d).violations)
+
+
+@pytest.mark.parametrize("framings, codes", [
+    ((0, 5), ["DUPLICATE_ID"]),
+    ((5, 0), ["DUPLICATE_ID", "META_INCONSISTENT"]),
+])
+def test_the_wheel_rule_judges_the_first_handle_of_a_repeated_id(framings, codes):
+    # the first b0 is the one ``handle`` finds and ``check_witness`` compares
+    d = make_datum(("a0",), [two_handle("b0", single("a0"), f) for f in framings],
+                   meta={"family": "X", "n": 1, "m": 1, "sequence": "*"})
+    assert d.handle("b0").framing == framings[0]
+    violations = validate(d).violations
+    assert [v.code for v in violations] == codes
+    assert (wheel_sequence(d) == "*") is (framings[0] == 0)
+    if framings[0]:
+        assert violations[-1].message == "pair 0: b0 must have framing 0"
 
 
 @pytest.mark.parametrize("d, change", [

@@ -4,10 +4,15 @@ by an arbitrary JSON value, removed, or given a sibling) and as raw text;
 the inputs that once escaped are kept as explicit examples.  A datum that
 loads hashes as its reference serialization does, and ``corkcalc replay``,
 ``invariants``, ``simplify`` and ``stein-check`` on fuzzed files keep the
-CLI's exit-code contract: never 4, and 1 only for a failed verification."""
+CLI's exit-code contract: never 4, and 1 only for a failed verification.
+So do ``gen`` and ``verify`` on argument vectors drawn from their own
+parsers' arguments."""
 
+import argparse
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -15,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corkcalc import cli, datum, moves, scripts, stein
+from corkcalc import cli, datum, moves, scripts, stein, suites
 from corkcalc.errors import CorkCalcError
 from corkcalc.families import build_C, build_W, build_X, load_elliptic_surface
 from corkcalc.presentations import GroupPresentation
@@ -310,3 +315,86 @@ def test_stein_check_of_fuzzed_files_keeps_the_exit_code_contract(doc, front_tex
         report = _value_or_corkcalc_error(
             lambda f: stein.stein_check(d, f.front, f.correspondence_dict), front)
         assert code == (2 if report is None else 0 if report.passed else 1)
+
+
+# --- argument vectors ---------------------------------------------------------------
+
+def _arguments(command):
+    """The arguments of a ``corkcalc`` subcommand, as its parser declares them."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)]
+
+
+# output paths, made real inside each run's own directory: a file, and one
+# in a directory that does not exist
+_OUT, _MISSING = "{out}", "{missing}"
+
+
+_JUNK = st.sampled_from(["", "x", "-", "1.5", "0x2", " 3", "--", "*0"]) | st.text(max_size=4)
+
+
+def _values(action):
+    """Values for one argument, one in eight of them junk: else one of its
+    choices, a small integer for an integer argument (small, so that a grid
+    stays quick), or a sequence, a suite name or an output path where it
+    names one."""
+    if action.dest == "out":
+        valid = st.sampled_from([_OUT, _MISSING])
+    elif action.dest == "seq":
+        valid = st.text(alphabet="*0x", max_size=5)
+    elif action.dest == "suite":
+        valid = st.sampled_from(suites.SUITE_NAMES + tuple(suites.ALIASES))
+    elif action.choices:
+        valid = st.sampled_from(sorted(action.choices))
+    elif action.type is not None:
+        valid = st.integers(-1, 4).map(str)
+    else:
+        return _JUNK
+    return st.integers(0, 7).flatmap(lambda k: _JUNK if k == 0 else valid)
+
+
+@st.composite
+def argv(draw, command):
+    """``command``, then each of its positionals (one may be left out), then
+    a few of its flags in any order, each once with a drawn value."""
+    actions = _arguments(command)
+    words = [command]
+    for action in actions:
+        if not action.option_strings and draw(st.integers(0, 9)):
+            words.append(draw(_values(action)))
+    flags = [a for a in actions if a.option_strings]
+    for action in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
+        words += [draw(st.sampled_from(action.option_strings)), draw(_values(action))]
+    return words
+
+
+def _main(words):
+    """The exit code of ``cli.main`` on ``words``, and what it wrote to
+    stderr and to the output path."""
+    with tempfile.TemporaryDirectory(prefix="corkcalc-cli-") as tmp:
+        out = Path(tmp, "out.json")
+        paths = {_OUT: str(out), _MISSING: str(Path(tmp, "missing", "out.json"))}
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([paths.get(w, w) for w in words])
+        return code, stderr.getvalue(), out.read_text(encoding="utf-8") if out.exists() else None
+
+
+@settings(FUZZ, max_examples=150)
+@given(argv("gen"))
+def test_gen_on_drawn_arguments_keeps_the_exit_code_contract(words):
+    # gen verifies nothing; a datum it writes loads and validates
+    code, _, written = _main(words)
+    assert code in (0, 2, 3)
+    if code == 0 and written is not None:
+        assert datum.validate(datum.loads(written)).ok
+
+
+@settings(FUZZ, max_examples=100)
+@given(argv("verify"))
+def test_verify_on_drawn_arguments_keeps_the_exit_code_contract(words):
+    # exit 1 only from a suite that ran and failed a case
+    code, stderr, _ = _main(words)
+    assert code in (0, 1, 2, 3)
+    assert (code == 1) is ("\nFAIL " in "\n" + stderr)

@@ -11,14 +11,16 @@ at every pivot), ``seed_det`` (Bareiss elimination), ``seed_signature``
 (one letter slid at a time), ``seed_rotate`` (a fresh relabeling dict
 and a reduction pass per word, ``seed_rename``) and
 ``seed_cyclic_rotation_equal`` (a ``Word`` per rotation),
-``seed_deletion_chain`` (one trace per deletion) and
+``seed_deletion_chain`` (one trace per deletion),
 ``seed_chain_deletion_indices`` (an ``is_constant`` test per candidate
-index) are kept here as oracles: the new code must give identical SNF
-transforms, diagonal and sign, identical determinants, identical inertia,
-identical linking and exponent matrices, identical intersection forms,
-identical twisted data, identical cancellations, identical rotations,
-identical cyclic word verdicts, identical chain steps and identical chain
-choices.
+index), and ``seed_handle``, ``seed_partners``, ``seed_linking_records``
+and ``seed_lk`` (a scan of the handles or of the store per call) are kept
+here as oracles: the new code must give identical SNF transforms, diagonal
+and sign, identical determinants, identical inertia, identical linking and
+exponent matrices, identical intersection forms, identical twisted data,
+identical cancellations, identical rotations, identical cyclic word
+verdicts, identical chain steps, identical chain choices and identical
+datum lookups.
 """
 
 import random
@@ -30,7 +32,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from corkcalc import isomorphism, moves, scripts, suites
 from corkcalc.datum import (TwoHandle, datum_hash, exponent_matrix, full_linking_matrix,
-                            link_key, make_datum, two_handle, validate, wheel_sequence)
+                            link_key, linking_records, make_datum, two_handle, validate,
+                            wheel_sequence)
 from corkcalc.errors import NotCancellableError, NotSeparatedError, NotSquareError
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, build_W,
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
@@ -550,7 +553,7 @@ def _seed_slide_at(d, h1_id, h2_id, sign, position):
     new_word = Word(letters[:position] + (h2.word ** sign).letters + letters[position:])
     lk12 = d.lk(h1_id, h2_id)
     links = dict(d.links)
-    for x, value in moves._partners(d, h2_id).items():
+    for x, value in seed_partners(d, h2_id).items():
         if x not in (h1_id, h2_id):
             key = link_key(h1_id, x)
             links[key] = links.get(key, 0) + sign * value
@@ -911,3 +914,111 @@ def test_chain_deletion_indices_match_the_seed():
             assert scripts.chain_deletion_indices(x) == seed_chain_deletion_indices(x), x
             count += 1
     assert count == 2 ** 15 - 2
+
+
+# --- datum lookups ------------------------------------------------------------------
+
+def seed_handle(d, hid):
+    """The first 2-handle with id ``hid``, by a scan."""
+    for h in d.two_handles:
+        if h.id == hid:
+            return h
+    return None
+
+
+def seed_partners(d, hid):
+    """The stored linkings of one 2-handle, by partner id, by a scan of the store."""
+    return {y if x == hid else x: v for (x, y), v in d.links if hid in (x, y)}
+
+
+def seed_linking_records(d):
+    """Each 2-handle's word records with every stored pair written on both ends."""
+    records = {h.id: {g: e for g, e in h.word.exponents().items() if e}
+               for h in d.two_handles}
+    for (x, y), v in d.links:
+        records.setdefault(x, {})[y] = v
+        records.setdefault(y, {})[x] = v
+    return records
+
+
+def seed_lk(d, x, y):
+    """``KirbyDatum.lk`` with the pair store read through ``dict(d.links)``."""
+    if y in d.one_handles:
+        x, y = y, x
+    if x in d.one_handles:
+        h = seed_handle(d, y)
+        return 0 if h is None else h.word.exponent_sum(x)
+    return dict(d.links).get(link_key(x, y), 0)
+
+
+def _check_lookups(d, lk=True) -> None:
+    """Every lookup of ``d`` against its seed, on each of its ids, each id
+    the store names and one id it does not have, with the keys of each
+    result in the seed's order; ``lk`` on every pair of them unless ``lk``
+    is false."""
+    ids = sorted(set(d.one_handles) | set(d.handle_ids)
+                 | {x for pair, _ in d.links for x in pair} | {"ghost"}, key=repr)
+    for x in ids:
+        assert d.handle(x) is seed_handle(d, x), x
+        assert list(d.partners(x).items()) == list(seed_partners(d, x).items()), x
+    got, want = linking_records(d), seed_linking_records(d)
+    assert list(got) == list(want)
+    assert all(list(got[x].items()) == list(want[x].items()) for x in want)
+    for x in ids if lk else ():
+        for y in ids:
+            if type(x) is type(y):  # ``link_key`` orders the pair
+                assert d.lk(x, y) == seed_lk(d, x, y), (x, y)
+
+
+def test_lookups_match_the_seed_on_the_move_audit(monkeypatch):
+    visited = [build() for _, build in suites._AUDIT_STARTS]
+
+    def checked(d):
+        visited.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(suites, "validate", checked)  # every result of a move
+    assert suites.run_suite("move-audit").passed
+    assert len(visited) == len(suites._AUDIT_STARTS) + suites.AUDIT_WALKS * suites.AUDIT_MOVES
+    for d in visited:
+        _check_lookups(d)
+
+
+def test_lookups_match_the_seed_on_every_state_of_the_scripts_grid(monkeypatch):
+    states = {}
+
+    def hashed(d):
+        states[id(d)] = d
+        return datum_hash(d)
+
+    monkeypatch.setattr(moves, "datum_hash", hashed)  # recording and replay
+    assert suites.run_suite("lemma-3-4-scripts", {"n_max": 7, "m_max": 1}).passed
+    # 19,788 hashes: replay hashes each case's start wheel the recorder hashed
+    assert len(states) == 19_788 - 1_722
+    for d in states.values():
+        _check_lookups(d, lk=False)
+    for d in set(states.values()):  # lk reads only the value, so once per value
+        _check_lookups(d)
+
+
+def _handle(hid, tokens, framing):
+    return two_handle(hid, [(t.lstrip("-"), -1 if t.startswith("-") else 1) for t in tokens],
+                      framing)
+
+
+@pytest.mark.parametrize("d", [
+    # duplicate 2-handle ids: the first one is the handle, the last one's word the record
+    make_datum(("a", "b"), [_handle("h", ["a"], 0), _handle("h", ["b", "b"], 1)]),
+    make_datum(("a",), [_handle("h", ["a"], 0), _handle("h", [], 0)], links={("h", "k"): 2}),
+    # a stored partner that is also a word generator: the store value wins
+    make_datum(("a",), [_handle("h", ["a"], 0), _handle("a", [], 1)], links={("a", "h"): 3}),
+    # self-linking, and linkings with ids that are no 2-handle
+    make_datum((), [_handle("h", [], 0)], links={("h", "h"): 1, ("h", "ghost"): 2}),
+    make_datum(("a",), [_handle("h", ["a"], 0)], links={("u", "v"): 4, ("a", "h"): -1}),
+    # ids that are not strings
+    make_datum((), [TwoHandle(7, Word(()), 0), TwoHandle(8, Word(()), 0)], links={(7, 8): 1}),
+    make_datum((1,), [TwoHandle("h", Word(((1, 1),)), 0)]),
+], ids=["duplicate-ids", "duplicate-ids-linked", "partner-is-generator", "self-linking",
+        "unknown-partners", "int-handle-ids", "int-generator"])
+def test_lookups_match_the_seed_on_data_only_the_api_builds(d):
+    _check_lookups(d)

@@ -25,23 +25,27 @@ def test_deletion_zero_branch():
     assert verify_deletion(3, 1, "*00", 2)
 
 
+def declaring(target_sequence):
+    """``scripts._record``, the recorder both verifiers call, with the
+    declared target replaced by the wheel of ``target_sequence``."""
+    real = scripts._record
+
+    def record(start, m, x, positions):
+        trace, kept = real(start, m, x, positions)
+        target = {"family": "X", "n": len(target_sequence), "m": m,
+                  "sequence": target_sequence}
+        return replace(trace, target=json.dumps(target, sort_keys=True)), kept
+    return record
+
+
 def test_verify_deletion_checks_the_target_its_trace_declares(monkeypatch):
-    real = scripts.deletion_script
-
-    def declaring(target_sequence):
-        def script(n, m, x, i):
-            target = {"family": "X", "n": len(target_sequence), "m": m,
-                      "sequence": target_sequence}
-            return replace(real(n, m, x, i), target=json.dumps(target, sort_keys=True))
-        return script
-
-    monkeypatch.setattr(scripts, "deletion_script", declaring("*0"))
+    monkeypatch.setattr(scripts, "_record", declaring("*0"))
     assert verify_deletion(3, 1, "*0*", 2)
     # a bare datum matches any wheel of its size, so the wrong target has three pairs
-    monkeypatch.setattr(scripts, "deletion_script", declaring("*0*"))
+    monkeypatch.setattr(scripts, "_record", declaring("*0*"))
     assert not verify_deletion(3, 1, "*0*", 2)
     # one of its size whose sequence the surviving dots do not spell
-    monkeypatch.setattr(scripts, "deletion_script", declaring("00"))
+    monkeypatch.setattr(scripts, "_record", declaring("00"))
     assert not verify_deletion(3, 1, "*0*", 2)
 
 
@@ -80,6 +84,11 @@ def test_deletion_bad_parameters():
         deletion_script(3, 1, "*00", 3)
     with pytest.raises(BadIndexError):
         deletion_script(2, 1, "*00", 0)
+    # n, m and i must be ints, and a bool is not one
+    for n, m, i in ((3, 1, "1"), (3, 1, 1.0), (3, 1, True), ("3", 1, 1), (3, True, 1),
+                    (3, "1", 1), (3, 0, 1)):
+        with pytest.raises(BadIndexError, match="bad deletion parameters"):
+            deletion_script(n, m, "*00", i)
 
 
 def test_deletion_exhaustive_small():
@@ -121,22 +130,13 @@ def test_chain_of_an_all_zero_sequence_declares_a_zero():
 
 
 def test_verify_chain_checks_the_target_its_trace_declares(monkeypatch):
-    real = scripts.deletion_chain
-
-    def declaring(target_sequence):
-        def chain(n, m, x):
-            target = {"family": "X", "n": len(target_sequence), "m": m,
-                      "sequence": target_sequence}
-            return replace(real(n, m, x), target=json.dumps(target, sort_keys=True))
-        return chain
-
-    monkeypatch.setattr(scripts, "deletion_chain", declaring("*"))
+    monkeypatch.setattr(scripts, "_record", declaring("*"))
     assert verify_chain(4, 1, "0*0*")
     # the surviving dot is a radial one, which "0" does not spell
-    monkeypatch.setattr(scripts, "deletion_chain", declaring("0"))
+    monkeypatch.setattr(scripts, "_record", declaring("0"))
     assert not verify_chain(4, 1, "0*0*")
     # a wheel of the wrong size
-    monkeypatch.setattr(scripts, "deletion_chain", declaring("*0"))
+    monkeypatch.setattr(scripts, "_record", declaring("*0"))
     assert not verify_chain(4, 1, "0*0*")
 
 
@@ -159,6 +159,31 @@ def test_insertion_bad_parameters():
     for n in (1, 3):
         with pytest.raises(BadIndexError, match="bad insertion parameters"):
             insertion_script(n, 1, "*0", 0, "0")
+    # n, m and position must be ints, and a bool is not one
+    for n, m, position in ((2, 1, "1"), (2, 1, True), (2, 1, 1.0), (True, 1, 1),
+                           (2, False, 1), (2.0, 1, 1)):
+        with pytest.raises(BadIndexError, match="bad insertion parameters"):
+            insertion_script(n, m, "*0", position, "0")
+
+
+def test_chain_bad_parameters():
+    for n, m in ((3, 1), ("2", 1), (True, 1), (2, True), (2, 1.0), (2, 0)):
+        with pytest.raises(BadIndexError, match="bad chain parameters"):
+            deletion_chain(n, m, "*0")
+
+
+@pytest.mark.parametrize("verify, args", [
+    (verify_deletion, (3, 1, "*00", 1.0)),
+    (verify_deletion, (3, 1, "*00", True)),
+    (verify_deletion, (3, True, "*00", 1)),
+    (verify_deletion, (3, 1, "*00", 3)),
+    (verify_chain, ("3", 1, "*00")),
+    (verify_chain, (3, True, "*00")),
+    (verify_chain, (2, 1, "*00")),
+])
+def test_verifiers_refuse_bad_parameters(verify, args):
+    with pytest.raises(BadIndexError, match="bad (deletion|chain) parameters"):
+        verify(*args)
 
 
 def test_deletion_trace_declares_target():
@@ -191,6 +216,19 @@ def test_a_failed_spelled_witness_falls_back_to_the_search(monkeypatch, handle, 
     report, result = scripts.check_trace(start, trace)
     assert report["target_isomorphic"] is isomorphic and (result is not None) is isomorphic
     assert len(calls) == 1
+
+
+def test_a_scripts_case_builds_its_start_wheel_once(monkeypatch):
+    # one start wheel to record on and replay on, and the declared target
+    built = []
+
+    def counting_build_X(*args, **kwargs):
+        built.append(args)
+        return build_X(*args, **kwargs)
+
+    monkeypatch.setattr(scripts, "build_X", counting_build_X)
+    result = suites.run_suite("lemma-3-4-scripts")
+    assert result.passed and len(built) == 2 * len(result.cases) == 2 * 560
 
 
 def test_the_spelled_witness_decides_every_case_of_the_scripts_grid(monkeypatch):
