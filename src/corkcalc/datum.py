@@ -26,11 +26,11 @@ sorted keys and compact separators.  ``canonical_json`` assembles those
 bytes from per-handle fragments instead, each cached on its ``TwoHandle``
 (moves keep most handle objects, so most fragments are built once per
 trace); a handle's stored partners, read from the datum's partner map,
-are merged into its fragment per call.  Data the fragments cannot spell byte for byte go through the
-reference: duplicate 2-handle ids (``linking_records`` keys by id, so both
-handles are written with the last one's dotted entries; ``validate``
-reports them as DUPLICATE_ID), and an id, generator or number that is not
-a ``str`` or an ``int``.
+are merged into its fragment per call.  Data the fragments cannot spell
+byte for byte go through the reference: duplicate 2-handle ids
+(``linking_records`` keys by id, so both handles are written with the
+last one's dotted entries; ``validate`` reports them as DUPLICATE_ID), and
+an id, generator or number that is not a ``str`` or an ``int``.
 """
 
 from __future__ import annotations

@@ -211,7 +211,7 @@ def attach_2handle(d: KirbyDatum, id: str, word, framing: int,
     unknown = w.generators() - set(d.one_handles)
     if unknown:
         raise UnknownGeneratorError(f"word uses unknown generators {sorted(unknown)}")
-    links = linking or {}
+    links = dict(linking or {})
     for key in links:
         if d.handle(key) is None:
             raise BadLinkingError(f"linking names {key}, which is not a 2-handle")

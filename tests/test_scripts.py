@@ -25,11 +25,9 @@ def test_deletion_zero_branch():
     assert verify_deletion(3, 1, "*00", 2)
 
 
-def declaring(target_sequence):
+def declaring(target_sequence, real=scripts._record):
     """``scripts._record``, the recorder both verifiers call, with the
     declared target replaced by the wheel of ``target_sequence``."""
-    real = scripts._record
-
     def record(start, m, x, positions):
         trace, kept = real(start, m, x, positions)
         target = {"family": "X", "n": len(target_sequence), "m": m,
