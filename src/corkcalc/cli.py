@@ -126,7 +126,7 @@ def _generate(args) -> int:
             raise _CliError(f"family {args.family} does not read --{option}", EXIT_USAGE)
     try:
         d = builder(*(getattr(args, name) for name in takes))
-    except (CorkCalcError, ValueError) as e:
+    except CorkCalcError as e:
         raise _CliError(str(e), EXIT_USAGE) from e
     _write_text(args.out, datum_io.dumps(d))
     return EXIT_OK

@@ -12,7 +12,8 @@ each other.  ``KirbyDatum.lk`` reads all three.
 A wheel datum's ``meta`` names its ``{*,0}``-sequence.  ``wheel_sequence``
 reads it, and ``validate`` checks it against the circle pairs that
 ``sequences.pair_ids`` names; both apply the one rule of
-``_wheel_violations``.
+``_wheel_violations``, which applies ``sequences.check_wheel`` to ``n``,
+``m`` and ``sequence``.
 
 Canonical serialization (sorted handles, normalized words, canonical JSON)
 is the basis for file round-trips and trace hashing.  The ``/1`` format
@@ -43,9 +44,9 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
-from .errors import DatumFormatError
+from .errors import BadIndexError, DatumFormatError
 from .linalg import IntMatrix
-from .sequences import STAR, ZERO, pair_ids
+from .sequences import check_wheel, pair_ids
 from .words import Word, parse_word
 
 DATUM_FORMAT = "corkcalc-datum/1"
@@ -224,21 +225,20 @@ def validate(d: KirbyDatum) -> ValidationReport:
 
 
 def _wheel_violations(d: KirbyDatum) -> list[Violation]:
-    """The one validity rule of wheel metadata, empty for a datum without a
-    ``sequence``: the sequence is a nonempty string over ``*0``, ``n`` is an
-    integer (not a boolean) equal to its length, and each pair j has the
-    dotted circle and the 0-framed 2-handle passing it once that
-    ``pair_ids(j, sequence[j])`` names."""
+    """The one validity rule of wheel metadata, empty for a datum whose
+    ``meta`` has no ``sequence`` key: ``n``, ``m`` and the sequence pass
+    ``check_wheel``, and each pair j has the dotted circle and the 0-framed
+    2-handle passing it once that ``pair_ids(j, sequence[j])`` names."""
     meta = d.meta_map
-    seq, n = meta.get("sequence"), meta.get("n")
-    if seq is None:
+    if "sequence" not in meta:
         return []
-    if (not isinstance(seq, str) or not seq or not set(seq) <= {STAR, ZERO}
-            or not isinstance(n, int) or isinstance(n, bool) or n != len(seq)):
+    try:
+        check_wheel(meta.get("n"), meta.get("m"), meta["sequence"], "wheel metadata")
+    except BadIndexError:
         return [Violation("META_INCONSISTENT", f"bad wheel metadata {meta}")]
     gens = set(d.one_handles)
     out = []
-    for j, sym in enumerate(seq):
+    for j, sym in enumerate(meta["sequence"]):
         dotted, framed = pair_ids(j, sym)
         if dotted not in gens:
             out.append(Violation("META_INCONSISTENT",

@@ -80,7 +80,7 @@ class BadIndexError(CorkCalcError):
     code = "BAD_INDEX"
 
 
-class LengthMismatchError(CorkCalcError):
+class LengthMismatchError(BadIndexError):
     code = "LENGTH_MISMATCH"
 
 

@@ -12,21 +12,25 @@ m rides along as metadata and re-enters in the Legendrian front data.
 from __future__ import annotations
 
 from .datum import KirbyDatum, TwoHandle, make_datum, two_handle, wheel_sequence
-from .errors import BadIndexError, LengthMismatchError
+from .errors import BadIndexError
 from .moves import twist_pairs, twist_wheel
-from .sequences import STAR, ZERO, check_sequence, pair_ids
+from .sequences import STAR, ZERO, check_wheel, is_int, pair_ids
 from .words import single
+
+
+def _require_ints(**values) -> None:
+    """Refuse with ``BadIndexError`` any value that is not an int
+    (``is_int``), before it reaches a comparison, a product or ``meta``."""
+    for name, v in values.items():
+        if not is_int(v):
+            raise BadIndexError(f"need an integer {name}, got {v!r}")
 
 
 # --- wheel families -------------------------------------------------------------
 
 def build_X(n: int, m: int, x: str, family: str = "X") -> KirbyDatum:
-    """The wheel datum for the given {*,0}-sequence."""
-    if n < 1 or m < 1:
-        raise BadIndexError("need n >= 1 and m >= 1")
-    check_sequence(x)
-    if len(x) != n:
-        raise LengthMismatchError(f"sequence length {len(x)} does not match n={n}")
+    """The wheel datum for the given {*,0}-sequence (``check_wheel``'s rule)."""
+    check_wheel(n, m, x, "wheel")
     ones = []
     handles = []
     for j, sym in enumerate(x):
@@ -50,21 +54,18 @@ def f_sequence(n: int) -> str:
 
 
 def build_C(n: int, m: int) -> KirbyDatum:
-    if n < 1:
-        raise BadIndexError("need n >= 1")
+    _require_ints(n=n)
     return build_X(n, m, c_sequence(n), family="C")
 
 
 def build_D(n: int, m: int) -> KirbyDatum:
-    if n < 1:
-        raise BadIndexError("need n >= 1")
+    _require_ints(n=n)
     return build_X(n, m, d_sequence(n), family="D")
 
 
 def build_F(n: int, m: int) -> KirbyDatum:
     """Alternating family on a wheel of size 2n."""
-    if n < 1:
-        raise BadIndexError("need n >= 1")
+    _require_ints(n=n)
     return build_X(2 * n, m, f_sequence(n), family="F")
 
 
@@ -86,6 +87,7 @@ def dot_zero_exchange(d: KirbyDatum) -> KirbyDatum:
 def build_W(n: int, m: int) -> KirbyDatum:
     """The order-n cork wheel plus j parallel -1-framed meridians of the j-th
     circular circle for every 1 <= j <= n-1 (pairwise meridian linkings 0)."""
+    _require_ints(n=n)
     if n < 2:
         raise BadIndexError("need n >= 2")
     d = build_C(n, m)
@@ -103,6 +105,7 @@ def build_W_twisted(n: int, m: int, i: int) -> KirbyDatum:
     The dot pattern shifts under the twist, so exactly i meridians land on
     the 0-framed side with empty words: those are the blow-downable ones.
     """
+    _require_ints(n=n, i=i)
     if not 0 <= i <= n - 1:
         raise BadIndexError(f"need 0 <= i <= n-1, got i={i}")
     w = build_W(n, m)
@@ -114,6 +117,7 @@ def build_W_twisted(n: int, m: int, i: int) -> KirbyDatum:
 
 def build_Z(n: int, m: int, i: int) -> KirbyDatum:
     """The order-n cork wheel with one -1-framed meridian on circle b{n-i}."""
+    _require_ints(n=n, i=i)
     if not 0 < i < n:
         raise BadIndexError(f"need 0 < i < n, got i={i}")
     d = build_C(n, m)
@@ -144,6 +148,7 @@ def build_E(n: int, m: int) -> KirbyDatum:
     data as the plain wheel), so E(n, m) is the head-family wheel under the
     E tag.
     """
+    _require_ints(n=n)
     return build_X(n, m, c_sequence(n), family="E")
 
 
@@ -154,6 +159,7 @@ def load_elliptic_surface(l: int) -> KirbyDatum:
     """Plumbing-form 2-handlebody: l negative-E8 blocks plus 2l-1 hyperbolic
     pairs, realizing b2 = 12l - 2 and signature -8l (the characteristic
     numbers are computed from the form, never trusted)."""
+    _require_ints(l=l)
     if l < 1:
         raise BadIndexError("need l >= 1")
     handles, links = [], {}

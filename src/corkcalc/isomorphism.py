@@ -113,20 +113,19 @@ def _bare_wheel_sequence(d: KirbyDatum) -> str | None:
 
 
 def datum_isomorphic(d1: KirbyDatum, d2: KirbyDatum) -> IsoWitness | None:
-    """Search for a witnessing relabeling; None when the search exhausts.
+    """Search for a witnessing relabeling; None when the search exhausts,
+    or at once when the data differ in a count of 3-, 1- or 2-handles.
 
-    Raises SearchBudgetExceededError when either datum has more than
-    ``MAX_HANDLES`` 2-handles.
+    Raises SearchBudgetExceededError when the counts agree and the data
+    have more than ``MAX_HANDLES`` 2-handles.
     """
-    if len(d1.two_handles) > MAX_HANDLES or len(d2.two_handles) > MAX_HANDLES:
+    if (d1.three_handles != d2.three_handles
+            or len(d1.one_handles) != len(d2.one_handles)
+            or len(d1.two_handles) != len(d2.two_handles)):
+        return None
+    if len(d1.two_handles) > MAX_HANDLES:
         raise SearchBudgetExceededError(
             f"datum exceeds the {MAX_HANDLES}-handle search bound")
-    if d1.three_handles != d2.three_handles:
-        return None
-    if len(d1.one_handles) != len(d2.one_handles):
-        return None
-    if len(d1.two_handles) != len(d2.two_handles):
-        return None
 
     seq1 = _bare_wheel_sequence(d1)
     seq2 = seq1 and _bare_wheel_sequence(d2)

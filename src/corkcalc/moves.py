@@ -56,7 +56,7 @@ from .errors import (BadLinkingError, CorkCalcError, DuplicateIdError,
                      HandleNotFoundError, HashMismatchError, IllegalMoveError,
                      NotBlowdownableError, NotCancellableError, NotSeparatedError,
                      NotSplitError, NotWheelFamilyError, UnknownGeneratorError)
-from .sequences import STAR, ZERO, check_sequence, pair_ids, rotation_ids, shift
+from .sequences import STAR, ZERO, check_wheel, is_int, pair_ids, rotation_ids, shift
 from .words import Word, parse_word, single
 
 FRONT = "front"
@@ -388,10 +388,6 @@ class MoveTrace:
         return self.steps[-1].post if self.steps else self.initial
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_word(v) -> bool:
     try:
         return isinstance(v, list) and parse_word(v) is not None
@@ -401,12 +397,12 @@ def _is_word(v) -> bool:
 
 # parameter types: (description, check)
 _STR = ("a string", lambda v: isinstance(v, str))
-_INT = ("an integer", _is_int)
-_SIGN = ("+1 or -1", lambda v: _is_int(v) and v in (1, -1))
+_INT = ("an integer", is_int)
+_SIGN = ("+1 or -1", lambda v: is_int(v) and v in (1, -1))
 _END = (f"\"{FRONT}\" or \"{BACK}\"", lambda v: v in (FRONT, BACK))
 _WORD = ("a list of letters such as \"a\" or \"-a\"", _is_word)
 _LINKS = ("an object of integers", lambda v: isinstance(v, dict)
-          and all(_is_int(x) for x in v.values()))
+          and all(is_int(x) for x in v.values()))
 
 # move name -> (function, the type of each parameter after the datum); a
 # trace step calls the function with its params as keywords, and may leave
@@ -465,7 +461,7 @@ class Recorder:
         self.current = initial
         self._steps: list[MoveStep] = []
         self._initial_hash = self._current_hash = datum_hash(initial)
-        self._target = target
+        self._target = None if target is None else _target(target)  # canonical JSON
 
     def apply(self, move: str, **params) -> KirbyDatum:
         result = apply_move(self.current, move, params)
@@ -476,8 +472,7 @@ class Recorder:
         return result
 
     def trace(self) -> MoveTrace:
-        return MoveTrace(self._initial_hash, tuple(self._steps),
-                         None if self._target is None else _canonical(self._target))
+        return MoveTrace(self._initial_hash, tuple(self._steps), self._target)
 
 
 def replay(initial: KirbyDatum, trace: MoveTrace) -> KirbyDatum:
@@ -541,21 +536,14 @@ def _require_hashes(obj: dict, keys, what: str) -> None:
 
 
 def _target(target) -> str:
-    """The canonical JSON of a declared target wheel: integer ``n`` and
-    ``m`` with n the length of ``sequence`` and m >= 1, and an optional
-    ``family`` string."""
+    """The canonical JSON of a declared target wheel: ``n``, ``m`` and
+    ``sequence`` that pass ``check_wheel``, and an optional ``family``
+    string."""
     if not (isinstance(target, dict) and set(target) <= {"family", "n", "m", "sequence"}
-            and isinstance(target.get("family", ""), str)
-            and _is_int(target.get("n")) and _is_int(target.get("m"))):
-        raise CorkCalcError("trace target must be an object with integer n and m, "
-                            "a sequence and an optional family string, and no other key")
-    try:
-        check_sequence(target.get("sequence"))
-    except ValueError as e:
-        raise CorkCalcError(f"trace target: {e}") from None
-    if target["n"] != len(target["sequence"]) or target["m"] < 1:
-        raise CorkCalcError("trace target needs n equal to the length of its "
-                            "sequence and m at least 1")
+            and isinstance(target.get("family", ""), str)):
+        raise CorkCalcError("trace target must be an object with keys n, m, sequence "
+                            "and an optional family string, and no other key")
+    check_wheel(target.get("n"), target.get("m"), target.get("sequence"), "trace target")
     return _canonical(target)
 
 

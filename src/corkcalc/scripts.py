@@ -37,7 +37,8 @@ from .errors import BadIndexError, CorkCalcError
 from .families import build_X
 from .isomorphism import datum_isomorphic, relabeling_witness
 from .moves import MoveTrace, Recorder, replay
-from .sequences import STAR, ZERO, check_sequence, dotted_sequence, is_constant, pair_ids
+from .sequences import (STAR, ZERO, check_sequence, check_wheel, dotted_sequence, is_constant,
+                        is_int, pair_ids)
 
 
 def _delete_steps(rec: Recorder, pair_index: int, symbol: str) -> None:
@@ -71,15 +72,13 @@ def _record(start: KirbyDatum, m: int, x: str, positions) -> tuple[MoveTrace, li
 
 
 def _check_parameters(what: str, n, m, x, in_range=lambda n: True, **indices) -> None:
-    """Refuse ``what`` parameters with ``BadIndexError`` unless n, m and each
-    index are ints (a bool is not one), m >= 1, x has length n and
-    ``in_range(n, **indices)`` holds; ``check_sequence`` checks x first."""
-    check_sequence(x)
-    values = {"n": n, "m": m, **indices}
-    if not (all(isinstance(v, int) and not isinstance(v, bool) for v in values.values())
-            and m >= 1 and len(x) == n and in_range(n, **indices)):
-        raise BadIndexError(f"bad {what} parameters "
-                            + ", ".join(f"{k}={v!r}" for k, v in values.items()))
+    """Refuse ``what`` parameters with ``BadIndexError`` unless (n, m, x)
+    pass ``check_wheel``, each index is an int (``is_int``) and
+    ``in_range(n, **indices)`` holds."""
+    check_wheel(n, m, x, what)
+    if not (all(map(is_int, indices.values())) and in_range(n, **indices)):
+        raise BadIndexError(f"bad {what} parameters n={n!r}, "
+                            + ", ".join(f"{k}={v!r}" for k, v in indices.items()))
 
 
 def _case(n: int, m: int, x: str, *i: int) -> tuple:

@@ -10,7 +10,8 @@ their composite, hence a rotation extends whenever some power fixing the
 sequence does.
 
 Each public function validates its sequence once (``check_sequence``, a
-C-level ``lstrip`` over the alphabet).  ``period`` is then the doubled-string
+C-level ``lstrip`` over the alphabet), and ``check_wheel`` is the one rule
+for the parameters (n, m, x) of a wheel.  ``period`` is the doubled-string
 test: the least p > 0 with ``shift(x, p) == x`` is the first index p >= 1
 at which x occurs in x + x, one substring search instead of a shift per
 candidate.
@@ -19,6 +20,8 @@ candidate.
 from __future__ import annotations
 
 import itertools
+
+from .errors import BadIndexError, LengthMismatchError
 
 STAR = "*"
 ZERO = "0"
@@ -32,6 +35,22 @@ def check_sequence(x: str) -> str:
     if bad:
         raise ValueError(f"invalid sequence symbol {bad[0]!r}")
     return x
+
+
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_wheel(n, m, x, what: str) -> None:
+    """Refuse ``what`` with ``BadIndexError`` naming the values unless
+    (n, m, x) are a wheel's parameters: x a nonempty string over ``*0``, n
+    and m ints (``is_int``), n == len(x) and m >= 1.  A length mismatch
+    alone raises ``LengthMismatchError``."""
+    if not (isinstance(x, str) and x and not x.lstrip(STAR + ZERO)
+            and is_int(n) and is_int(m) and m >= 1):
+        raise BadIndexError(f"bad {what} parameters n={n!r}, m={m!r}, sequence={x!r}")
+    if n != len(x):
+        raise LengthMismatchError(f"bad {what} parameters: n={n}, sequence length {len(x)}")
 
 
 def pair_ids(j: int, symbol: str) -> tuple[str, str]:

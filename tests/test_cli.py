@@ -276,6 +276,21 @@ def test_replay_checks_a_deletion_chain_against_its_declared_target(tmp_path, ca
     assert report["integrity"] == "ok" and report["target_isomorphic"] is False
 
 
+def test_replay_missing_its_target_beyond_the_search_bound_exit_1(tmp_path, capsys):
+    # 25 blow-ups leave more 2-handles than the isomorphism search takes, and
+    # more than the target has: a failed verification, not a search refused
+    d = build_C(1, 1)
+    rec = Recorder(d, target={"family": "X", "n": 1, "m": 1, "sequence": "*"})
+    for k in range(25):
+        rec.apply("blow_up", id=f"u{k}", sign=-1)
+    datum_path, trace_path = tmp_path / "c11.json", tmp_path / "t.trace"
+    datum_path.write_text(datum_io.dumps(d))
+    trace_path.write_text(trace_to_text(rec.trace()))
+    assert run(["replay", str(datum_path), str(trace_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["integrity"] == "ok" and report["target_isomorphic"] is False
+
+
 def _replay_c21(tmp_path, trace_lines):
     datum_path = tmp_path / "c21.json"
     datum_path.write_text(datum_io.dumps(build_C(2, 1)))

@@ -98,13 +98,23 @@ def test_the_wheel_rule_judges_the_first_handle_of_a_repeated_id(framings, codes
         assert violations[-1].message == "pair 0: b0 must have framing 0"
 
 
+_DROP = object()  # a meta change that removes the key
+
+
 @pytest.mark.parametrize("d, change", [
     (build_X(2, 1, "*0"), {"sequence": "00"}),
     (build_C(1, 1), {"n": 1.0}),
     (build_C(1, 1), {"n": True}),
-], ids=["stale-sequence", "float-n", "bool-n"])
+    (build_C(1, 1), {"m": 0}),
+    (build_C(1, 1), {"m": True}),
+    (build_C(1, 1), {"m": 1.5}),
+    (build_C(1, 1), {"m": _DROP}),
+    (build_C(1, 1), {"sequence": None}),
+], ids=["stale-sequence", "float-n", "bool-n", "zero-m", "bool-m", "float-m", "no-m",
+        "null-sequence"])
 def test_wheel_meta_consistency_checked(d, change):
-    broken = d.replace(meta=tuple(sorted((d.meta_map | change).items())))
+    meta = {k: v for k, v in (d.meta_map | change).items() if v is not _DROP}
+    broken = d.replace(meta=tuple(sorted(meta.items())))
     assert any(v.code == "META_INCONSISTENT" for v in validate(broken).violations)
 
 

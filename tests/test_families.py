@@ -67,6 +67,20 @@ def test_bad_parameters():
         build_W_twisted(3, 1, 3)
 
 
+# each ended in a bare TypeError, or wrote its bool or float into meta
+@pytest.mark.parametrize("build, args", [
+    (build_X, (3, True, "*00")), (build_X, (2, 1.0, "*0")), (build_X, (True, 1, "*")),
+    (build_C, (2.0, 1)), (build_D, (2.0, 1)), (build_E, ("2", 1)), (build_F, (1.5, 1)),
+    (build_W, (2.0, 1)), (build_W, ("3", 1)), (build_Z, (3.0, 1, 1)), (build_Z, (3, 1, True)),
+    (build_Z, ("3", 1, 1)), (build_W_twisted, (3, 1, 1.0)), (build_W_twisted, (3, 1, True)),
+    (build_W_twisted, ("3", 1, 1)), (build_Z_twisted, (3, 1, True)), (build_C, (2, 1.0)),
+    (build_Cm, (True,)), (load_elliptic_surface, (True,)), (load_elliptic_surface, (1.5,)),
+])
+def test_family_builders_refuse_a_non_integer_parameter(build, args):
+    with pytest.raises(BadIndexError):
+        build(*args)
+
+
 def test_decorated_wheel_counts():
     w = build_W(4, 2)
     assert len(w.two_handles) == 4 + 6

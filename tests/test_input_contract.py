@@ -2,9 +2,11 @@
 nothing else.  Documents are fuzzed by mutating valid ones (a node replaced
 by an arbitrary JSON value, removed, or given a sibling) and as raw text;
 the inputs that once escaped are kept as explicit examples.  A datum that
-loads hashes as its reference serialization does, and ``corkcalc replay``,
-``invariants``, ``simplify`` and ``stein-check`` on fuzzed files keep the
-CLI's exit-code contract: never 4, and 1 only for a failed verification.
+loads hashes as its reference serialization does, the family builders
+return a valid datum or raise ``CorkCalcError`` on any arguments, and
+``corkcalc replay``, ``invariants``, ``simplify`` and ``stein-check`` on
+fuzzed files keep the CLI's exit-code contract: never 4, and 1 only for a
+failed verification.
 So do ``gen`` and ``verify`` on argument vectors drawn from their own
 parsers' arguments."""
 
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corkcalc import cli, datum, moves, scripts, stein, suites
+from corkcalc import cli, datum, families, moves, scripts, stein, suites
 from corkcalc.errors import CorkCalcError
 from corkcalc.families import build_C, build_W, build_X, load_elliptic_surface
 from corkcalc.presentations import GroupPresentation
@@ -315,6 +317,25 @@ def test_stein_check_of_fuzzed_files_keeps_the_exit_code_contract(doc, front_tex
         report = _value_or_corkcalc_error(
             lambda f: stein.stein_check(d, f.front, f.correspondence_dict), front)
         assert code == (2 if report is None else 0 if report.passed else 1)
+
+
+# --- family builders ----------------------------------------------------------------
+
+_BUILDERS = [(build, len(takes)) for build, takes in cli._FAMILIES.values()] + [
+    (families.build_W_twisted, 3), (families.build_Z_twisted, 3),
+    (families.load_elliptic_surface, 1)]
+
+_ARGUMENTS = (st.integers(-2, 6) | st.booleans() | st.floats() | st.none()
+              | st.text(alphabet="*0x1", max_size=5))
+
+
+@FUZZ
+@given(st.sampled_from(_BUILDERS).flatmap(lambda b: st.tuples(
+    st.just(b[0]), st.lists(_ARGUMENTS, min_size=b[1], max_size=b[1]))))
+def test_family_builders_return_a_valid_datum_or_raise_corkcalc_error(case):
+    build, args = case
+    d = _value_or_corkcalc_error(lambda a: build(*a), args)
+    assert d is None or datum.validate(d).ok
 
 
 # --- argument vectors ---------------------------------------------------------------

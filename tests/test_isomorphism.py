@@ -90,6 +90,13 @@ def test_search_budget_guard():
         datum_isomorphic(big, big)
 
 
+def test_different_counts_are_not_isomorphic_beyond_the_search_bound():
+    big = make_datum((), [two_handle(f"h{k}", (), 0) for k in range(25)])
+    small = make_datum((), [two_handle("h0", (), 0)])
+    assert datum_isomorphic(big, small) is None and datum_isomorphic(small, big) is None
+    assert datum_isomorphic(big, big.replace(three_handles=1)) is None
+
+
 def test_check_witness_reads_the_first_handle_of_a_repeated_id():
     # two handles of d1 go to the id "h" that d2 names twice, and each is
     # compared with the first of them, as ``KirbyDatum.handle`` finds it

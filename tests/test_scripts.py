@@ -164,6 +164,16 @@ def test_insertion_bad_parameters():
             insertion_script(n, m, "*0", position, "0")
 
 
+def test_a_bad_sequence_is_refused_as_a_bad_parameter():
+    # not a bare ValueError from the sequence check
+    with pytest.raises(BadIndexError, match="bad deletion parameters"):
+        deletion_script(3, 1, "*x0", 1)
+    with pytest.raises(BadIndexError, match="bad chain parameters"):
+        verify_chain(3, 1, None)
+    with pytest.raises(BadIndexError, match="bad insertion parameters"):
+        insertion_script(2, 1, "x0", 0, "*")
+
+
 def test_chain_bad_parameters():
     for n, m in ((3, 1), ("2", 1), (True, 1), (2, True), (2, 1.0), (2, 0)):
         with pytest.raises(BadIndexError, match="bad chain parameters"):

@@ -1,10 +1,18 @@
+import itertools
+import json
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from corkcalc import sequences, suites
-from corkcalc.sequences import (all_sequences, check_sequence, cork_order, dotted_sequence,
-                                is_constant, least_rotation, pair_ids, period, rotation_ids,
-                                rotation_map_order, shift)
+from corkcalc.datum import validate
+from corkcalc.errors import BadIndexError, LengthMismatchError
+from corkcalc.families import build_C, build_X
+from corkcalc.moves import Recorder, trace_from_text
+from corkcalc.scripts import deletion_chain
+from corkcalc.sequences import (all_sequences, check_sequence, check_wheel, cork_order,
+                                dotted_sequence, is_constant, least_rotation, pair_ids,
+                                period, rotation_ids, rotation_map_order, shift)
 
 
 def seed_check_sequence(x: str) -> str:
@@ -207,3 +215,51 @@ def test_cork_order_suite_validates_each_sequence_at_most_four_times(monkeypatch
     assert result.passed
     assert counts["shift"] == 0
     assert counts["check_sequence"] <= 4 * len(result.cases)
+
+
+# --- the wheel rule ------------------------------------------------------------------
+
+def _accepts(call, *args) -> bool:
+    try:
+        call(*args)
+    except BadIndexError:
+        return False
+    return True
+
+
+def _declared_target(n, m, x):
+    header = {"format": "corkcalc-trace/1", "initial": "0" * 64,
+              "target": {"family": "X", "n": n, "m": m, "sequence": x}}
+    return trace_from_text(json.dumps(header) + "\n")
+
+
+def _recorded_target(n, m, x):
+    return Recorder(build_C(1, 1), target={"family": "X", "n": n, "m": m, "sequence": x})
+
+
+def _validates(n, m, x) -> bool:
+    """``validate`` of the wheel of x (of ``*`` when x is no sequence) with
+    n, m and x in its meta."""
+    d = build_X(len(x), 1, x) if x in ("*", "0", "*0") else build_C(1, 1)
+    meta = d.meta_map | {"n": n, "m": m, "sequence": x}
+    return validate(d.replace(meta=tuple(sorted(meta.items())))).ok
+
+
+def test_every_caller_applies_the_one_wheel_rule():
+    # build_X, a trace's declared target (read or recorded), the scripts API
+    # and the wheel-metadata check accept exactly the same (n, m, x)
+    values = (0, 1, 2, 3, True, 1.0, "1", None)
+    for n, m, x in itertools.product(values, values, ("", "*", "0", "*0", "x0", None)):
+        expected = (x in ("*", "0", "*0") and type(n) is int and type(m) is int
+                    and n == len(x) and m >= 1)
+        verdicts = [_accepts(check_wheel, n, m, x, "wheel"), _accepts(build_X, n, m, x),
+                    _accepts(_declared_target, n, m, x), _accepts(_recorded_target, n, m, x),
+                    _accepts(deletion_chain, n, m, x), _validates(n, m, x)]
+        assert verdicts == [expected] * 6, (n, m, x)
+
+
+def test_check_wheel_names_what_it_refuses():
+    with pytest.raises(BadIndexError, match="bad trace target parameters n=1, m=0"):
+        check_wheel(1, 0, "*", "trace target")
+    with pytest.raises(LengthMismatchError, match="bad wheel parameters: n=3, sequence length 2"):
+        check_wheel(3, 1, "*0", "wheel")
