@@ -12,8 +12,8 @@ each other.  ``KirbyDatum.lk`` reads all three.
 A wheel datum's ``meta`` names its ``{*,0}``-sequence.  ``wheel_sequence``
 reads it, and ``validate`` checks it against the circle pairs that
 ``sequences.pair_ids`` names; both apply the one rule of
-``_wheel_violations``, which applies ``sequences.check_wheel`` to ``n``,
-``m`` and ``sequence``.
+``_wheel_violations``: ``sequences.check_wheel`` of ``n``, ``m`` and
+``sequence``, a string ``family``, and any ``i`` an int with 1 <= i < n.
 
 Canonical serialization (sorted handles, normalized words, canonical JSON)
 is the basis for file round-trips and trace hashing.  The ``/1`` format
@@ -46,7 +46,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import BadIndexError, DatumFormatError
 from .linalg import IntMatrix
-from .sequences import check_wheel, pair_ids
+from .sequences import check_wheel, is_int, pair_ids
 from .words import Word, parse_word
 
 DATUM_FORMAT = "corkcalc-datum/1"
@@ -112,8 +112,10 @@ class KirbyDatum:
         object.__setattr__(self, "one_handles", tuple(sorted(self.one_handles)))
         object.__setattr__(self, "two_handles",
                            tuple(sorted(self.two_handles, key=lambda h: h.id)))
-        if isinstance(self.meta, dict):
-            object.__setattr__(self, "meta", tuple(sorted(self.meta.items())))
+        meta = dict(self.meta)  # a mapping, or (key, value) pairs
+        if len(meta) != len(self.meta):
+            raise ValueError("a meta key is given twice")
+        object.__setattr__(self, "meta", tuple(sorted(meta.items())))
         items = self.links.items() if isinstance(self.links, Mapping) else self.links
         links = tuple(sorted((link_key(*k), int(v)) for k, v in items if v))
         if len({k for k, _ in links}) != len(links):
@@ -164,7 +166,7 @@ def make_datum(one_handles: Iterable[str] = (),
                meta: Mapping[str, Any] | None = None,
                links: Mapping[Pair, int] | None = None) -> KirbyDatum:
     return KirbyDatum(tuple(one_handles), tuple(two_handles), three_handles,
-                      tuple(sorted((meta or {}).items())), links or ())
+                      meta or (), links or ())
 
 
 # --- invariant checking -----------------------------------------------------
@@ -227,14 +229,19 @@ def validate(d: KirbyDatum) -> ValidationReport:
 def _wheel_violations(d: KirbyDatum) -> list[Violation]:
     """The one validity rule of wheel metadata, empty for a datum whose
     ``meta`` has no ``sequence`` key: ``n``, ``m`` and the sequence pass
-    ``check_wheel``, and each pair j has the dotted circle and the 0-framed
+    ``check_wheel``, ``family`` is a string, an ``i`` is an int with
+    1 <= i < n, and each pair j has the dotted circle and the 0-framed
     2-handle passing it once that ``pair_ids(j, sequence[j])`` names."""
     meta = d.meta_map
     if "sequence" not in meta:
         return []
     try:
         check_wheel(meta.get("n"), meta.get("m"), meta["sequence"], "wheel metadata")
+        labels = isinstance(meta.get("family"), str) and (
+            "i" not in meta or is_int(meta["i"]) and 0 < meta["i"] < meta["n"])
     except BadIndexError:
+        labels = False
+    if not labels:
         return [Violation("META_INCONSISTENT", f"bad wheel metadata {meta}")]
     gens = set(d.one_handles)
     out = []

@@ -31,6 +31,8 @@ def _require_ints(**values) -> None:
 def build_X(n: int, m: int, x: str, family: str = "X") -> KirbyDatum:
     """The wheel datum for the given {*,0}-sequence (``check_wheel``'s rule)."""
     check_wheel(n, m, x, "wheel")
+    if not isinstance(family, str):
+        raise BadIndexError(f"need a family name string, got {family!r}")
     ones = []
     handles = []
     for j, sym in enumerate(x):

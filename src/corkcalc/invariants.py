@@ -70,17 +70,9 @@ def boundary_h1(d: KirbyDatum) -> BoundaryHomology:
 
 
 def intersection_form(d: KirbyDatum) -> IntMatrix:
-    form, _ = intersection_form_with_basis(d)
-    return form
-
-
-def intersection_form_with_basis(d: KirbyDatum):
-    """Intersection form on H2 plus the kernel basis realizing it.
-
-    Returns (form, basis) where basis[i] is an integer combination of the
-    2-handles (sorted by id) with zero exponent sums; the form is the
-    congruence B^T L B of the 2-handle linking block L, B's columns the basis.
-    """
+    """Intersection form on H2: the congruence B^T L B of the 2-handle
+    linking block L, where B's columns are the kernel basis of the
+    exponent-sum matrix (2-handles sorted by id)."""
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
             "intersection form of data with explicit 3-handles is not supported")
@@ -90,7 +82,7 @@ def intersection_form_with_basis(d: KirbyDatum):
     g, h = len(d.one_handles), mat.cols  # the 2-handle block follows the dotted circles
     link = IntMatrix(h, h, tuple(chain.from_iterable(full.row(i)[g:] for i in range(g, g + h))))
     vectors = IntMatrix(len(basis), h, tuple(chain.from_iterable(basis)))
-    return linalg.congruence(link, vectors), basis
+    return linalg.congruence(link, vectors)
 
 
 # --- characteristic numbers -----------------------------------------------

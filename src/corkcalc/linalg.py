@@ -6,8 +6,8 @@ enters any result.  Pivot choices are deterministic: smallest nonzero
 absolute value, ties broken by position.
 
 One ``snf`` yields a matrix's cokernel invariants, kernel basis and (for a
-square matrix) determinant.  It builds the transform V only for
-``kernel_basis``, and U only on request: nothing in the package reads U.
+square matrix) determinant.  It keeps S, and V only for ``kernel_basis``:
+no result needs U.  A column operation changes S in its pivot row alone.
 Every product goes through ``IntMatrix.mul``, which skips the zero
 coefficients of its left factor, and every congruence c q c^T through
 ``congruence``.  ``is_diag_minus_one`` drops a split -e_i row by index, a
@@ -100,9 +100,8 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ m @ V == S, with ``sign`` = det(U) * det(V), which is +1 or -1.
-    U and V are None unless ``snf`` was asked to build them."""
-    U: IntMatrix | None
+    """S = U @ m @ V for unimodular U (never built) and V (None unless asked
+    for), with ``sign`` = det(U) * det(V), which is +1 or -1."""
     S: IntMatrix
     V: IntMatrix | None
     sign: int
@@ -141,54 +140,45 @@ def congruence(q: IntMatrix, c: IntMatrix) -> IntMatrix:
     return c.mul(c.mul(q).transpose())
 
 
-def snf(m: IntMatrix, *, u: bool = False, v: bool = False) -> SNFResult:
-    """Smith normal form U @ m @ V == S, with U and V built only on request.
+def snf(m: IntMatrix, *, v: bool = False) -> SNFResult:
+    """Smith normal form S = U @ m @ V, with V built only on request.
 
     The diagonal of S is non-negative and satisfies d_i | d_{i+1}.  Every
     row or column swap and every row negation flips the tracked unit
     ``sign`` = det(U) * det(V); row and column additions leave it alone.
     So det(m) = sign * prod(diag S) for square m, with no second pass.
-    The pivot sequence, hence S and ``sign``, does not depend on ``u``/``v``.
+    The pivot sequence, hence S and ``sign``, does not depend on ``v``.
     """
     a = m.to_rows()
     R, C = m.rows, m.cols
-    # the matrices each row (column) operation applies to: S, and U (V) when asked for
-    by_rows = [a, IntMatrix.identity(R).to_rows()] if u else [a]
-    by_cols = [a, IntMatrix.identity(C).to_rows()] if v else [a]
+    v_rows = IntMatrix.identity(C).to_rows() if v else []
     sign = 1
 
     def swap_rows(i, j):
         nonlocal sign
         if i != j:
-            for x in by_rows:
-                x[i], x[j] = x[j], x[i]
+            a[i], a[j] = a[j], a[i]
             sign = -sign
 
     def swap_cols(i, j):
         nonlocal sign
         if i != j:
-            for x in by_cols:
-                for row in x:
-                    row[i], row[j] = row[j], row[i]
+            for row in chain(a, v_rows):
+                row[i], row[j] = row[j], row[i]
             sign = -sign
 
     def add_row(dst, src, q):
         # row dst += q * row src
         if q:
-            for x in by_rows:
-                x[dst] = [p + q * s for p, s in zip(x[dst], x[src])]
+            a[dst] = [p + q * s for p, s in zip(a[dst], a[src])]
 
-    def add_col(dst, src, q):
+    def add_col(dst, t, q):
+        # column dst += q * column t, which is zero in S off row t: earlier
+        # pivot rows are zero there, and the rows below were just cleared
         if q:
-            for x in by_cols:
-                for row in x:
-                    row[dst] += q * row[src]
-
-    def negate_row(i):
-        nonlocal sign
-        for x in by_rows:
-            x[i] = [-y for y in x[i]]
-        sign = -sign
+            a[t][dst] += q * a[t][t]
+            for row in v_rows:
+                row[dst] += q * row[t]
 
     def find_pivot(t):
         # the first entry of least absolute value, row by row; a unit is least
@@ -241,12 +231,12 @@ def snf(m: IntMatrix, *, u: bool = False, v: bool = False) -> SNFResult:
                 break
             add_row(t, bad, 1)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            sign = -sign
         t += 1
 
-    return SNFResult(IntMatrix.from_rows(by_rows[1]) if u else None,
-                     IntMatrix(R, C, tuple(chain.from_iterable(a))),
-                     IntMatrix.from_rows(by_cols[1]) if v else None, sign)
+    return SNFResult(IntMatrix(R, C, tuple(chain.from_iterable(a))),
+                     IntMatrix.from_rows(v_rows) if v else None, sign)
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:

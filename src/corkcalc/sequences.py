@@ -9,12 +9,12 @@ two boundary self-maps of a manifold each extend over the interior, so does
 their composite, hence a rotation extends whenever some power fixing the
 sequence does.
 
-Each public function validates its sequence once (``check_sequence``, a
-C-level ``lstrip`` over the alphabet), and ``check_wheel`` is the one rule
-for the parameters (n, m, x) of a wheel.  ``period`` is the doubled-string
-test: the least p > 0 with ``shift(x, p) == x`` is the first index p >= 1
-at which x occurs in x + x, one substring search instead of a shift per
-candidate.
+Each public function validates its sequence once (``check_sequence``), and
+``check_wheel`` the parameters (n, m, x) of a wheel; both read the one rule
+``is_sequence``, a C-level ``lstrip`` over the alphabet.  ``period`` is the
+doubled-string test: the least p > 0 with ``shift(x, p) == x`` is the first
+index p >= 1 at which x occurs in x + x, one substring search instead of a
+shift per candidate.
 """
 
 from __future__ import annotations
@@ -27,14 +27,18 @@ STAR = "*"
 ZERO = "0"
 
 
+def is_sequence(x) -> bool:
+    """A nonempty string with nothing left after ``lstrip`` of the alphabet."""
+    return isinstance(x, str) and x != "" and not x.lstrip(STAR + ZERO)
+
+
 def check_sequence(x: str) -> str:
-    """Validate a {*,0}-sequence literal and return it unchanged."""
-    if not isinstance(x, str) or len(x) < 1:
-        raise ValueError("sequence must be a nonempty string of '*' and '0'")
-    bad = x.lstrip(STAR + ZERO)  # starts at the first symbol outside the alphabet
-    if bad:
-        raise ValueError(f"invalid sequence symbol {bad[0]!r}")
-    return x
+    """Return x unchanged if ``is_sequence(x)``, else raise ``ValueError``."""
+    if is_sequence(x):
+        return x
+    bad = x.lstrip(STAR + ZERO) if isinstance(x, str) else ""  # from the first bad symbol
+    raise ValueError(f"invalid sequence symbol {bad[0]!r}" if bad
+                     else "sequence must be a nonempty string of '*' and '0'")
 
 
 def is_int(v) -> bool:
@@ -43,11 +47,10 @@ def is_int(v) -> bool:
 
 def check_wheel(n, m, x, what: str) -> None:
     """Refuse ``what`` with ``BadIndexError`` naming the values unless
-    (n, m, x) are a wheel's parameters: x a nonempty string over ``*0``, n
+    (n, m, x) are a wheel's parameters: x a sequence (``is_sequence``), n
     and m ints (``is_int``), n == len(x) and m >= 1.  A length mismatch
     alone raises ``LengthMismatchError``."""
-    if not (isinstance(x, str) and x and not x.lstrip(STAR + ZERO)
-            and is_int(n) and is_int(m) and m >= 1):
+    if not (is_sequence(x) and is_int(n) and is_int(m) and m >= 1):
         raise BadIndexError(f"bad {what} parameters n={n!r}, m={m!r}, sequence={x!r}")
     if n != len(x):
         raise LengthMismatchError(f"bad {what} parameters: n={n}, sequence length {len(x)}")

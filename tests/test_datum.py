@@ -9,7 +9,8 @@ from corkcalc.datum import (CorkPair, KirbyDatum, TwoHandle, canonical_form, can
                             two_handle, validate, validate_cork_pair, wheel_sequence,
                             full_linking_matrix, exponent_matrix)
 from corkcalc.errors import DatumFormatError
-from corkcalc.families import build_C, build_W, build_X, load_elliptic_surface
+from corkcalc.families import (build_C, build_W, build_W_twisted, build_X, build_Z,
+                               load_elliptic_surface)
 from corkcalc.linalg import IntMatrix
 from corkcalc.words import Word, parse_word, single
 
@@ -22,6 +23,20 @@ def test_datum_stores_each_pair_once():
     assert d.lk("h", "x") == 0
     with pytest.raises(ValueError):
         make_datum((), [], links={("h", "y"): 1, ("y", "h"): 1})
+
+
+def test_meta_is_one_key_sorted_tuple_however_given():
+    pairs = (("sequence", "*"), ("n", 1), ("m", 1), ("family", "X"))
+    want = make_datum(("a0",), [two_handle("b0", single("a0"), 0)], meta=dict(pairs))
+    assert want.meta == tuple(sorted(pairs))
+    for meta in (dict(pairs), pairs, list(pairs), [list(p) for p in pairs], pairs[::-1]):
+        d = KirbyDatum(want.one_handles, want.two_handles, meta=meta)
+        assert d.meta == want.meta and d == want and hash(d) == hash(want)
+        assert datum_hash(d) == datum_hash(want)
+        assert want.replace(meta=meta) == want
+    for repeated in ((("n", 1), ("n", 1)), [("n", 1), ("m", 1), ("n", "x")]):
+        with pytest.raises(ValueError, match="meta key"):
+            KirbyDatum(meta=repeated)
 
 
 def test_dotted_linkings_are_exponent_sums():
@@ -110,12 +125,30 @@ _DROP = object()  # a meta change that removes the key
     (build_C(1, 1), {"m": 1.5}),
     (build_C(1, 1), {"m": _DROP}),
     (build_C(1, 1), {"sequence": None}),
+    (build_X(2, 1, "*0"), {"family": 5}),
+    (build_X(2, 1, "*0"), {"family": None}),
+    (build_X(2, 1, "*0"), {"family": _DROP}),
+    (build_Z(3, 1, 1), {"i": True}),
+    (build_Z(3, 1, 1), {"i": "x"}),
+    (build_Z(3, 1, 1), {"i": 7}),
+    (build_Z(3, 1, 1), {"i": None}),
+    (build_Z(3, 1, 1), {"i": 0}),
+    (build_Z(3, 1, 1), {"i": 3}),
+    (build_Z(3, 1, 1), {"i": 1.0}),
 ], ids=["stale-sequence", "float-n", "bool-n", "zero-m", "bool-m", "float-m", "no-m",
-        "null-sequence"])
+        "null-sequence", "int-family", "null-family", "no-family", "bool-i", "str-i",
+        "big-i", "null-i", "zero-i", "i-equals-n", "float-i"])
 def test_wheel_meta_consistency_checked(d, change):
     meta = {k: v for k, v in (d.meta_map | change).items() if v is not _DROP}
     broken = d.replace(meta=tuple(sorted(meta.items())))
     assert any(v.code == "META_INCONSISTENT" for v in validate(broken).violations)
+
+
+def test_wheel_meta_accepts_every_i_the_builders_write():
+    for n in range(2, 6):
+        for i in range(1, n):
+            for d in (build_Z(n, 1, i), build_W_twisted(n, 1, i)):
+                assert d.meta_map["i"] == i and validate(d).ok
 
 
 def test_cork_pair_validation():

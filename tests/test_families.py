@@ -67,6 +67,12 @@ def test_bad_parameters():
         build_W_twisted(3, 1, 3)
 
 
+@pytest.mark.parametrize("family", [5, None, True, ("X",)])
+def test_build_x_refuses_a_family_that_is_not_a_string(family):
+    with pytest.raises(BadIndexError, match="family"):
+        build_X(2, 1, "*0", family=family)
+
+
 # each ended in a bare TypeError, or wrote its bool or float into meta
 @pytest.mark.parametrize("build, args", [
     (build_X, (3, True, "*00")), (build_X, (2, 1.0, "*0")), (build_X, (True, 1, "*")),

@@ -5,8 +5,7 @@ from corkcalc.errors import UnsupportedThreeHandlesError
 from corkcalc.families import build_Cm, build_W, build_X, load_elliptic_surface
 from corkcalc.invariants import (boundary_h1, char_numbers_from_datum,
                                  char_numbers_from_form, connected_sum, cp2,
-                                 cp2_bar, char_zero, homology, intersection_form,
-                                 intersection_form_with_basis)
+                                 cp2_bar, char_zero, homology, intersection_form)
 from corkcalc.linalg import IntMatrix, det, is_diag_minus_one, signature
 
 
@@ -73,7 +72,7 @@ def test_intersection_form_single_handle():
 
 
 def test_decorated_wheel_form_is_negative_identity():
-    q, basis = intersection_form_with_basis(build_W(3, 1))
+    q = intersection_form(build_W(3, 1))
     assert q.rows == 3
     assert q.is_symmetric()
     verdict = is_diag_minus_one(q)

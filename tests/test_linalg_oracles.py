@@ -1,9 +1,9 @@
 """The linear algebra, and the moves and scripts built on it, against
 frozen copies of the code they replaced.
 
-``seed_snf`` (transforms always built, full pivot scan, divisibility scan
-at every pivot), ``seed_det`` (Bareiss elimination), ``seed_signature``
-(rational congruence),
+``seed_snf`` (both transforms U and V always built, each column operation
+over every row, full pivot scan, divisibility scan at every pivot),
+``seed_det`` (Bareiss elimination), ``seed_signature`` (rational congruence),
 ``seed_full_linking_matrix`` (one ``d.lk`` per entry),
 ``seed_exponent_matrix`` (one ``exponent_sum`` per entry) and
 ``seed_intersection_form`` (B^T L B entry by entry), ``seed_flip_pair``
@@ -15,22 +15,23 @@ and a reduction pass per word, ``seed_rename``) and
 ``seed_chain_deletion_indices`` (an ``is_constant`` test per candidate
 index), and ``seed_handle``, ``seed_partners``, ``seed_linking_records``
 and ``seed_lk`` (a scan of the handles or of the store per call) are kept
-here as oracles: the new code must give identical SNF transforms, diagonal
-and sign, identical determinants, identical inertia, identical linking and
-exponent matrices, identical intersection forms, identical twisted data,
-identical cancellations, identical rotations, identical cyclic word
-verdicts, identical chain steps, identical chain choices and identical
-datum lookups.
+here as oracles: the new code must give the seed's S, V and sign (and the
+seed's U @ m @ V must be S), identical determinants, identical inertia,
+identical linking and exponent matrices, identical intersection forms,
+identical twisted data, identical cancellations, identical rotations,
+identical cyclic word verdicts, identical chain steps, identical chain
+choices and identical datum lookups.
 """
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corkcalc import isomorphism, moves, scripts, suites
+from corkcalc import isomorphism, linalg, moves, scripts, suites
 from corkcalc.datum import (TwoHandle, datum_hash, exponent_matrix, full_linking_matrix,
                             link_key, linking_records, make_datum, two_handle, validate,
                             wheel_sequence)
@@ -38,8 +39,8 @@ from corkcalc.errors import NotCancellableError, NotSeparatedError, NotSquareErr
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, build_W,
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
                                dot_zero_exchange, load_elliptic_surface)
-from corkcalc.invariants import intersection_form, intersection_form_with_basis
-from corkcalc.linalg import IntMatrix, SNFResult, det, kernel_basis, signature, snf
+from corkcalc.invariants import intersection_form
+from corkcalc.linalg import IntMatrix, det, kernel_basis, signature, snf
 from corkcalc.moves import Recorder, blow_down, cork_twist_pair
 from corkcalc.presentations import GroupPresentation
 from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, least_rotation,
@@ -47,7 +48,11 @@ from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, least_ro
 from corkcalc.words import Word, reduce_letters, single
 
 
-def seed_snf(m: IntMatrix) -> SNFResult:
+# the seed's U @ m @ V == S, with sign = det(U) * det(V)
+SeedSNF = namedtuple("SeedSNF", "U S V sign")
+
+
+def seed_snf(m: IntMatrix) -> SeedSNF:
     a = m.to_rows()
     R, C = m.rows, m.cols
     u = IntMatrix.identity(R).to_rows()
@@ -149,8 +154,8 @@ def seed_snf(m: IntMatrix) -> SNFResult:
             negate_row(t)
         t += 1
 
-    return SNFResult(IntMatrix.from_rows(u), IntMatrix(R, C, tuple(chain.from_iterable(a))),
-                     IntMatrix.from_rows(v), sign)
+    return SeedSNF(IntMatrix.from_rows(u), IntMatrix(R, C, tuple(chain.from_iterable(a))),
+                   IntMatrix.from_rows(v), sign)
 
 
 def seed_signature(q: IntMatrix) -> tuple[int, int, int]:
@@ -203,13 +208,16 @@ def seed_full_linking_matrix(d):
     return IntMatrix.from_rows(rows), order
 
 
-def assert_snf_matches_seed(m):
+def assert_snf_matches_seed(m) -> SeedSNF:
+    """``snf``'s S, V and sign are the seed's, with and without V, and the
+    seed's U @ m @ V is S; returns the seed's result."""
     want = seed_snf(m)
-    got = snf(m, u=True, v=True)
-    assert (got.U, got.S, got.V, got.sign) == (want.U, want.S, want.V, want.sign)
+    assert want.U.mul(m).mul(want.V) == want.S
+    got = snf(m, v=True)
+    assert (got.S, got.V, got.sign) == (want.S, want.V, want.sign)
     bare = snf(m)
-    assert (bare.U, bare.S, bare.V, bare.sign) == (None, want.S, None, want.sign)
-    assert snf(m, v=True).V == want.V
+    assert (bare.S, bare.V, bare.sign) == (want.S, None, want.sign)
+    return want
 
 
 def matrices(max_rows=8, max_cols=8, lo=-5, hi=5):
@@ -229,6 +237,25 @@ def test_snf_matches_the_seed_on_decorated_wheel_matrices():
         d = build_W(n, 1)
         assert_snf_matches_seed(exponent_matrix(d)[0])
         assert_snf_matches_seed(full_linking_matrix(d)[0])
+
+
+def test_snf_matches_the_seed_on_the_forms_grid(monkeypatch):
+    # every distinct matrix that the benchmark's ``forms`` calls hand to snf:
+    # twisted and blown-down wheels, Z data and the E8 plumbings among them
+    seen = set()
+    program_snf = linalg.snf
+
+    def recording(m, **kw):
+        seen.add(m)
+        return program_snf(m, **kw)
+
+    monkeypatch.setattr(linalg, "snf", recording)
+    assert suites.run_suite("w-family", {"n_max": 11, "m_max": 1}).passed
+    assert suites.run_suite("thm-1-7-arith").passed
+    monkeypatch.undo()
+    for m in seen:
+        assert_snf_matches_seed(m)
+    assert len(seen) > 200 and max(m.rows for m in seen) == 77  # W(11)'s linking matrix
 
 
 def test_kernel_basis_needs_the_transform_v():
@@ -411,7 +438,7 @@ def seed_intersection_form(d):
     link = [[h.framing if x == h.id else d.lk(x, h.id) for h in d.two_handles] for x in ids]
     return IntMatrix(len(basis), len(basis), tuple(
         sum(v[a] * link[a][b] * w[b] for a in range(len(ids)) for b in range(len(ids)))
-        for v in basis for w in basis)), basis
+        for v in basis for w in basis))
 
 
 def _forms_data():
@@ -429,9 +456,9 @@ def _forms_data():
 def test_intersection_form_matches_the_seed():
     ranks = []
     for d in _forms_data():
-        got = intersection_form_with_basis(d)
+        got = intersection_form(d)
         assert got == seed_intersection_form(d)
-        ranks.append(got[0].rows)
+        ranks.append(got.rows)
     assert ranks[-1] == 2 and max(ranks) == 46  # b2 of E(4)
 
 
@@ -665,7 +692,7 @@ def _random_cancellation(rng):
              if rng.random() < 0.4}
     if rng.random() < 0.1:
         links[("k", "zz")] = rng.randint(1, 2)
-    meta = ({"family": "W", "sequence": seq, "n": len(seq), "m": 1, "i": 0}
+    meta = ({"family": "W", "sequence": seq, "n": len(seq), "m": 1}
             if rng.random() < 0.8 else {})
     d = make_datum(ones, [two_handle(x, w, f) for x, w, f in handles], 0, meta, links)
     return d, g

@@ -129,6 +129,19 @@ def test_check_sequence_matches_the_seed(x):
     assert _outcome(check_sequence, x) == _outcome(seed_check_sequence, x)
 
 
+@given(st.one_of(st.text(alphabet="*0x"), texts_with_a_bad_symbol(), st.none(),
+                 st.integers(), st.lists(st.sampled_from("*0"))))
+@example("")
+def test_check_wheel_and_check_sequence_read_one_rule(x):
+    n = len(x) if isinstance(x, (str, list)) else 1
+    try:
+        check_wheel(n, 1, x, "wheel")
+        wheel_ok = True
+    except BadIndexError:
+        wheel_ok = False
+    assert wheel_ok == (_outcome(check_sequence, x)[0] == "ok") == sequences.is_sequence(x)
+
+
 def test_cork_order_head_pattern():
     for n in range(1, 9):
         x = "*" + "0" * (n - 1)
