@@ -15,6 +15,18 @@ reads it, and ``validate`` checks it against the circle pairs that
 ``_wheel_violations``: ``sequences.check_wheel`` of ``n``, ``m`` and
 ``sequence``, a string ``family``, and any ``i`` an int with 1 <= i < n.
 
+``KirbyDatum(...)`` and ``make_datum`` sort every part and check the pair
+store.  ``_in_order`` builds a datum from parts that are already in that
+order, sorting and checking nothing: the moves that keep the handles'
+order and ``build_X`` use it.  Both paths build the same two lookups, the
+first handle of each id and each id's stored partners.  Two facts are
+stored on a datum the first time they are worked out: its ``datum_hash``
+and its ``wheel_sequence`` verdict.  A caller of ``_in_order`` that knows
+the datum's wheel is valid hands the verdict over: ``build_X``, which has
+just checked it, and a move that adds a handle of a fresh id to a valid
+wheel, which a fresh id cannot break.  An invalid verdict is never
+carried, since a new handle may repair the wheel.
+
 Canonical serialization (sorted handles, normalized words, canonical JSON)
 is the basis for file round-trips and trace hashing.  The ``/1`` format
 lists every linking of a 2-handle on its record, so each pair is written on
@@ -121,13 +133,7 @@ class KirbyDatum:
         if len({k for k, _ in links}) != len(links):
             raise ValueError("a linking pair is given twice")
         object.__setattr__(self, "links", links)
-        # the first handle of each id, and each id's stored partners
-        object.__setattr__(self, "_by_id", {h.id: h for h in reversed(self.two_handles)})
-        partners: dict[str, dict[str, int]] = {}
-        for (x, y), v in links:
-            partners.setdefault(x, {})[y] = v
-            partners.setdefault(y, {})[x] = v
-        object.__setattr__(self, "_partners", partners)
+        _index(self)
 
     @property
     def meta_map(self) -> dict[str, Any]:
@@ -158,6 +164,39 @@ class KirbyDatum:
 
     def replace(self, **kw) -> "KirbyDatum":
         return dataclasses.replace(self, **kw)
+
+
+def _index(d: KirbyDatum) -> None:
+    """Store the first handle of each id and each id's stored partners on
+    ``d``, whose parts are in canonical order."""
+    object.__setattr__(d, "_by_id", {h.id: h for h in reversed(d.two_handles)})
+    partners: dict[str, dict[str, int]] = {}
+    for (x, y), v in d.links:
+        partners.setdefault(x, {})[y] = v
+        partners.setdefault(y, {})[x] = v
+    object.__setattr__(d, "_partners", partners)
+
+
+def _in_order(one_handles: tuple[str, ...], two_handles: tuple[TwoHandle, ...],
+              three_handles: int, meta: tuple[tuple[str, Any], ...],
+              links: tuple[tuple[Pair, int], ...], wheel: str | None = None) -> KirbyDatum:
+    """The datum of parts already in the canonical order that ``KirbyDatum``
+    gives them, which are neither sorted nor checked again: sorted dotted
+    circles, 2-handles sorted by id, ``meta`` as (key, value) pairs sorted
+    by key, and the pair store as sorted ``link_key`` pairs with nonzero int
+    values, each a tuple.  ``wheel`` is the datum's wheel sequence when the
+    caller knows its wheel metadata to be valid; it is stored as the verdict
+    of ``wheel_sequence``."""
+    d = object.__new__(KirbyDatum)
+    object.__setattr__(d, "one_handles", one_handles)
+    object.__setattr__(d, "two_handles", two_handles)
+    object.__setattr__(d, "three_handles", three_handles)
+    object.__setattr__(d, "meta", meta)
+    object.__setattr__(d, "links", links)
+    _index(d)
+    if wheel is not None:
+        object.__setattr__(d, "_wheel", wheel)
+    return d
 
 
 def make_datum(one_handles: Iterable[str] = (),
@@ -222,7 +261,8 @@ def validate(d: KirbyDatum) -> ValidationReport:
                                  f"linking of {x} and {y} names {', '.join(unknown)}, "
                                  "which is not a 2-handle", (x, y)))
 
-    out.extend(_wheel_violations(d))
+    if wheel_sequence(d) is None:  # a valid wheel, or none at all, breaks no wheel rule
+        out.extend(_wheel_violations(d))
     return ValidationReport(tuple(out))
 
 
@@ -265,11 +305,20 @@ def _wheel_violations(d: KirbyDatum) -> list[Violation]:
     return out
 
 
+_UNKNOWN = object()  # a fact of a datum not worked out yet
+
+
 def wheel_sequence(d: KirbyDatum) -> str | None:
     """The datum's wheel sequence, or None when its metadata names no wheel
-    or breaks the rule that ``validate`` reports as META_INCONSISTENT."""
-    seq = d.meta_map.get("sequence")
-    return None if seq is None or _wheel_violations(d) else seq
+    or breaks the rule that ``validate`` reports as META_INCONSISTENT.  The
+    verdict is stored on the datum the first time it is worked out."""
+    seq = getattr(d, "_wheel", _UNKNOWN)
+    if seq is _UNKNOWN:
+        seq = d.meta_map.get("sequence")
+        if seq is not None and _wheel_violations(d):
+            seq = None
+        object.__setattr__(d, "_wheel", seq)
+    return seq
 
 
 # --- cork pairs ---------------------------------------------------------------
@@ -407,7 +456,13 @@ def _assembled_json(d: KirbyDatum) -> str | None:
 
 
 def datum_hash(d: KirbyDatum) -> str:
-    return hashlib.sha256(canonical_json(d).encode("utf-8")).hexdigest()
+    """The SHA-256 of the canonical JSON, stored on the datum the first time
+    it is computed."""
+    h = getattr(d, "_hash", None)
+    if h is None:
+        h = hashlib.sha256(canonical_json(d).encode("utf-8")).hexdigest()
+        object.__setattr__(d, "_hash", h)
+    return h
 
 
 def from_canonical(obj: Any) -> KirbyDatum:

@@ -5,17 +5,26 @@ A wheel datum has n circle pairs (radial circle ``a{j}``, circular circle
 A {*,0}-sequence selects the dotted member of each pair: ``*`` dots the
 radial circle and 0-frames the circular one, ``0`` the other way round
 (``sequences.pair_ids``).
+Pair j's 0-framed handle is one ``TwoHandle`` object per symbol, kept in a
+module table and shared by every wheel ``build_X`` makes, so its word and
+its cached JSON fragment are built once per process.  ``build_X`` hands
+its parts to ``datum`` already sorted and records its sequence as the
+datum's wheel verdict: it has just checked every part of the wheel rule.
 The -m twist boxes of the planar picture are invisible at this fidelity;
 m rides along as metadata and re-enters in the Legendrian front data.
 """
 
 from __future__ import annotations
 
-from .datum import KirbyDatum, TwoHandle, make_datum, two_handle, wheel_sequence
+from operator import attrgetter
+
+from .datum import KirbyDatum, TwoHandle, _in_order, make_datum, two_handle, wheel_sequence
 from .errors import BadIndexError
 from .moves import twist_pairs, twist_wheel
 from .sequences import STAR, ZERO, check_wheel, is_int, pair_ids
 from .words import single
+
+_by_id = attrgetter("id")
 
 
 def _require_ints(**values) -> None:
@@ -28,19 +37,30 @@ def _require_ints(**values) -> None:
 
 # --- wheel families -------------------------------------------------------------
 
+# (pair index, symbol) -> the pair's 0-framed handle, passing its dotted
+# circle once; both symbols of a pair index are added together
+_PAIR_HANDLES: dict[tuple[int, str], TwoHandle] = {}
+
+
+def _pair_handle(j: int, symbol: str) -> TwoHandle:
+    handle = _PAIR_HANDLES.get((j, symbol))
+    if handle is None:
+        for sym in (STAR, ZERO):
+            dotted, framed = pair_ids(j, sym)
+            _PAIR_HANDLES[j, sym] = TwoHandle(framed, single(dotted), 0)
+        handle = _PAIR_HANDLES[j, symbol]
+    return handle
+
+
 def build_X(n: int, m: int, x: str, family: str = "X") -> KirbyDatum:
     """The wheel datum for the given {*,0}-sequence (``check_wheel``'s rule)."""
     check_wheel(n, m, x, "wheel")
     if not isinstance(family, str):
         raise BadIndexError(f"need a family name string, got {family!r}")
-    ones = []
-    handles = []
-    for j, sym in enumerate(x):
-        dotted, framed = pair_ids(j, sym)
-        ones.append(dotted)
-        handles.append(TwoHandle(framed, single(dotted), 0))
-    meta = {"family": family, "n": n, "m": m, "sequence": x}
-    return make_datum(ones, handles, 0, meta)
+    handles = sorted((_pair_handle(j, sym) for j, sym in enumerate(x)), key=_by_id)
+    ones = sorted(h.word.letters[0][0] for h in handles)  # each pair's dotted circle
+    meta = (("family", family), ("m", m), ("n", n), ("sequence", x))  # sorted by key
+    return _in_order(tuple(ones), tuple(handles), 0, meta, (), wheel=x)
 
 
 def c_sequence(n: int) -> str:

@@ -40,7 +40,11 @@ available at this fidelity).  A pair twist rewrites only the handles that
 pass its dotted circle or link its 0-framed handle; every other handle
 object carries over unchanged.
 
-All moves are pure: they return fresh data and never mutate inputs.
+All moves are pure: they return fresh data and never mutate inputs.  A
+move that keeps the order of the handles it keeps builds its result with
+``datum._in_order`` (``attach_2handle`` and ``blow_up`` insert the new
+handle in id order); ``_flip_pair`` and ``rotate`` rename circles and
+handles, so they go through the public constructor, which sorts.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ from __future__ import annotations
 import inspect
 import json
 import re
+from bisect import insort
 from dataclasses import InitVar, dataclass
+from operator import attrgetter
 
-from .datum import (KirbyDatum, TwoHandle, datum_hash, link_key, make_datum,
+from .datum import (KirbyDatum, TwoHandle, _in_order, datum_hash, link_key, make_datum,
                     validate_cork_pair, wheel_sequence, CorkPair)
 from .errors import (BadLinkingError, CorkCalcError, DuplicateIdError,
                      HandleNotFoundError, HashMismatchError, IllegalMoveError,
@@ -83,22 +89,45 @@ def _require_wheel(d: KirbyDatum) -> str:
     return seq
 
 
-def _drop_wheel_meta_if_touched(d: KirbyDatum, touched_ids: set[str]) -> dict:
-    meta = d.meta_map
+_WHEEL_KEYS = ("family", "sequence", "n", "m", "i")
+
+
+def _drop_wheel_meta_if_touched(d: KirbyDatum, touched_ids: set[str]) -> tuple:
+    """``d.meta`` itself, or without its wheel keys when ``touched_ids``
+    meets a pair of d's valid wheel; sorted either way."""
     seq = wheel_sequence(d)
-    if seq is not None and any(touched_ids.intersection(pair_ids(j, sym))
-                               for j, sym in enumerate(seq)):
-        for key in ("family", "sequence", "n", "m", "i"):
-            meta.pop(key, None)
-    return meta
+    if seq is None or not any(touched_ids.intersection(pair_ids(j, sym))
+                              for j, sym in enumerate(seq)):
+        return d.meta
+    return tuple(item for item in d.meta if item[0] not in _WHEEL_KEYS)
 
 
 def _rebuild(d: KirbyDatum, handles: list[TwoHandle], one_handles=None,
              meta: dict | None = None, links=None) -> KirbyDatum:
+    """The datum of new parts through the public path, which sorts them."""
     return make_datum(one_handles if one_handles is not None else d.one_handles,
                       handles, d.three_handles,
-                      meta if meta is not None else d.meta_map,
+                      meta if meta is not None else d.meta,
                       links if links is not None else d.links)
+
+
+def _store(links: dict) -> tuple:
+    """The pair store of a dict keyed by ``link_key`` pairs, with int
+    values: its nonzero entries, sorted, as ``KirbyDatum`` keeps them."""
+    return tuple(sorted(item for item in links.items() if item[1]))
+
+
+_by_id = attrgetter("id")
+
+
+def _with_handle(d: KirbyDatum, handle: TwoHandle, links: tuple) -> KirbyDatum:
+    """d with a 2-handle of a fresh id inserted in id order.  A fresh id
+    cannot break a valid wheel, so d's valid wheel verdict carries over; an
+    invalid one does not, since the new handle may repair it."""
+    handles = list(d.two_handles)
+    insort(handles, handle, key=_by_id)
+    return _in_order(d.one_handles, tuple(handles), d.three_handles, d.meta, links,
+                     wheel_sequence(d))
 
 
 # --- handle slides ------------------------------------------------------------
@@ -120,9 +149,9 @@ def slide_2_over_2(d: KirbyDatum, h1: str, h2: str, sign: int) -> KirbyDatum:
             links[key] = links.get(key, 0) + sign * value
     links[link_key(h1, h2)] = lk12 + sign * y.framing
     new_x = TwoHandle(h1, x.word * y.word ** sign, x.framing + y.framing + 2 * sign * lk12)
-    out = [new_x if h.id == h1 else h for h in d.two_handles]
-    meta = _drop_wheel_meta_if_touched(d, {h1})
-    return _rebuild(d, out, meta=meta, links=links)
+    out = tuple(new_x if h.id == h1 else h for h in d.two_handles)
+    return _in_order(d.one_handles, out, d.three_handles,
+                     _drop_wheel_meta_if_touched(d, {h1}), _store(links))
 
 
 def slide_2_over_1(d: KirbyDatum, h: str, g: str, sign: int, end: str = BACK) -> KirbyDatum:
@@ -141,9 +170,9 @@ def slide_2_over_1(d: KirbyDatum, h: str, g: str, sign: int, end: str = BACK) ->
     new_word = Word(letter + handle.word.letters if end == FRONT
                     else handle.word.letters + letter)
     new_handle = TwoHandle(h, new_word, handle.framing)
-    out = [new_handle if x.id == h else x for x in d.two_handles]
-    meta = _drop_wheel_meta_if_touched(d, {h})
-    return _rebuild(d, out, meta=meta)
+    out = tuple(new_handle if x.id == h else x for x in d.two_handles)
+    return _in_order(d.one_handles, out, d.three_handles,
+                     _drop_wheel_meta_if_touched(d, {h}), d.links)
 
 
 # --- cancellations --------------------------------------------------------------
@@ -182,8 +211,8 @@ def cancel_1_2(d: KirbyDatum, g: str, h: str) -> KirbyDatum:
 
     links = {k: v for k, v in links.items() if h not in k}
     ones = tuple(u for u in d.one_handles if u != g)
-    meta = _drop_wheel_meta_if_touched(d, touched)
-    return _rebuild(d, survivors, one_handles=ones, meta=meta, links=links)
+    return _in_order(ones, tuple(survivors), d.three_handles,
+                     _drop_wheel_meta_if_touched(d, touched), _store(links))
 
 
 def remove_split_zero_handle(d: KirbyDatum, h: str) -> KirbyDatum:
@@ -195,9 +224,10 @@ def remove_split_zero_handle(d: KirbyDatum, h: str) -> KirbyDatum:
     handle = _require_handle(d, h)
     if handle.word or handle.framing != 0 or d.partners(h):
         raise NotSplitError(f"{h} is not a split 0-framed handle")
-    survivors = [x for x in d.two_handles if x.id != h]
-    meta = _drop_wheel_meta_if_touched(d, {h})
-    return _rebuild(d, survivors, meta=meta)
+    survivors = tuple(x for x in d.two_handles if x.id != h)
+    # h has no stored partner, so the store stays as it is
+    return _in_order(d.one_handles, survivors, d.three_handles,
+                     _drop_wheel_meta_if_touched(d, {h}), d.links)
 
 
 # --- attachments and blow moves -------------------------------------------------
@@ -215,9 +245,8 @@ def attach_2handle(d: KirbyDatum, id: str, word, framing: int,
     for key in links:
         if d.handle(key) is None:
             raise BadLinkingError(f"linking names {key}, which is not a 2-handle")
-    store = dict(d.links) | {link_key(id, key): v for key, v in links.items()}
-    return _rebuild(d, list(d.two_handles) + [TwoHandle(id, w, int(framing))],
-                    links=store)
+    store = dict(d.links) | {link_key(id, key): int(v) for key, v in links.items()}
+    return _with_handle(d, TwoHandle(id, w, int(framing)), _store(store))
 
 
 def blow_up(d: KirbyDatum, id: str, sign: int) -> KirbyDatum:
@@ -226,12 +255,12 @@ def blow_up(d: KirbyDatum, id: str, sign: int) -> KirbyDatum:
         raise IllegalMoveError("blow-up sign must be +1 or -1")
     if d.handle(id) is not None or id in d.one_handles:
         raise DuplicateIdError(f"id {id} already in use")
-    out = list(d.two_handles) + [TwoHandle(id, Word(), sign)]
-    return _rebuild(d, out)
+    return _with_handle(d, TwoHandle(id, Word(), sign), d.links)
 
 
 def blow_down(d: KirbyDatum, h: str) -> KirbyDatum:
-    """Remove a +-1-framed empty-word 2-handle, twisting the survivors."""
+    """Remove a +-1-framed empty-word 2-handle, twisting the survivors; a
+    survivor that does not link it keeps its object."""
     handle = _require_handle(d, h)
     eps = handle.framing
     if handle.word or eps not in (1, -1):
@@ -243,10 +272,10 @@ def blow_down(d: KirbyDatum, h: str) -> KirbyDatum:
         for y, ky in ks[i + 1:]:
             key = link_key(x, y)
             links[key] = links.get(key, 0) - eps * kx * ky
-    out = [TwoHandle(x.id, x.word, x.framing - eps * k.get(x.id, 0) ** 2)
-           for x in d.two_handles if x.id != h]
-    meta = _drop_wheel_meta_if_touched(d, {h} | set(k))
-    return _rebuild(d, out, meta=meta, links=links)
+    out = tuple(TwoHandle(x.id, x.word, x.framing - eps * k[x.id] ** 2) if x.id in k else x
+                for x in d.two_handles if x.id != h)
+    return _in_order(d.one_handles, out, d.three_handles,
+                     _drop_wheel_meta_if_touched(d, {h} | set(k)), _store(links))
 
 
 def minus_one_sphere_present(d: KirbyDatum) -> bool:

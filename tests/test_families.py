@@ -1,6 +1,6 @@
 import pytest
 
-from corkcalc import datum as datum_io
+from corkcalc import datum as datum_io, families
 from corkcalc.datum import (CorkPair, canonical_json, validate, validate_cork_pair,
                             wheel_sequence)
 from corkcalc.errors import BadIndexError, LengthMismatchError
@@ -25,6 +25,20 @@ def test_build_x_validates_for_all_small_sequences():
     for n in range(1, 7):
         for x in all_sequences(n):
             assert validate(build_X(n, 1, x)).ok, (n, x)
+
+
+def test_wheels_share_their_pair_handles(monkeypatch):
+    # two entries per pair index build_X was asked for, one per symbol
+    monkeypatch.setattr(families, "_PAIR_HANDLES", {})
+    d = build_X(3, 1, "*0*")
+    assert sorted(families._PAIR_HANDLES) == [(j, s) for j in range(3) for s in (STAR, ZERO)]
+    e = build_X(5, 2, "*00*0")
+    assert len(families._PAIR_HANDLES) == 2 * 5
+    for j, sym in enumerate("*0*"):
+        dotted, framed = pair_ids(j, sym)
+        assert d.handle(framed) is families._PAIR_HANDLES[j, sym]
+    assert d.handle("b0") is e.handle("b0") is build_C(4, 3).handle("b0")
+    assert d.handle("a1") is e.handle("a1")
 
 
 def test_length_one_wheel_is_the_basic_cork():

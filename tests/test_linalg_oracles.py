@@ -13,29 +13,34 @@ and a reduction pass per word, ``seed_rename``) and
 ``seed_cyclic_rotation_equal`` (a ``Word`` per rotation),
 ``seed_deletion_chain`` (one trace per deletion),
 ``seed_chain_deletion_indices`` (an ``is_constant`` test per candidate
-index), and ``seed_handle``, ``seed_partners``, ``seed_linking_records``
-and ``seed_lk`` (a scan of the handles or of the store per call) are kept
-here as oracles: the new code must give the seed's S, V and sign (and the
-seed's U @ m @ V must be S), identical determinants, identical inertia,
+index), ``seed_handle``, ``seed_partners``, ``seed_linking_records``
+and ``seed_lk`` (a scan of the handles or of the store per call) and
+``seed_blow_down`` (every surviving handle rebuilt) are kept here as
+oracles: the new code must give the seed's S, V and sign (and the seed's
+U @ m @ V must be S), identical determinants, identical inertia,
 identical linking and exponent matrices, identical intersection forms,
 identical twisted data, identical cancellations, identical rotations,
 identical cyclic word verdicts, identical chain steps, identical chain
-choices and identical datum lookups.
+choices, identical datum lookups and identical blow-downs.  Every datum
+built from parts already in canonical order (``datum._in_order``) must
+equal the one the public ``KirbyDatum`` builds from the same parts.
 """
 
 import random
-from collections import namedtuple
+import sys
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corkcalc import isomorphism, linalg, moves, scripts, suites
-from corkcalc.datum import (TwoHandle, datum_hash, exponent_matrix, full_linking_matrix,
-                            link_key, linking_records, make_datum, two_handle, validate,
-                            wheel_sequence)
-from corkcalc.errors import NotCancellableError, NotSeparatedError, NotSquareError
+from corkcalc import datum, families, isomorphism, linalg, moves, scripts, suites
+from corkcalc.datum import (KirbyDatum, TwoHandle, datum_hash, exponent_matrix,
+                            full_linking_matrix, link_key, linking_records, make_datum,
+                            two_handle, validate, wheel_sequence)
+from corkcalc.errors import (NotBlowdownableError, NotCancellableError, NotSeparatedError,
+                             NotSquareError)
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, build_W,
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
                                dot_zero_exchange, load_elliptic_surface)
@@ -707,17 +712,29 @@ def test_cancel_1_2_matches_the_seed_on_random_data():
     assert 0 < repaired < 100
 
 
+def _count_calls(monkeypatch, module, name, calls: list) -> None:
+    """Replace ``module.name`` by a wrapper that appends ``name`` to ``calls``."""
+    function = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_cancel_1_2_calls_no_other_move(monkeypatch):
-    rebuilds = []
-    rebuild = moves._rebuild
-    monkeypatch.setattr(moves, "_rebuild", lambda *a, **kw: rebuilds.append(1) or rebuild(*a, **kw))
+    # one build, from parts in canonical order, and none through the public path
+    builds = []
+    _count_calls(monkeypatch, moves, "_rebuild", builds)
+    _count_calls(monkeypatch, moves, "_in_order", builds)
     d = make_datum(["a", "c"],
                    [two_handle("h", [("a", 1)], -1),
                     two_handle("e", [("a", 1), ("c", 1), ("a", 1)], 2),
                     two_handle("f", [("c", 1)], 0)],
                    links={("e", "h"): 1, ("f", "h"): 3})
     out = moves.cancel_1_2(d, "a", "h")
-    assert rebuilds == [1]
+    assert builds == ["_in_order"]
     # S_e = -2: framing 2 + 2*(-2)*1 + 4*(-1) = -6, lk(e,f) = -2*3
     assert out.handle("e") == two_handle("e", [("c", 1)], -6)
     assert dict(out.links) == {("e", "f"): -6} and out.handle("f") is d.handle("f")
@@ -1012,16 +1029,23 @@ def test_lookups_match_the_seed_on_the_move_audit(monkeypatch):
 
 
 def test_lookups_match_the_seed_on_every_state_of_the_scripts_grid(monkeypatch):
-    states = {}
+    states, hashes, computed = {}, [], []
 
     def hashed(d):
         states[id(d)] = d
+        hashes.append(1)
         return datum_hash(d)
 
     monkeypatch.setattr(moves, "datum_hash", hashed)  # recording and replay
+    _count_calls(monkeypatch, datum, "canonical_json", computed)
+    _count_calls(monkeypatch, datum, "_wheel_violations", computed)
     assert suites.run_suite("lemma-3-4-scripts", {"n_max": 7, "m_max": 1}).passed
-    # 19,788 hashes: replay hashes each case's start wheel the recorder hashed
-    assert len(states) == 19_788 - 1_722
+    # 19,788 hashes of 18,066 distinct states, each computed once: replay
+    # reads the hash that the recorder stored on each case's start wheel.
+    # build_X records each wheel's verdict and a new handle carries it, so
+    # the wheel rule itself never runs
+    assert len(hashes) == 19_788 and len(states) == 18_066
+    assert Counter(computed) == {"canonical_json": 18_066}
     for d in states.values():
         _check_lookups(d, lk=False)
     for d in set(states.values()):  # lk reads only the value, so once per value
@@ -1049,3 +1073,177 @@ def _handle(hid, tokens, framing):
         "unknown-partners", "int-handle-ids", "int-generator"])
 def test_lookups_match_the_seed_on_data_only_the_api_builds(d):
     _check_lookups(d)
+
+
+# --- blow-downs that keep untouched handles ------------------------------------------
+
+def seed_blow_down(d, h):
+    """``moves.blow_down`` rebuilding every surviving handle, through the
+    public path."""
+    handle = moves._require_handle(d, h)
+    eps = handle.framing
+    if handle.word or eps not in (1, -1):
+        raise NotBlowdownableError(f"{h} is not a +-1-framed empty-word handle")
+    k = seed_partners(d, h)
+    ks = sorted(k.items())
+    links = {pair: v for pair, v in d.links if h not in pair}
+    for i, (x, kx) in enumerate(ks):
+        for y, ky in ks[i + 1:]:
+            key = link_key(x, y)
+            links[key] = links.get(key, 0) - eps * kx * ky
+    out = [TwoHandle(x.id, x.word, x.framing - eps * k.get(x.id, 0) ** 2)
+           for x in d.two_handles if x.id != h]
+    meta = moves._drop_wheel_meta_if_touched(d, {h} | set(k))
+    return moves._rebuild(d, out, meta=meta, links=links)
+
+
+def _check_blow_downs(d) -> tuple[int, int]:
+    """Every blow-down of d against the seed, each handle that does not link
+    the blown-down one coming back as the same object; the counts of
+    blow-downs and of handles kept."""
+    blown = kept = 0
+    for h in [x.id for x in d.two_handles if not x.word and x.framing in (1, -1)]:
+        got, want = blow_down(d, h), seed_blow_down(d, h)
+        assert got == want and datum_hash(got) == datum_hash(want)
+        for x in d.two_handles:
+            if x.id != h and not d.lk(x.id, h):
+                assert got.handle(x.id) is x
+                kept += 1
+        blown += 1
+    return blown, kept
+
+
+def test_blow_down_matches_the_seed_on_the_twisted_decorated_wheels():
+    # every blow-down of each state that ``w-family`` passes on the way
+    # from the twisted W(n) to its last blow-down
+    blown = kept = 0
+    for n in range(2, 9):
+        for i in range(1, n):
+            d = build_W_twisted(n, 1, i)
+            for _ in range(i):
+                b, k = _check_blow_downs(d)
+                blown, kept = blown + b, kept + k
+                d = blow_down(d, next(h.id for h in d.two_handles
+                                      if not h.word and h.framing == -1))
+            assert not _check_blow_downs(d)[0]
+    assert (blown, kept) == (210, 5_082)
+
+
+def test_blow_down_matches_the_seed_off_the_wheels():
+    d = make_datum(["a"], [two_handle("e", [], 1), two_handle("f", [("a", 1)], 2),
+                           two_handle("g", [], -3), two_handle("k", [], 0)],
+                   links={("e", "f"): 2, ("e", "g"): -1, ("f", "k"): 5})
+    assert _check_blow_downs(d) == (1, 1)
+    assert dict(blow_down(d, "e").links) == {("f", "g"): 2, ("f", "k"): 5}
+
+
+# --- data built from parts in canonical order ----------------------------------------
+
+def _check_in_order(d) -> bool:
+    """A datum that ``datum._in_order`` built, against the public
+    ``KirbyDatum`` of the same parts: equal, with the same hash, the same
+    lookups in the same order, and a wheel verdict that ``_wheel_violations``
+    gives afresh.  True when the verdict was stored at the build."""
+    want = KirbyDatum(d.one_handles, d.two_handles, d.three_handles, d.meta, d.links)
+    assert d == want and datum_hash(d) == datum_hash(want)
+    assert list(d._by_id.items()) == list(want._by_id.items())
+    assert ([(x, list(p.items())) for x, p in d._partners.items()]
+            == [(x, list(p.items())) for x, p in want._partners.items()])
+    carried = "_wheel" in vars(d)
+    seq = d.meta_map.get("sequence")
+    assert wheel_sequence(d) == (None if seq is None or datum._wheel_violations(d) else seq)
+    return carried
+
+
+@pytest.fixture
+def checked_in_order(monkeypatch):
+    """Checks each datum built in canonical order with ``_check_in_order``;
+    yields the count of data by the function that built them (a move's name
+    for a handle it adds), and of verdicts stored at the build."""
+    build = datum._in_order
+    counts = Counter()
+
+    def checked(*parts, **kwargs):
+        d = build(*parts, **kwargs)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_with_handle":
+            frame = frame.f_back
+        counts[frame.f_code.co_name] += 1
+        counts["carried"] += _check_in_order(d)
+        return d
+
+    monkeypatch.setattr(moves, "_in_order", checked)
+    monkeypatch.setattr(families, "_in_order", checked)
+    return counts
+
+
+_ORDERED_MOVES = {"slide_2_over_2", "slide_2_over_1", "cancel_1_2", "remove_split_zero_handle",
+                  "attach_2handle", "blow_up", "blow_down"}
+
+
+def _apply_each_ordered_move(d, rng) -> None:
+    """Each move that keeps the handles' order, once on d wherever it
+    applies, with params drawn by rng."""
+    ids, ones = list(d.handle_ids), list(d.one_handles)
+    sign = rng.choice((1, -1))
+    if len(ids) >= 2:
+        moves.slide_2_over_2(d, *rng.sample(ids, 2), sign)
+    if ids and ones:
+        moves.slide_2_over_1(d, rng.choice(ids), rng.choice(ones), sign,
+                             rng.choice((moves.FRONT, moves.BACK)))
+    for kind in ("cancel", "split", "blow_down"):
+        handles = [x for x in d.two_handles
+                   if (len(x.word) == 1 if kind == "cancel"
+                       else not x.word and (x.framing in (1, -1) if kind == "blow_down"
+                                            else x.framing == 0 and not d.partners(x.id)))]
+        if handles:
+            x = rng.choice(handles)
+            if kind == "cancel":
+                moves.cancel_1_2(d, x.word.letters[0][0], x.id)
+            elif kind == "split":
+                moves.remove_split_zero_handle(d, x.id)
+            else:
+                moves.blow_down(d, x.id)
+    # a fresh id before, among or after the others
+    fresh = rng.choice([x for x in ("0", "b1x", "m", "zz") if d.handle(x) is None])
+    linking = {x: rng.randint(-2, 2) for x in rng.sample(ids, min(2, len(ids)))}
+    word = [rng.choice(ones)] if ones and rng.random() < 0.7 else []
+    moves.attach_2handle(d, fresh, word, rng.randint(-2, 2), linking)
+    moves.blow_up(d, fresh, sign)
+    moves.remove_split_zero_handle(moves.attach_2handle(d, fresh, [], 0), fresh)
+
+
+def test_in_order_data_match_the_public_path_on_the_move_audit(monkeypatch, checked_in_order):
+    states = [build() for _, build in suites._AUDIT_STARTS]
+
+    def visited(d):
+        states.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(suites, "validate", visited)  # every result of a move
+    assert suites.run_suite("move-audit").passed
+    rng = random.Random(24)
+    for d in states:
+        _apply_each_ordered_move(d, rng)
+    assert _ORDERED_MOVES <= checked_in_order.keys()
+    assert min(checked_in_order[move] for move in _ORDERED_MOVES) > 200
+    assert checked_in_order["carried"] > 50
+
+
+def test_in_order_data_match_the_public_path_on_the_scripts_grid(checked_in_order):
+    assert suites.run_suite("lemma-3-4-scripts", {"n_max": 7, "m_max": 1}).passed
+    # each case builds its start wheel and its target, and records and
+    # replays three moves per deleted pair; a meridian attached to a start
+    # wheel carries its verdict
+    assert checked_in_order == {"build_X": 3_444, "attach_2handle": 5_448,
+                                "cancel_1_2": 5_448, "remove_split_zero_handle": 5_448,
+                                "carried": 3_444 + 3_444}
+
+
+def test_build_x_records_the_verdict_of_the_wheel_rule(checked_in_order):
+    count = 0
+    for n in range(1, 9):
+        for k, x in enumerate(all_sequences(n)):
+            assert wheel_sequence(build_X(n, 1 + k % 2, x, family="XE"[k % 2])) == x
+            count += 1
+    assert checked_in_order == {"build_X": count, "carried": count} and count == 510

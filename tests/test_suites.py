@@ -5,7 +5,7 @@ import concurrent.futures
 
 import pytest
 
-from corkcalc import families, sequences, suites
+from corkcalc import datum as datum_io, families, sequences, suites
 from corkcalc.datum import make_datum, two_handle
 from corkcalc.errors import CorkCalcError
 from corkcalc.invariants import homology
@@ -150,12 +150,14 @@ def test_the_memo_keeps_no_datum_alive(monkeypatch):
     import weakref
 
     monkeypatch.setattr(suites, "_CONTRACTIBLE", {})
-    d = families.build_X(3, 1, "*00")
-    handle = weakref.ref(d.two_handles[0])
+    # the pair handles of a wheel live on in the families' table on purpose;
+    # z is this datum's own
+    d = families.build_Z(3, 1, 1)
+    datum, handle = weakref.ref(d), weakref.ref(d.handle("z"))
     suites._contractible(d, 10_000)
     del d
     gc.collect()
-    assert handle() is None and len(suites._CONTRACTIBLE) == 1
+    assert datum() is None and handle() is None and len(suites._CONTRACTIBLE) == 1
 
 
 def test_a_worker_batch_certifies_each_wheel_once(homology_calls):
@@ -175,6 +177,15 @@ def test_each_run_starts_from_an_empty_memo(homology_calls):
 def test_the_benchmark_grid_certifies_each_rotation_class_once(homology_calls):
     suites.run_suite("lemma-2-2", {"n_max": 10, "m_max": 2})
     assert len(homology_calls) == len(suites._CONTRACTIBLE) == 261
+
+
+def test_the_benchmark_grid_applies_no_wheel_rule(monkeypatch):
+    # build_X records the verdict of each wheel it builds
+    checks = []
+    rule = datum_io._wheel_violations
+    monkeypatch.setattr(datum_io, "_wheel_violations", lambda d: checks.append(d) or rule(d))
+    assert suites.run_suite("lemma-2-2", {"n_max": 10, "m_max": 2}).passed
+    assert checks == []
 
 
 def test_the_sweep_builds_each_least_rotation_and_renames_no_word(monkeypatch):
