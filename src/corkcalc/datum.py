@@ -261,7 +261,7 @@ def validate(d: KirbyDatum) -> ValidationReport:
                                  f"linking of {x} and {y} names {', '.join(unknown)}, "
                                  "which is not a 2-handle", (x, y)))
 
-    if wheel_sequence(d) is None:  # a valid wheel, or none at all, breaks no wheel rule
+    if wheel_sequence(d) is None:  # a valid wheel breaks no wheel rule
         out.extend(_wheel_violations(d))
     return ValidationReport(tuple(out))
 
@@ -305,7 +305,7 @@ def _wheel_violations(d: KirbyDatum) -> list[Violation]:
     return out
 
 
-_UNKNOWN = object()  # a fact of a datum not worked out yet
+_UNKNOWN = object()  # a wheel verdict not worked out yet
 
 
 def wheel_sequence(d: KirbyDatum) -> str | None:

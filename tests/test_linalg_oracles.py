@@ -1191,19 +1191,17 @@ def _apply_each_ordered_move(d, rng) -> None:
     if ids and ones:
         moves.slide_2_over_1(d, rng.choice(ids), rng.choice(ones), sign,
                              rng.choice((moves.FRONT, moves.BACK)))
-    for kind in ("cancel", "split", "blow_down"):
-        handles = [x for x in d.two_handles
-                   if (len(x.word) == 1 if kind == "cancel"
-                       else not x.word and (x.framing in (1, -1) if kind == "blow_down"
-                                            else x.framing == 0 and not d.partners(x.id)))]
-        if handles:
-            x = rng.choice(handles)
-            if kind == "cancel":
-                moves.cancel_1_2(d, x.word.letters[0][0], x.id)
-            elif kind == "split":
-                moves.remove_split_zero_handle(d, x.id)
-            else:
-                moves.blow_down(d, x.id)
+    singles = [x for x in d.two_handles if len(x.word) == 1]
+    if singles:
+        x = rng.choice(singles)
+        moves.cancel_1_2(d, x.word.letters[0][0], x.id)
+    units = [x.id for x in d.two_handles if not x.word and x.framing in (1, -1)]
+    if units:
+        moves.blow_down(d, rng.choice(units))
+    splits = [x.id for x in d.two_handles
+              if not x.word and x.framing == 0 and not d.partners(x.id)]
+    if splits:
+        moves.remove_split_zero_handle(d, rng.choice(splits))
     # a fresh id before, among or after the others
     fresh = rng.choice([x for x in ("0", "b1x", "m", "zz") if d.handle(x) is None])
     linking = {x: rng.randint(-2, 2) for x in rng.sample(ids, min(2, len(ids)))}
