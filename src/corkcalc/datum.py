@@ -36,7 +36,7 @@ is the one place where those copies meet.
 ``canonical_form`` is the reference for the canonical JSON: ``dumps``
 writes it, and ``canonical_json`` has the bytes of ``json.dumps`` of it with
 sorted keys and compact separators.  ``canonical_json`` assembles those
-bytes from per-handle fragments instead, each cached on its ``TwoHandle``
+bytes from per-handle fragments instead, each stored on its ``TwoHandle``
 (moves keep most handle objects, so most fragments are built once per
 trace); a handle's stored partners, read from the datum's partner map,
 are merged into its fragment per call.  Data the fragments cannot spell
@@ -52,7 +52,6 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
@@ -85,8 +84,7 @@ class TwoHandle:
     word: Word
     framing: int
 
-    @cached_property
-    def _json(self) -> tuple[str, dict[str, str], str, str] | None:
+    def _spell(self) -> tuple[str, dict[str, str], str, str] | None:
         """This handle's record in the canonical JSON, in parts: the head up
         to its linking list, its dotted entries by generator, the tail after
         the list, and the whole record for a handle with no stored partners.
@@ -104,6 +102,9 @@ class TwoHandle:
         except TypeError:
             return None
         return head, dotted, tail, head + ",".join([dotted[g] for g in sorted(dotted)]) + tail
+
+
+_UNKNOWN = object()  # a stored fact not worked out yet
 
 
 def two_handle(hid: str, letters, framing: int) -> TwoHandle:
@@ -305,9 +306,6 @@ def _wheel_violations(d: KirbyDatum) -> list[Violation]:
     return out
 
 
-_UNKNOWN = object()  # a wheel verdict not worked out yet
-
-
 def wheel_sequence(d: KirbyDatum) -> str | None:
     """The datum's wheel sequence, or None when its metadata names no wheel
     or breaks the rule that ``validate`` reports as META_INCONSISTENT.  The
@@ -436,7 +434,10 @@ def _assembled_json(d: KirbyDatum) -> str | None:
     fragments cannot spell."""
     records, previous = [], None
     for h in d.two_handles:  # sorted by id, so a repeated id comes next
-        parts = h._json
+        parts = getattr(h, "_json", _UNKNOWN)
+        if parts is _UNKNOWN:  # spelled once per handle
+            parts = h._spell()
+            object.__setattr__(h, "_json", parts)
         if parts is None or h.id == previous:
             return None
         previous = h.id

@@ -45,6 +45,10 @@ move that keeps the order of the handles it keeps builds its result with
 ``datum._in_order`` (``attach_2handle`` and ``blow_up`` insert the new
 handle in id order); ``_flip_pair`` and ``rotate`` rename circles and
 handles, so they go through the public constructor, which sorts.
+
+A trace holds each step's checked params and its checked target as dicts,
+shared (do not mutate them; a step or trace is not hashable); only
+``trace_to_text`` and ``trace_from_text`` touch JSON, once per file line.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .errors import (BadLinkingError, CorkCalcError, DuplicateIdError,
                      HandleNotFoundError, HashMismatchError, IllegalMoveError,
                      NotBlowdownableError, NotCancellableError, NotSeparatedError,
                      NotSplitError, NotWheelFamilyError, UnknownGeneratorError)
-from .sequences import STAR, ZERO, check_wheel, is_int, pair_ids, rotation_ids, shift
+from .sequences import STAR, ZERO, check_wheel, is_int, pair_ids, pair_index, rotation_ids, shift
 from .words import Word, parse_word, single
 
 FRONT = "front"
@@ -94,10 +98,10 @@ _WHEEL_KEYS = ("family", "sequence", "n", "m", "i")
 
 def _drop_wheel_meta_if_touched(d: KirbyDatum, touched_ids: set[str]) -> tuple:
     """``d.meta`` itself, or without its wheel keys when ``touched_ids``
-    meets a pair of d's valid wheel; sorted either way."""
+    meets a pair of d's valid wheel (``pair_index``); sorted either way."""
     seq = wheel_sequence(d)
-    if seq is None or not any(touched_ids.intersection(pair_ids(j, sym))
-                              for j, sym in enumerate(seq)):
+    if seq is None or not any(pair is not None and pair[0] < len(seq)
+                              for pair in map(pair_index, touched_ids)):
         return d.meta
     return tuple(item for item in d.meta if item[0] not in _WHEEL_KEYS)
 
@@ -377,10 +381,6 @@ def rotate(d: KirbyDatum, i: int) -> KirbyDatum:
 TRACE_FORMAT = "corkcalc-trace/1"
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
 @dataclass(frozen=True)
 class MoveStep:
     """One step of a trace.  Building a step checks its move and params
@@ -388,29 +388,21 @@ class MoveStep:
     the step as ``what``; ``replay`` applies a step unchecked.  ``what`` is
     None only where the caller has just checked the same params itself."""
     move: str
-    params: str  # canonical JSON of the parameter object
+    params: dict  # the checked parameter object (shared: do not mutate)
     pre: str
     post: str
     what: InitVar[str | None] = "trace step"
 
     def __post_init__(self, what):
         if what is not None:
-            _check_params(self.move, self.params_dict, what)
-
-    @property
-    def params_dict(self) -> dict:
-        return json.loads(self.params)
+            _check_params(self.move, self.params, what)
 
 
 @dataclass(frozen=True)
 class MoveTrace:
     initial: str
     steps: tuple[MoveStep, ...] = ()
-    target: str | None = None  # canonical JSON of the declared target
-
-    @property
-    def target_dict(self) -> dict | None:
-        return None if self.target is None else json.loads(self.target)
+    target: dict | None = None  # the checked declared target (shared: do not mutate)
 
     @property
     def final(self) -> str:
@@ -490,12 +482,12 @@ class Recorder:
         self.current = initial
         self._steps: list[MoveStep] = []
         self._initial_hash = self._current_hash = datum_hash(initial)
-        self._target = None if target is None else _target(target)  # canonical JSON
+        self._target = None if target is None else _target(target)
 
     def apply(self, move: str, **params) -> KirbyDatum:
         result = apply_move(self.current, move, params)
         post = datum_hash(result)
-        self._steps.append(MoveStep(move, _canonical(params), self._current_hash, post,
+        self._steps.append(MoveStep(move, params, self._current_hash, post,
                                     what=None))  # apply_move checked the params
         self.current, self._current_hash = result, post
         return result
@@ -519,7 +511,7 @@ def replay(initial: KirbyDatum, trace: MoveTrace) -> KirbyDatum:
         if verified != step.pre:
             raise HashMismatchError(f"pre-hash mismatch at step {idx}", idx)
         try:
-            current = MOVES[step.move][0](current, **step.params_dict)
+            current = MOVES[step.move][0](current, **step.params)
         except CorkCalcError as e:
             e.step_index = idx
             raise
@@ -531,9 +523,9 @@ def replay(initial: KirbyDatum, trace: MoveTrace) -> KirbyDatum:
 
 def trace_to_text(trace: MoveTrace) -> str:
     lines = [json.dumps({"format": TRACE_FORMAT, "initial": trace.initial,
-                         "target": trace.target_dict}, sort_keys=True)]
+                         "target": trace.target}, sort_keys=True)]
     for s in trace.steps:
-        lines.append(json.dumps({"move": s.move, "params": s.params_dict,
+        lines.append(json.dumps({"move": s.move, "params": s.params,
                                  "pre": s.pre, "post": s.post}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
@@ -564,8 +556,8 @@ def _require_hashes(obj: dict, keys, what: str) -> None:
                                 "(64 lowercase hex digits)")
 
 
-def _target(target) -> str:
-    """The canonical JSON of a declared target wheel: ``n``, ``m`` and
+def _target(target) -> dict:
+    """A copy of a declared target wheel, checked: ``n``, ``m`` and
     ``sequence`` that pass ``check_wheel``, and an optional ``family``
     string."""
     if not (isinstance(target, dict) and set(target) <= {"family", "n", "m", "sequence"}
@@ -573,7 +565,7 @@ def _target(target) -> str:
         raise CorkCalcError("trace target must be an object with keys n, m, sequence "
                             "and an optional family string, and no other key")
     check_wheel(target.get("n"), target.get("m"), target.get("sequence"), "trace target")
-    return _canonical(target)
+    return dict(target)
 
 
 def trace_from_text(text: str) -> MoveTrace:
@@ -594,6 +586,5 @@ def trace_from_text(text: str) -> MoveTrace:
         obj = _json_object(ln, what)
         _require_keys(obj, ("move", "params", "pre", "post"), what)
         _require_hashes(obj, ("pre", "post"), what)
-        steps.append(MoveStep(obj["move"], _canonical(obj["params"]), obj["pre"], obj["post"],
-                              what))
+        steps.append(MoveStep(obj["move"], obj["params"], obj["pre"], obj["post"], what))
     return MoveTrace(header["initial"], tuple(steps), target)

@@ -164,7 +164,7 @@ def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum |
         return {"integrity": "failed", "error": str(e),
                 "step": getattr(e, "step_index", None)}, None
     report = {"integrity": "ok", "final_hash": trace.final}  # checked by replay
-    target = trace.target_dict
+    target = trace.target
     if target is not None:
         expected = build_X(target["n"], target["m"], target["sequence"],
                            family=target.get("family", "X"))

@@ -2,8 +2,9 @@
 
 A sequence is a nonempty string over the alphabet ``*`` and ``0``.  Entry j
 selects which member of the j-th circle pair of a wheel datum carries the
-dot (``pair_ids`` is the one place that names the pair's circles); cyclic
-shifts model rotating the wheel, whose circles ``rotation_ids`` relabels.
+dot (``pair_ids`` is the one place that names the pair's circles, and
+``pair_index`` reads them back); cyclic shifts rotate the wheel, whose
+circles ``rotation_ids`` relabels.
 Cork-order computation rests on the (documented) composability axiom: if
 two boundary self-maps of a manifold each extend over the interior, so does
 their composite, hence a rotation extends whenever some power fixing the
@@ -64,20 +65,25 @@ def pair_ids(j: int, symbol: str) -> tuple[str, str]:
     return (radial, circular) if symbol == STAR else (circular, radial)
 
 
+def pair_index(g) -> tuple[int, str] | None:
+    """The (j, symbol) with ``pair_ids(j, symbol)[0] == g``, or None: g is a
+    circle of pair j, dotted under symbol (so "a01", "a-1", a non-ASCII digit
+    and a non-str name no pair, and a j >= n no pair of an n-wheel)."""
+    if not (isinstance(g, str) and g[1:].isdecimal()):
+        return None
+    j = int(g[1:])
+    radial, circular = pair_ids(j, STAR)  # dotted under ``*`` and under ``0``
+    return (j, STAR) if g == radial else (j, ZERO) if g == circular else None
+
+
 def dotted_sequence(dotted) -> str | None:
     """The sequence that the dotted circles ``dotted`` spell in increasing
-    pair index (``pair_ids`` read backwards), or None if they spell none
-    (no circles spell none: a sequence is nonempty)."""
-    symbols = {}
-    for g in dotted:
-        if not g[1:].isdecimal():
-            return None
-        j = int(g[1:])
-        symbol = next((sym for sym in (STAR, ZERO) if pair_ids(j, sym)[0] == g), None)
-        if symbol is None or j in symbols:
-            return None
-        symbols[j] = symbol
-    return "".join(symbols[j] for j in sorted(symbols)) or None
+    pair index (``pair_index``), or None if they spell none (no circles
+    spell none: a sequence is nonempty)."""
+    pairs = [pair_index(g) for g in dotted]
+    if None in pairs or len({j for j, _ in pairs}) < len(pairs):
+        return None
+    return "".join(sym for _, sym in sorted(pairs)) or None
 
 
 def rotation_ids(n: int, i: int) -> dict[str, str]:

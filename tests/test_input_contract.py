@@ -6,7 +6,8 @@ loads hashes as its reference serialization does, the family builders
 return a valid datum or raise ``CorkCalcError`` on any arguments, and
 ``corkcalc replay``, ``invariants``, ``simplify`` and ``stein-check`` on
 fuzzed files keep the CLI's exit-code contract: never 4, and 1 only for a
-failed verification.
+failed verification; so does ``replay`` on a trace nested at every depth
+up to the recursion limit.
 So do ``gen`` and ``verify`` on argument vectors drawn from their own
 parsers' arguments."""
 
@@ -16,6 +17,7 @@ import copy
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -196,6 +198,32 @@ def test_trace_step_with_a_param_its_move_does_not_name_raises_corkcalc_error(na
 @example('{"format": "corkcalc-trace/1", "initial": ' + OVERLONG_INTEGER + "}")
 def test_trace_from_text_on_raw_text(text):
     _value_or_corkcalc_error(moves.trace_from_text, text)
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "1" + "]" * depth
+
+
+def test_nesting_at_every_depth_keeps_the_exit_code_contract():
+    # a step's param or the target's n nested up to the recursion limit is
+    # parsed once and refused as a bad trace file, never an internal error
+    start = build_C(2, 1)
+    initial = datum.datum_hash(start)
+    header = json.dumps({"format": moves.TRACE_FORMAT, "initial": initial, "target": None})
+    with tempfile.TemporaryDirectory(prefix="corkcalc-nesting-") as tmp:
+        datum_path, trace_path = Path(tmp, "datum.json"), Path(tmp, "trace.jsonl")
+        datum_path.write_text(datum.dumps(start), encoding="utf-8")
+        for depth in range(1, sys.getrecursionlimit() + 1):
+            step = (f'{{"move": "rotate", "params": {{"i": {_nested(depth)}}}, '
+                    f'"pre": "{initial}", "post": "{initial}"}}')
+            target = (f'{{"format": "{moves.TRACE_FORMAT}", "initial": "{initial}", '
+                      f'"target": {{"n": {_nested(depth)}, "m": 1, "sequence": "*0"}}}}')
+            for text in (f"{header}\n{step}\n", f"{target}\n"):
+                _value_or_corkcalc_error(moves.trace_from_text, text)
+                trace_path.write_text(text, encoding="utf-8")
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(["replay", str(datum_path), str(trace_path)])
+                assert code == 2, (depth, text[:40])
 
 
 # --- front files ------------------------------------------------------------------

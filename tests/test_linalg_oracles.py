@@ -14,16 +14,18 @@ and a reduction pass per word, ``seed_rename``) and
 ``seed_deletion_chain`` (one trace per deletion),
 ``seed_chain_deletion_indices`` (an ``is_constant`` test per candidate
 index), ``seed_handle``, ``seed_partners``, ``seed_linking_records``
-and ``seed_lk`` (a scan of the handles or of the store per call) and
-``seed_blow_down`` (every surviving handle rebuilt) are kept here as
-oracles: the new code must give the seed's S, V and sign (and the seed's
-U @ m @ V must be S), identical determinants, identical inertia,
+and ``seed_lk`` (a scan of the handles or of the store per call),
+``seed_blow_down`` (every surviving handle rebuilt) and
+``seed_drop_wheel_meta_if_touched`` (both ids of every pair built) are
+kept here as oracles: the new code must give the seed's S, V and sign (and
+the seed's U @ m @ V must be S), identical determinants, identical inertia,
 identical linking and exponent matrices, identical intersection forms,
 identical twisted data, identical cancellations, identical rotations,
 identical cyclic word verdicts, identical chain steps, identical chain
-choices, identical datum lookups and identical blow-downs.  Every datum
-built from parts already in canonical order (``datum._in_order``) must
-equal the one the public ``KirbyDatum`` builds from the same parts.
+choices, identical datum lookups, identical blow-downs and identical kept
+wheel metadata.  Every datum built from parts already in canonical order
+(``datum._in_order``) must equal the one the public ``KirbyDatum`` builds
+from the same parts.
 """
 
 import random
@@ -1245,3 +1247,33 @@ def test_build_x_records_the_verdict_of_the_wheel_rule(checked_in_order):
             assert wheel_sequence(build_X(n, 1 + k % 2, x, family="XE"[k % 2])) == x
             count += 1
     assert checked_in_order == {"build_X": count, "carried": count} and count == 510
+
+
+# --- the wheel metadata that a move keeps ----------------------------------------------
+
+def seed_drop_wheel_meta_if_touched(d, touched_ids):
+    seq = wheel_sequence(d)
+    if seq is None or not any(touched_ids.intersection(pair_ids(j, sym))
+                              for j, sym in enumerate(seq)):
+        return d.meta
+    return tuple(item for item in d.meta if item[0] not in moves._WHEEL_KEYS)
+
+
+def test_kept_wheel_metadata_matches_the_seed_on_the_move_audit(monkeypatch):
+    real, dropped = moves._drop_wheel_meta_if_touched, Counter()
+
+    def checked(d, touched_ids):
+        out = real(d, touched_ids)
+        assert out == seed_drop_wheel_meta_if_touched(d, touched_ids), touched_ids
+        dropped[out != d.meta] += 1
+        return out
+
+    for _, build in suites._AUDIT_STARTS:
+        d = build()
+        n = len(wheel_sequence(d) or "")
+        for hid in ("a0", "b0", f"a{n - 1}", f"b{n - 1}", f"a{n}", f"b{n}", "a01", "a-1",
+                    "a\u0661", "del", 0):
+            checked(d, {hid})
+    monkeypatch.setattr(moves, "_drop_wheel_meta_if_touched", checked)
+    assert suites.run_suite("move-audit").passed
+    assert dropped[True] > 30 and dropped[False] > 500, dropped

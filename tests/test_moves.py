@@ -1,9 +1,12 @@
 """Move-engine contracts plus the congruence/invariance oracles."""
 
+import hashlib
 import inspect
 import json
 import random
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -423,7 +426,7 @@ def test_trace_text_round_trip():
     trace = rec.trace()
     parsed = trace_from_text(trace_to_text(trace))
     assert parsed == trace
-    assert parsed.target_dict == {"family": "X", "n": 2, "m": 1, "sequence": "0*"}
+    assert parsed.target == {"family": "X", "n": 2, "m": 1, "sequence": "0*"}
 
 
 def test_trace_text_keeps_params():
@@ -434,7 +437,7 @@ def test_trace_text_keeps_params():
     for move, p in params:
         rec.apply(move, **p)
     parsed = trace_from_text(trace_to_text(rec.trace()))
-    assert [(s.move, s.params_dict) for s in parsed.steps] == params
+    assert [(s.move, s.params) for s in parsed.steps] == params
 
 
 def test_each_step_checks_its_params_once(monkeypatch):
@@ -461,9 +464,9 @@ def test_each_step_checks_its_params_once(monkeypatch):
 def test_a_step_built_in_memory_refuses_a_bad_param():
     d = build_C(2, 1)
     with pytest.raises(CorkCalcError, match="param i must be an integer"):
-        MoveStep("rotate", json.dumps({"i": "1"}), datum_hash(d), datum_hash(d))
+        MoveStep("rotate", {"i": "1"}, datum_hash(d), datum_hash(d))
     with pytest.raises(IllegalMoveError, match="unknown move"):
-        MoveStep("spin", "{}", datum_hash(d), datum_hash(d))
+        MoveStep("spin", {}, datum_hash(d), datum_hash(d))
 
 
 # --- hashing each state once ----------------------------------------------------------------------
@@ -506,7 +509,7 @@ def reference_replay(initial, trace):
         if datum_hash(current) != step.pre:
             raise HashMismatchError(f"pre-hash mismatch at step {idx}", idx)
         try:
-            current = apply_move(current, step.move, step.params_dict)
+            current = apply_move(current, step.move, step.params)
         except CorkCalcError as e:
             e.step_index = idx
             raise
@@ -533,11 +536,11 @@ def _tampered(trace):
             steps = list(trace.steps)
             steps[k] = replace(step, **{field: bogus})
             yield replace(trace, steps=tuple(steps))
-        params = step.params_dict
+        params = dict(step.params)  # a step's params are shared
         key = next(key for key in sorted(params) if isinstance(params[key], (str, int)))
         params[key] = "ghost" if isinstance(params[key], str) else params[key] + 1
         steps = list(trace.steps)
-        steps[k] = replace(step, params=json.dumps(params, sort_keys=True))
+        steps[k] = replace(step, params=params)
         yield replace(trace, steps=tuple(steps))
 
 
@@ -563,6 +566,54 @@ def test_replay_matches_the_reference_on_recorded_and_tampered_traces():
             assert _outcome(replay, start, bad) == expected
             checked += 1
     assert checked == 96 * 10 + (1 + 12 * 3)  # a trace of k steps has 1 + 3k tamperings
+
+
+# --- JSON only at the trace file's edge ----------------------------------------------------------
+
+# sha256 of ``trace_to_text`` of the trace of each case of the default
+# lemma-3-4-scripts grid, in ``iter_cases`` order (560 traces)
+SCRIPTS_TRACES_SHA256 = "0bb176aa9bc0aa25affd471f60e51ede5e8dc388b0bca1eced1e6e3ae397743b"
+
+
+def test_the_scripts_grid_writes_the_same_trace_bytes():
+    from corkcalc import suites
+
+    digest, count = hashlib.sha256(), 0
+    for kind, n, m, x, i in suites.iter_cases("lemma-3-4-scripts", {}):
+        trace = deletion_script(n, m, x, i) if kind == "step" else deletion_chain(n, m, x)
+        digest.update(trace_to_text(trace).encode("utf-8"))
+        count += 1
+    assert count == 560 and digest.hexdigest() == SCRIPTS_TRACES_SHA256
+
+
+@pytest.fixture
+def json_calls(monkeypatch):
+    """The calls that the trace layer makes to ``json``, by function name."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(json, name)
+        return lambda *args, **kw: calls.update([name]) or real(*args, **kw)
+
+    monkeypatch.setattr(moves, "json", SimpleNamespace(dumps=counted("dumps"),
+                                                       loads=counted("loads")))
+    return calls
+
+
+def test_recording_and_replaying_a_chain_calls_no_json(json_calls):
+    start = build_X(5, 2, "*0*00")
+    trace = deletion_chain(5, 2, "*0*00")
+    assert datum_hash(replay(start, trace)) == trace.final
+    assert len(trace.steps) == 12 and not json_calls
+
+
+def test_each_trace_file_line_is_dumped_once_and_parsed_once(json_calls):
+    trace = deletion_chain(5, 2, "*0*00")
+    text = trace_to_text(trace)
+    assert json_calls == {"dumps": 1 + len(trace.steps)}
+    json_calls.clear()
+    assert trace_from_text(text.replace("\n", "\n\n  \n", 2)) == trace  # blank lines skipped
+    assert json_calls == {"loads": 1 + len(trace.steps)}
 
 
 # --- the move-audit suite ----------------------------------------------------------------------------------

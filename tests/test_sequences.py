@@ -12,7 +12,7 @@ from corkcalc.moves import Recorder, trace_from_text
 from corkcalc.scripts import deletion_chain
 from corkcalc.sequences import (all_sequences, check_sequence, check_wheel, cork_order,
                                 dotted_sequence, is_constant, least_rotation, pair_ids,
-                                period, rotation_ids, rotation_map_order, shift)
+                                pair_index, period, rotation_ids, rotation_map_order, shift)
 
 
 def seed_check_sequence(x: str) -> str:
@@ -180,8 +180,21 @@ def test_dotted_sequence_reads_pair_ids_backwards():
             assert dotted_sequence(reversed(dotted)) == x
             # the survivors of a deletion keep their labels (none spell none)
             assert dotted_sequence(dotted[1:]) == (x[1:] or None)
-    for bad in (["a0", "b0"], ["c0"], ["a"], ["a01"], ["a-1"], ["a²"], ["m1_1"]):
+    for bad in (["a0", "b0"], ["c0"], ["a"], ["a01"], ["a-1"], ["a²"], ["m1_1"], ["a\u0661"],
+                ["del"], [0]):
         assert dotted_sequence(bad) is None
+
+
+def test_pair_index_reads_pair_ids_backwards():
+    for j in (0, 1, 9, 10, 123):
+        for sym, other in (("*", "0"), ("0", "*")):
+            dotted, framed = pair_ids(j, sym)
+            assert pair_index(dotted) == (j, sym) and pair_index(framed) == (j, other)
+    # only a name that pair_ids spells names a pair: no leading zero, no
+    # sign, no non-ASCII digit, no other prefix, no non-str
+    for bad in ("a01", "a-1", "a\u0661", "a\u00b2", "del", "a", "", "c0", "a 1", "m1_1",
+                0, None, ("a", 0)):
+        assert pair_index(bad) is None, bad
 
 
 @given(seqs)
