@@ -10,10 +10,10 @@ square matrix) determinant.  It keeps S, and V only for ``kernel_basis``:
 no result needs U.  A column operation changes S in its pivot row alone.
 Every product goes through ``IntMatrix.mul``, which skips the zero
 coefficients of its left factor, and every congruence c q c^T through
-``congruence``.  ``is_diag_minus_one`` drops a split -e_i row by index, a
-permutation plus a deletion, with no SNF and no product; any other norm -1
-vector, a diagonal -1 or a lattice search's find, is split off with the SNF
-kernel of its row.  ``det`` runs only before a search.
+``congruence``.  ``is_diag_minus_one`` drops a split -e_i row from a list
+of surviving slots, copying no entry; any other norm -1 vector, a diagonal
+-1 or a lattice search's find, is split off with the SNF kernel of its row.
+``det`` runs only before a search.
 """
 
 from __future__ import annotations
@@ -374,20 +374,11 @@ def _frac_floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _drop_split_slot(current: IntMatrix, basis: IntMatrix,
-                     i: int) -> tuple[IntMatrix, IntMatrix]:
-    """``current`` and ``basis`` after splitting off a row -e_i at slot i.
-    The one-row SNF kernel of -e_i is e_1..e_{m-1} with e_0 standing in
-    slot i, so its congruence is a permutation plus a deletion, taken by
-    index."""
-    def take(t):  # t at perm = [1..m-1], with perm[i-1] = 0 when i > 0
-        return t[1:i] + t[:1] + t[i + 1:] if i else t[1:]
-
-    m = current.rows
-    rows = take(list(map(current.row, range(m))))
-    return (IntMatrix(m - 1, m - 1, tuple(chain.from_iterable(map(take, rows)))),
-            IntMatrix(m - 1, basis.cols,
-                      tuple(chain.from_iterable(take(list(map(basis.row, range(m))))))))
+def _drop_slot(slots: list[int], i: int) -> list[int]:
+    """The surviving slots after splitting off a row -e_i at position i.  The
+    one-row SNF kernel of -e_i is e_1..e_{m-1} with e_0 standing in position
+    i, so its congruence moves slot 0 to position i - 1 and deletes slot i."""
+    return slots[1:i] + slots[:1] + slots[i + 1:] if i else slots[1:]
 
 
 SEARCH_HEIGHT = 4  # coefficient bound of the norm -1 vector search
@@ -397,21 +388,22 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
     """Decide whether symmetric q is unimodularly congruent to -Identity.
 
     Greedy: peel off norm -1 vectors and recurse on the orthogonal complement
-    lattice.  While the current form has a -1 on its diagonal, the first such
+    lattice.  The current form is the last materialised one read at a list
+    of surviving slots.  While it has a -1 on its diagonal, the first such
     slot i is split off.  When its row is -e_i, the complement is a
-    permutation of the unit vectors, so ``_drop_split_slot`` takes it by
-    index, with no product; the form of a wheel, -I itself, is peeled this
-    way throughout.  Any other such slot takes vec = e_i, and only when no
-    diagonal entry is -1 does the lattice search run, for a norm -1 vector
-    with coefficients bounded by ``SEARCH_HEIGHT``; either vec is followed
-    by the SNF kernel of its row, and the form is updated through
-    ``congruence``.  Each
-    splits off a norm -1 vector, so |det| of the current form stays |det q|:
-    ``det`` runs only before a search, and a peel that needs none proves
-    |det q| = 1.  Returns a definite False on any definiteness or determinant
-    obstruction; an exhausted search without obstruction is inconclusive,
-    never False.  A True verdict carries a witness W with W^T q W == -I,
-    checked here.
+    permutation of the unit vectors, so ``_drop_slot`` permutes and deletes
+    slots, with no product and no copy; the form of a wheel, -I itself, is
+    peeled this way throughout.  Any other such slot takes vec = e_i, and
+    only when no diagonal entry is -1 does the lattice search run, for a
+    norm -1 vector with coefficients bounded by ``SEARCH_HEIGHT``; either
+    vec is followed, on the form and basis materialised at the slots, by
+    the SNF kernel of its row, and the form is updated through
+    ``congruence``.  Each splits off a norm -1 vector, so |det| of the
+    current form stays |det q|: ``det`` runs only before a search, and a
+    peel that needs none proves |det q| = 1.  Returns a definite False on
+    any definiteness or determinant obstruction; an exhausted search without
+    obstruction is inconclusive, never False.  A True verdict carries a
+    witness W with W^T q W == -I, checked here.
     """
     if not q.is_symmetric():
         raise ValueError("is_diag_minus_one needs a symmetric matrix")
@@ -423,17 +415,23 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
         return DiagMinusOneResult(False, None, f"not negative definite (inertia {(pos, neg, zero)})")
 
     columns: list[tuple[int, ...]] = []
-    # row k: the k-th basis vector of the current lattice, in the original coordinates
+    # row k: the k-th basis vector of the last materialised lattice, in the
+    # original coordinates; the current basis is basis read at the slots
     basis = IntMatrix.identity(n)
     current = q
-    while current.rows:
-        m = current.rows
-        i = next((k for k in range(m) if current.at(k, k) == -1), None)
+    slots = list(range(n))
+    while slots:
+        m = len(slots)
+        i = next((k for k, s in enumerate(slots) if current.at(s, s) == -1), None)
+        # a dropped slot's row was -e_j, so each row left is 0 there: read it whole
+        if i is not None and sum(map(bool, current.row(slots[i]))) == 1:  # row i is -e_i
+            columns.append(basis.row(slots[i]))
+            slots = _drop_slot(slots, i)
+            continue
+        if m < current.rows:  # materialise the current form and basis
+            current = IntMatrix(m, m, tuple(current.at(r, c) for r in slots for c in slots))
+            basis = IntMatrix(m, basis.cols, tuple(chain.from_iterable(map(basis.row, slots))))
         if i is not None:
-            if sum(map(bool, current.row(i))) == 1:  # row i is -e_i
-                columns.append(basis.row(i))
-                current, basis = _drop_split_slot(current, basis, i)
-                continue
             vec = tuple(int(k == i) for k in range(m))
         else:
             if abs(det(current)) != 1:
@@ -447,6 +445,7 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
         columns.append(IntMatrix(1, m, vec).mul(basis).entries)
         basis = complement.mul(basis)
         current = congruence(current, complement)
+        slots = list(range(current.rows))
 
     witness_t = IntMatrix(n, n, tuple(chain.from_iterable(columns)))
     neg_identity = IntMatrix(n, n, tuple(-int(i == j) for i in range(n) for j in range(n)))

@@ -49,6 +49,9 @@ handles, so they go through the public constructor, which sorts.
 A trace holds each step's checked params and its checked target as dicts,
 shared (do not mutate them; a step or trace is not hashable); only
 ``trace_to_text`` and ``trace_from_text`` touch JSON, once per file line.
+The checks live on the dataclasses: building a ``MoveStep`` checks its
+params, and building a ``MoveTrace`` checks its target, so a trace built
+in memory, parsed or recorded is refused the same way.
 """
 
 from __future__ import annotations
@@ -400,9 +403,15 @@ class MoveStep:
 
 @dataclass(frozen=True)
 class MoveTrace:
+    """A hash-chained trace.  Building one checks its declared target with
+    ``_target`` and keeps the checked copy; a bad one raises ``CorkCalcError``."""
     initial: str
     steps: tuple[MoveStep, ...] = ()
     target: dict | None = None  # the checked declared target (shared: do not mutate)
+
+    def __post_init__(self):
+        if self.target is not None:
+            object.__setattr__(self, "target", _target(self.target))
 
     @property
     def final(self) -> str:
@@ -578,8 +587,6 @@ def trace_from_text(text: str) -> MoveTrace:
         raise CorkCalcError(f"unsupported trace format {header.get('format')!r}")
     _require_keys(header, ("initial",), "trace header")
     _require_hashes(header, ("initial",), "trace header")
-    target = header.get("target")
-    target = None if target is None else _target(target)
     steps = []
     for idx, ln in enumerate(lines[1:]):
         what = f"trace step {idx}"
@@ -587,4 +594,4 @@ def trace_from_text(text: str) -> MoveTrace:
         _require_keys(obj, ("move", "params", "pre", "post"), what)
         _require_hashes(obj, ("pre", "post"), what)
         steps.append(MoveStep(obj["move"], obj["params"], obj["pre"], obj["post"], what))
-    return MoveTrace(header["initial"], tuple(steps), target)
+    return MoveTrace(header["initial"], tuple(steps), header.get("target"))

@@ -44,20 +44,22 @@ GRID_REPORT_SHA256 = {
     ("w-family", 11, 1): "b720a5eca154bcbac05b6b513d584255d75f6f3decbf1c30cbc8358cebe1c810",
 }
 
-# the same for the scaled grids: W(n) for n <= 18, the deletion scripts and
-# chains of length <= 8, the contractibility grid n <= 12, every cork order
-# of length <= 16, and the surface sum l = 20, n = 5; all with m = 1
+# the same for the scaled grids: W(n) for n <= 18 and n <= 24, the deletion
+# scripts and chains of length <= 8, the contractibility grid n <= 12, every
+# cork order of length <= 16, and the surface sum l = 20, n = 5; all with m = 1
 SCALED_REPORT_SHA256 = {
-    "w-family": ({"n_max": 18, "m_max": 1},
-                 "ae528866b40b6dac12ac6d6c4360072d689411e15a2795ec55c1a69c35f955c7"),
-    "lemma-3-4-scripts": ({"n_max": 8, "m_max": 1},
-                          "3abbe069d3bc6d40848c975b9e34773b663d1912e53cdc4b482e3bc757ccb3b1"),
-    "lemma-2-2": ({"n_max": 12, "m_max": 1},
-                  "4e86767dd6d83a871cf6a7c967a8a90bc007bfd838a1cf29dd235d28ae1a482c"),
-    "cork-order": ({"n_max": 16},
-                   "9624b7e6f41a92af2980e7481294623af4358cf4413f32bdd8f383f6d7a24bfc"),
-    "thm-1-7-arith": ({"l": 20, "n": 5},
-                      "658b4c3f2413b33b5a7af8ff568f7c47acf2e48706b238affbf8be4a48ea6f04"),
+    "w-family": (({"n_max": 18, "m_max": 1},
+                  "ae528866b40b6dac12ac6d6c4360072d689411e15a2795ec55c1a69c35f955c7"),
+                 ({"n_max": 24, "m_max": 1},
+                  "5b2fb2978b95c0ab684799687660e4e6faca2acf84ce74057bf087dbb2f95b8d")),
+    "lemma-3-4-scripts": (({"n_max": 8, "m_max": 1},
+                           "3abbe069d3bc6d40848c975b9e34773b663d1912e53cdc4b482e3bc757ccb3b1"),),
+    "lemma-2-2": (({"n_max": 12, "m_max": 1},
+                   "4e86767dd6d83a871cf6a7c967a8a90bc007bfd838a1cf29dd235d28ae1a482c"),),
+    "cork-order": (({"n_max": 16},
+                    "9624b7e6f41a92af2980e7481294623af4358cf4413f32bdd8f383f6d7a24bfc"),),
+    "thm-1-7-arith": (({"l": 20, "n": 5},
+                       "658b4c3f2413b33b5a7af8ff568f7c47acf2e48706b238affbf8be4a48ea6f04"),),
 }
 
 
@@ -93,10 +95,10 @@ def test_benchmark_grid_reports_are_pinned(suite, n_max, m_max):
 
 @pytest.mark.parametrize("suite", sorted(SCALED_REPORT_SHA256))
 def test_scaled_grid_reports_are_pinned(suite):
-    grid, sha256 = SCALED_REPORT_SHA256[suite]
-    result = run_suite(suite, grid)
-    assert result.passed
-    assert _report_sha256(result) == sha256
+    for grid, sha256 in SCALED_REPORT_SHA256[suite]:
+        result = run_suite(suite, grid)
+        assert result.passed, grid
+        assert _report_sha256(result) == sha256, grid
 
 
 def test_criterion_1_contractibility_sweep():

@@ -157,6 +157,28 @@ def _as_is_or_mutated(doc):
 
 
 @FUZZ
+@given(st.sampled_from(sorted(_TRACES)), st.data())
+def test_a_trace_built_in_memory_replays_or_raises_corkcalc_error(name, data):
+    # MoveTrace checks its target and MoveStep its params where they are
+    # built, so replay and check_trace of what they accept end in a value
+    # or a CorkCalcError
+    recorded = _TRACES[name]
+    target = data.draw(_as_is_or_mutated(recorded.target) | json_values, "target")
+    edited = data.draw(st.integers(-1, len(recorded.steps) - 1), "edited step")
+
+    def build(_):
+        steps = tuple(moves.MoveStep(s.move, data.draw(mutated(s.params), "params")
+                                     if k == edited else s.params, s.pre, s.post)
+                      for k, s in enumerate(recorded.steps))
+        return moves.MoveTrace(recorded.initial, steps, target)
+
+    trace = _value_or_corkcalc_error(build, None)
+    if trace is not None:
+        _value_or_corkcalc_error(lambda t: moves.replay(_STARTS[name], t), trace)
+        _value_or_corkcalc_error(lambda t: scripts.check_trace(_STARTS[name], t), trace)
+
+
+@FUZZ
 @given(st.sampled_from(sorted(_TRACES)).flatmap(lambda name: st.tuples(
     _as_is_or_mutated(json.loads(datum.dumps(_STARTS[name]))),
     _as_is_or_mutated(_lines(_TRACES[name])))))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -426,14 +427,14 @@ def assert_same_verdict(q):
 
 
 def test_diag_minus_one_matches_reference_on_congruences_of_minus_identity(monkeypatch):
-    dropped = []  # the slot of every split -e_i row dropped by index
-    drop = linalg._drop_split_slot
+    dropped = []  # the position of every split -e_i row dropped from the slots
+    drop = linalg._drop_slot
 
-    def recording_drop(current, basis, i):
+    def recording_drop(slots, i):
         dropped.append(i)
-        return drop(current, basis, i)
+        return drop(slots, i)
 
-    monkeypatch.setattr(linalg, "_drop_split_slot", recording_drop)
+    monkeypatch.setattr(linalg, "_drop_slot", recording_drop)
     rng = random.Random(47)
     pivot_before_row = verdicts_true = 0
     for _ in range(1200):
@@ -466,6 +467,23 @@ def test_diag_minus_one_matches_reference_on_decorated_wheels():
         assert assert_same_verdict(intersection_form(build_W(n, 1))).verdict is True
 
 
+# sha256 of repr(witness.entries) for the forms of W(n), m = 1, where
+# reference_is_diag_minus_one is too slow to compare with (12 s on W(18))
+WHEEL_WITNESS_SHA256 = {
+    12: "c68cc105124a3245fae6c9c632d9521791eb9219c22fba2002a873a93113e5ee",
+    18: "f40a85b016d5cda93a6acecfb61c8693c41bc0e4e4213eeb62e89d55a3c51ab6",
+    24: "78815703ae55cf52b771cb8408d8e08367548c5717356f37f5ece6dbaab5b62d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(WHEEL_WITNESS_SHA256))
+def test_diag_minus_one_witnesses_of_large_wheels_are_pinned(n):
+    res = is_diag_minus_one(intersection_form(build_W(n, 1)))
+    assert res.verdict is True
+    assert hashlib.sha256(repr(res.witness.entries).encode()).hexdigest() == \
+        WHEEL_WITNESS_SHA256[n]
+
+
 def test_diag_minus_one_splits_without_snf_kernel(monkeypatch):
     q = intersection_form(build_W(12, 1))
 
@@ -480,7 +498,7 @@ def test_diag_minus_one_splits_without_snf_kernel(monkeypatch):
 
 
 def test_diag_minus_one_multiplies_only_in_the_witness_check(monkeypatch):
-    # the form of W(11) is -I itself: every step drops a split -e_i by index,
+    # the form of W(11) is -I itself: every step drops a split -e_i from the slots,
     # so the only products are the two of congruence(q, W^T)
     q = intersection_form(build_W(11, 1))
     assert q.rows == 55

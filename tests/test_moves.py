@@ -469,6 +469,18 @@ def test_a_step_built_in_memory_refuses_a_bad_param():
         MoveStep("spin", {}, datum_hash(d), datum_hash(d))
 
 
+def test_a_trace_built_in_memory_refuses_a_bad_target():
+    # the target is checked where the trace is built, so check_trace never
+    # reads a target that lacks n or is no object
+    h = datum_hash(build_C(2, 1))
+    for target in ({"x": 1}, "junk", {"n": 1, "m": 1}):
+        with pytest.raises(CorkCalcError, match="trace target"):
+            MoveTrace(h, (), target)
+    target = {"family": "X", "n": 1, "m": 1, "sequence": "*"}
+    trace = MoveTrace(h, (), target)
+    assert trace.target == target and trace.target is not target
+
+
 # --- hashing each state once ----------------------------------------------------------------------
 
 @pytest.fixture

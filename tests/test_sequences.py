@@ -8,7 +8,7 @@ from corkcalc import sequences, suites
 from corkcalc.datum import validate
 from corkcalc.errors import BadIndexError, LengthMismatchError
 from corkcalc.families import build_C, build_X
-from corkcalc.moves import Recorder, trace_from_text
+from corkcalc.moves import MoveTrace, Recorder, trace_from_text
 from corkcalc.scripts import deletion_chain
 from corkcalc.sequences import (all_sequences, check_sequence, check_wheel, cork_order,
                                 dotted_sequence, is_constant, least_rotation, pair_ids,
@@ -263,6 +263,10 @@ def _recorded_target(n, m, x):
     return Recorder(build_C(1, 1), target={"family": "X", "n": n, "m": m, "sequence": x})
 
 
+def _built_target(n, m, x):
+    return MoveTrace("0" * 64, (), {"family": "X", "n": n, "m": m, "sequence": x})
+
+
 def _validates(n, m, x) -> bool:
     """``validate`` of the wheel of x (of ``*`` when x is no sequence) with
     n, m and x in its meta."""
@@ -272,16 +276,17 @@ def _validates(n, m, x) -> bool:
 
 
 def test_every_caller_applies_the_one_wheel_rule():
-    # build_X, a trace's declared target (read or recorded), the scripts API
-    # and the wheel-metadata check accept exactly the same (n, m, x)
+    # build_X, a trace's declared target (read, recorded or built in memory),
+    # the scripts API and the wheel-metadata check accept exactly the same (n, m, x)
     values = (0, 1, 2, 3, True, 1.0, "1", None)
     for n, m, x in itertools.product(values, values, ("", "*", "0", "*0", "x0", None)):
         expected = (x in ("*", "0", "*0") and type(n) is int and type(m) is int
                     and n == len(x) and m >= 1)
         verdicts = [_accepts(check_wheel, n, m, x, "wheel"), _accepts(build_X, n, m, x),
                     _accepts(_declared_target, n, m, x), _accepts(_recorded_target, n, m, x),
-                    _accepts(deletion_chain, n, m, x), _validates(n, m, x)]
-        assert verdicts == [expected] * 6, (n, m, x)
+                    _accepts(_built_target, n, m, x), _accepts(deletion_chain, n, m, x),
+                    _validates(n, m, x)]
+        assert verdicts == [expected] * 7, (n, m, x)
 
 
 def test_check_wheel_names_what_it_refuses():
