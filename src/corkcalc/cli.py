@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import datum as datum_io
@@ -42,14 +43,23 @@ def _read_text(path: str) -> str:
         raise _CliError(f"cannot read {path}: {e}", EXIT_IO) from e
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextmanager
+def _output(path: str | None):
+    """The stream to write to: stdout for no path or ``-``, else the opened
+    file, where an OSError exits 3 with ``cannot write``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
     except OSError as e:
         raise _CliError(f"cannot write {path}: {e}", EXIT_IO) from e
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _output(path) as f:
+        f.write(text)
 
 
 def _load_datum(path: str):
@@ -67,10 +77,15 @@ def _load_datum(path: str):
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
+    """Write a report. JSON goes out chunk by chunk as it is encoded, so the
+    whole text, ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, is
+    never held at once."""
     if fmt == "md":
         _write_text(out, _markdown(report))
-    else:
-        _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return
+    with _output(out) as f:
+        json.dump(report, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _markdown(obj: dict, title: str = "report") -> str:

@@ -37,8 +37,8 @@ from .errors import BadIndexError, CorkCalcError
 from .families import build_X
 from .isomorphism import datum_isomorphic, relabeling_witness
 from .moves import MoveTrace, Recorder, replay
-from .sequences import (STAR, ZERO, check_sequence, check_wheel, dotted_sequence, is_constant,
-                        is_int, pair_ids)
+from .sequences import (STAR, ZERO, check_sequence, check_wheel, dotted_pairs, is_constant,
+                        is_int, pair_ids, pair_relabeling)
 
 
 def _delete_steps(rec: Recorder, pair_index: int, symbol: str) -> None:
@@ -158,36 +158,34 @@ def check_trace(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum |
     the k-th surviving pair to the target's pair k - r, where the target's
     sequence starts at index r of the spelled one, all signs +1.  Only when
     ``relabeling_witness`` refuses it does the bounded search run."""
+    report, result, _ = _check(start, trace)
+    return report, result
+
+
+def _check(start: KirbyDatum, trace: MoveTrace) -> tuple[dict, KirbyDatum | None, list | None]:
+    """``check_trace``, and the (j, symbol) that the result's dotted circles
+    name (``dotted_pairs``) when a target was checked, else None."""
     try:
         result = replay(start, trace)
     except CorkCalcError as e:
         return {"integrity": "failed", "error": str(e),
-                "step": getattr(e, "step_index", None)}, None
+                "step": getattr(e, "step_index", None)}, None, None
     report = {"integrity": "ok", "final_hash": trace.final}  # checked by replay
     target = trace.target
-    if target is not None:
-        expected = build_X(target["n"], target["m"], target["sequence"],
-                           family=target.get("family", "X"))
-        report["target"] = target
-        spelled, x = dotted_sequence(result.one_handles), target["sequence"]
-        # x is a rotation of the spelling exactly when it occurs in it doubled
-        rotation = (spelled + spelled).find(x) if spelled and len(spelled) == len(x) else -1
-        report["target_isomorphic"] = rotation >= 0 and (
-            relabeling_witness(result, expected, _spelled_ids(result, rotation)) is not None
-            or datum_isomorphic(result, expected) is not None)
-        if not report["target_isomorphic"]:
-            return report, None
-    return report, result
-
-
-def _spelled_ids(result: KirbyDatum, rotation: int) -> dict[str, str]:
-    """The relabeling that the dotted circles of ``result`` spell: the
-    circles of its k-th pair go to those of the target's pair k - rotation."""
-    pairs = sorted(int(g[1:]) for g in result.one_handles)  # dotted_sequence parsed them
-    ids = {}
-    for k, j in enumerate(pairs):
-        ids.update(zip(pair_ids(j, STAR), pair_ids((k - rotation) % len(pairs), STAR)))
-    return ids
+    if target is None:
+        return report, result, None
+    expected = build_X(target["n"], target["m"], target["sequence"],
+                       family=target.get("family", "X"))
+    report["target"] = target
+    pairs = dotted_pairs(result.one_handles) or []
+    spelled, x = "".join(sym for _, sym in pairs), target["sequence"]
+    # x is a rotation of the spelling exactly when it occurs in it doubled
+    rotation = (spelled + spelled).find(x) if len(spelled) == len(x) else -1
+    js = [j for j, _ in pairs]
+    report["target_isomorphic"] = rotation >= 0 and (
+        relabeling_witness(result, expected, pair_relabeling(js, rotation)) is not None
+        or datum_isomorphic(result, expected) is not None)
+    return report, (result if report["target_isomorphic"] else None), pairs
 
 
 def _verify(start: KirbyDatum, m: int, x: str, positions) -> bool:
@@ -195,9 +193,8 @@ def _verify(start: KirbyDatum, m: int, x: str, positions) -> bool:
     recorded on, to the wheel it declares, and the surviving dotted circles
     are exactly those x prescribes for the pairs it keeps."""
     trace, kept = _record(start, m, x, positions)
-    report, result = check_trace(start, trace)
-    return (report.get("target_isomorphic") is True
-            and set(result.one_handles) == {pair_ids(j, sym)[0] for j, sym in kept})
+    report, _, dotted = _check(start, trace)
+    return report.get("target_isomorphic") is True and dotted == kept
 
 
 def verify_deletion(n: int, m: int, x: str, i: int) -> bool:

@@ -2,9 +2,9 @@
 
 A sequence is a nonempty string over the alphabet ``*`` and ``0``.  Entry j
 selects which member of the j-th circle pair of a wheel datum carries the
-dot (``pair_ids`` is the one place that names the pair's circles, and
-``pair_index`` reads them back); cyclic shifts rotate the wheel, whose
-circles ``rotation_ids`` relabels.
+dot (``pair_ids`` names the pair's circles, ``pair_index`` reads them back
+and ``pair_relabeling`` renames them); cyclic shifts rotate the wheel,
+whose circles ``rotation_ids`` relabels.
 Cork-order computation rests on the (documented) composability axiom: if
 two boundary self-maps of a manifold each extend over the interior, so does
 their composite, hence a rotation extends whenever some power fixing the
@@ -76,14 +76,33 @@ def pair_index(g) -> tuple[int, str] | None:
     return (j, STAR) if g == radial else (j, ZERO) if g == circular else None
 
 
-def dotted_sequence(dotted) -> str | None:
-    """The sequence that the dotted circles ``dotted`` spell in increasing
-    pair index (``pair_index``), or None if they spell none (no circles
-    spell none: a sequence is nonempty)."""
+def dotted_pairs(dotted) -> list[tuple[int, str]] | None:
+    """The (j, symbol) that each dotted circle of ``dotted`` names
+    (``pair_index``), in increasing j, or None if a circle names no pair or
+    two circles name one."""
     pairs = [pair_index(g) for g in dotted]
     if None in pairs or len({j for j, _ in pairs}) < len(pairs):
         return None
-    return "".join(sym for _, sym in sorted(pairs)) or None
+    return sorted(pairs)
+
+
+def dotted_sequence(dotted) -> str | None:
+    """The sequence that the dotted circles ``dotted`` spell in increasing
+    pair index (``dotted_pairs``), or None if they spell none (no circles
+    spell none: a sequence is nonempty)."""
+    pairs = dotted_pairs(dotted)
+    return "".join(sym for _, sym in pairs) if pairs else None
+
+
+def pair_relabeling(js, r: int) -> dict[str, str]:
+    """The circle relabeling that takes each circle of pair ``js[k]`` to
+    the same circle of pair k - r mod len(js), as ``pair_ids`` names them."""
+    n = len(js)
+    ids = {}
+    for k, j in enumerate(js):
+        t = (k - r) % n
+        ids[f"a{j}"], ids[f"b{j}"] = f"a{t}", f"b{t}"
+    return ids
 
 
 def rotation_ids(n: int, i: int) -> dict[str, str]:
@@ -92,8 +111,7 @@ def rotation_ids(n: int, i: int) -> dict[str, str]:
     sequence, which rotates with it (``shift``)."""
     if n < 1:
         raise ValueError("wheel size must be >= 1")
-    return {old: new for j in range(n)
-            for old, new in zip(pair_ids(j, STAR), pair_ids((j + i) % n, STAR))}
+    return pair_relabeling(range(n), -i)
 
 
 def shift(x: str, i: int) -> str:

@@ -13,6 +13,8 @@ import inspect
 import math
 import random
 from dataclasses import dataclass
+from itertools import starmap
+from operator import attrgetter, itemgetter
 
 from . import families, scripts, sequences, stein
 from .datum import (CorkPair, KirbyDatum, full_linking_matrix, validate,
@@ -479,13 +481,17 @@ def run_suite(name: str, grid: dict | None = None, jobs: int = 1) -> SuiteResult
         from concurrent.futures import ProcessPoolExecutor
         batches = [(resolved, cases[k::jobs]) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = [r for batch in pool.map(_run_batch, batches) for r in batch]
+            rows = [row for batch in pool.map(_run_batch, batches) for row in batch]
+        rows.sort(key=itemgetter(0))
+        results = list(starmap(CaseResult, rows))
     else:
         results = [run_case(resolved, c) for c in cases]
-    results.sort(key=lambda r: r.case)
+        results.sort(key=attrgetter("case"))
     return SuiteResult(resolved, tuple(results))
 
 
-def _run_batch(item):
+def _run_batch(item) -> list[tuple[str, bool, str]]:
+    """A worker's batch as plain (case, ok, details) rows: they cross the
+    pool far more cheaply than ``CaseResult``s, which ``run_suite`` builds."""
     name, cases = item
-    return [run_case(name, c) for c in cases]
+    return [(r.case, r.ok, r.details) for r in (run_case(name, c) for c in cases)]

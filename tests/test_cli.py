@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
+from corkcalc import cli, scripts, suites
 from corkcalc import datum as datum_io
-from corkcalc import scripts, suites
 from corkcalc.cli import main
 from corkcalc.families import build_C, build_W, build_X
 from corkcalc.moves import Recorder, trace_to_text
@@ -148,6 +149,35 @@ def test_verify_pool_writes_the_serial_report(tmp_path):
     assert run(["verify", "thm-1-7-arith", "--jobs", "1", "-o", str(serial)]) == 0
     assert run(["verify", "thm-1-7-arith", "--jobs", "2", "-o", str(pooled)]) == 0
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_a_json_report_is_streamed_to_where_it_goes(tmp_path, capsys):
+    report = suites.run_suite("cork-order", {"n_max": 10}).to_dict()
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._emit(report, "json", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole text is never held: json.dumps alone would hold all of it
+    assert peak - base < len(text)
+    assert out.read_bytes() == text.encode()
+    for where in ("-", None):
+        cli._emit(report, "json", where)
+        assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_verify_to_a_missing_directory_exit_3(tmp_path, capsys, fmt):
+    out = tmp_path / "missing" / "r.json"
+    assert run(["verify", "thm-1-7-arith", "--format", fmt, "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

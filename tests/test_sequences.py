@@ -12,7 +12,8 @@ from corkcalc.moves import MoveTrace, Recorder, trace_from_text
 from corkcalc.scripts import deletion_chain
 from corkcalc.sequences import (all_sequences, check_sequence, check_wheel, cork_order,
                                 dotted_sequence, is_constant, least_rotation, pair_ids,
-                                pair_index, period, rotation_ids, rotation_map_order, shift)
+                                pair_index, pair_relabeling, period, rotation_ids,
+                                rotation_map_order, shift)
 
 
 def seed_check_sequence(x: str) -> str:
@@ -183,6 +184,16 @@ def test_dotted_sequence_reads_pair_ids_backwards():
     for bad in (["a0", "b0"], ["c0"], ["a"], ["a01"], ["a-1"], ["a²"], ["m1_1"], ["a\u0661"],
                 ["del"], [0]):
         assert dotted_sequence(bad) is None
+
+
+def test_pair_relabeling_renames_the_circles_pair_ids_names():
+    # the survivors of a deletion keep their labels; they go to 0, 1, ...
+    for js in ([0], [1, 3], [0, 2, 5], [4, 6, 7, 9]):
+        for r in range(-len(js), 2 * len(js)):
+            expected = {old: new for k, j in enumerate(js)
+                        for sym in "*0"
+                        for old, new in zip(pair_ids(j, sym), pair_ids((k - r) % len(js), sym))}
+            assert pair_relabeling(js, r) == expected
 
 
 def test_pair_index_reads_pair_ids_backwards():

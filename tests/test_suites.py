@@ -24,6 +24,22 @@ def test_pool_matches_serial_on_the_benchmark_grid():
     assert suites.run_suite("lemma-2-2", grid, jobs=2) == suites.run_suite("lemma-2-2", grid)
 
 
+def test_a_worker_batch_is_plain_rows():
+    batch = suites.iter_cases("cork-order", {"n_max": 3})
+    rows = suites._run_batch(("cork-order", batch))
+    assert [type(row) for row in rows] == [tuple] * len(batch)
+    assert all(list(map(type, row)) == [str, bool, str] for row in rows)
+    assert rows == [(r.case, r.ok, r.details)
+                    for r in (suites.run_case("cork-order", c) for c in batch)]
+
+
+def test_pool_matches_serial_in_order():
+    serial = suites.run_suite("cork-order", {"n_max": 8})
+    pooled = suites.run_suite("cork-order", {"n_max": 8}, jobs=2)
+    assert pooled == serial  # the cases tuples, so their order too
+    assert all(type(c) is suites.CaseResult for c in pooled.cases)
+
+
 def test_pool_on_an_empty_grid():
     # deletions need two pairs, so this grid has no cases
     result = suites.run_suite("lemma-3-4-scripts", {"n_max": 1}, jobs=2)
@@ -162,8 +178,8 @@ def test_the_memo_keeps_no_datum_alive(monkeypatch):
 
 def test_a_worker_batch_certifies_each_wheel_once(homology_calls):
     batch = suites.iter_cases("lemma-2-2", {"n_max": 4, "m_max": 3})[0::2]
-    results = suites._run_batch(("lemma-2-2", batch))
-    assert len(results) == len(batch) and all(r.ok for r in results)
+    rows = suites._run_batch(("lemma-2-2", batch))
+    assert len(rows) == len(batch) and all(ok for _, ok, _ in rows)
     classes = {(n, sequences.least_rotation(x)[0]) for n, _, x, _ in batch}
     assert len(homology_calls) == len(classes) == 11
 
