@@ -27,6 +27,11 @@ just checked it, and a move that adds a handle of a fresh id to a valid
 wheel, which a fresh id cannot break.  An invalid verdict is never
 carried, since a new handle may repair the wheel.
 
+The exponent-sum and full linking matrices are written once, as sparse
+rows ({column: nonzero} dicts): ``exponent_rows`` and ``linking_rows``.
+``invariants`` hands those rows to ``linalg.snf``; ``exponent_matrix``
+and ``full_linking_matrix`` read them dense.
+
 Canonical serialization (sorted handles, normalized words, canonical JSON)
 is the basis for file round-trips and trace hashing.  The ``/1`` format
 lists every linking of a 2-handle on its record, so each pair is written on
@@ -354,43 +359,70 @@ def validate_cork_pair(d: KirbyDatum, pair: CorkPair) -> list[str]:
 
 # --- matrices -----------------------------------------------------------------
 
+def exponent_rows(d: KirbyDatum) -> list[dict[int, int]]:
+    """The exponent-sum matrix as sparse rows: row k for the k-th dotted
+    circle, {column j: the j-th 2-handle's nonzero exponent sum on it}.  A
+    letter on any other name is ignored; a name listed twice among the
+    dotted circles gets its row twice."""
+    rows: list[dict[int, int]] = [{} for _ in d.one_handles]
+    at: dict[str, list[int]] = {}
+    for k, x in enumerate(d.one_handles):
+        at.setdefault(x, []).append(k)
+    for j, h in enumerate(d.two_handles):
+        for x, e in h.word.exponents().items():
+            if e and x in at:
+                for k in at[x]:
+                    rows[k][j] = e
+    return rows
+
+
 def exponent_matrix(d: KirbyDatum):
-    """Matrix of word exponent sums: rows = dotted circles, cols = 2-handles.
+    """Matrix of word exponent sums: rows = dotted circles, cols = 2-handles
+    (``exponent_rows`` read dense).
 
     Returns (matrix, row_ids, col_ids); ids are sorted for determinism.
     """
-    row_ids = tuple(d.one_handles)
     col_ids = d.handle_ids
-    sums = [h.word.exponents() for h in d.two_handles]
-    entries = [e.get(g, 0) for g in row_ids for e in sums]
-    return IntMatrix(len(row_ids), len(col_ids), tuple(entries)), row_ids, col_ids
+    return (IntMatrix.from_sparse(exponent_rows(d), len(col_ids)),
+            tuple(d.one_handles), col_ids)
 
 
-def full_linking_matrix(d: KirbyDatum):
-    """Symmetric linking matrix over all components.
+def linking_rows(d: KirbyDatum) -> list[dict[int, int]]:
+    """The full linking matrix as sparse rows, {column: nonzero entry}, over
+    the components in ``full_linking_matrix`` order.
 
     Dotted circles convert to 0-framed components (diagonal 0); 2-handles
     carry their framing on the diagonal; every off-diagonal entry is
     ``d.lk``, filled from where each linking is stored: a word's exponent
     sums on the dotted circles (a letter on any other name is ignored), and
     the ``links`` entries of two distinct 2-handles.  Ids are assumed
-    distinct, as ``validate`` requires.  Returns (matrix, component order).
-    """
-    order = tuple(d.one_handles) + d.handle_ids
-    n, g = len(order), len(d.one_handles)
+    distinct, as ``validate`` requires; the linkings of a repeated id go
+    to its last component."""
+    g = len(d.one_handles)
+    rows: list[dict[int, int]] = [{} for _ in range(g + len(d.two_handles))]
     dotted = {x: k for k, x in enumerate(d.one_handles)}
-    handle = {x: k for k, x in enumerate(order) if k >= g}
-    entries = [0] * (n * n)
+    handle = {h.id: i for i, h in enumerate(d.two_handles, start=g)}
     for i, h in enumerate(d.two_handles, start=g):
-        entries[i * n + i] = h.framing
+        row = rows[i]
+        if h.framing:
+            row[i] = h.framing
         for x, e in h.word.exponents().items():
-            if x in dotted:
-                entries[i * n + dotted[x]] = entries[dotted[x] * n + i] = e
+            if e and x in dotted:
+                k = dotted[x]
+                row[k] = rows[k][i] = e
     for (x, y), v in d.links:
-        if x != y and x in handle and y in handle:
+        if v and x != y and x in handle and y in handle:
             i, j = handle[x], handle[y]
-            entries[i * n + j] = entries[j * n + i] = v
-    return IntMatrix(n, n, tuple(entries)), order
+            rows[i][j] = rows[j][i] = v
+    return rows
+
+
+def full_linking_matrix(d: KirbyDatum):
+    """Symmetric linking matrix over all components: ``linking_rows`` read
+    dense.  Returns (matrix, component order): the dotted circles, then the
+    2-handles."""
+    order = tuple(d.one_handles) + d.handle_ids
+    return IntMatrix.from_sparse(linking_rows(d), len(order)), order
 
 
 # --- canonical form, hashing, file round trip ---------------------------------

@@ -6,6 +6,12 @@ H1 is the cokernel, H2 the kernel.  Boundary homology comes from the full
 symmetric linking matrix with dotted circles converted to 0-framed
 components.  The intersection form is the restriction of the 2-handle
 linking matrix to the kernel lattice.
+
+Each SNF here is taken of the sparse rows the datum hands over
+(``datum.exponent_rows`` and ``datum.linking_rows``, one {column: nonzero}
+dict per row) with the matrix's shape, so the dense matrix is never built
+for ``linalg.snf``; only the 2-handle linking block of the intersection
+form, which ``linalg.congruence`` multiplies, is read dense.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import linalg
-from .datum import KirbyDatum, exponent_matrix, full_linking_matrix
+from .datum import KirbyDatum, exponent_rows, linking_rows
 from .errors import UnsupportedThreeHandlesError
 from .linalg import IntMatrix
 
@@ -35,10 +41,10 @@ def homology(d: KirbyDatum) -> HomologyProfile:
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
             "homology of data with explicit 3-handles is not supported")
-    mat, _, _ = exponent_matrix(d)
-    res = linalg.snf(mat)
+    rows, h = exponent_rows(d), len(d.two_handles)
+    res = linalg.snf(rows, (len(rows), h))
     h1 = tuple(res.coker_invariants())
-    b2 = mat.cols - sum(1 for x in res.S.diagonal() if x)
+    b2 = h - sum(1 for x in res.S.diagonal() if x)
     contractible = (not h1) and b2 == 0
     return HomologyProfile(h1, b2, contractible)
 
@@ -62,8 +68,8 @@ def boundary_h1(d: KirbyDatum) -> BoundaryHomology:
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
             "boundary homology of data with explicit 3-handles is not supported")
-    mat, _ = full_linking_matrix(d)
-    res = linalg.snf(mat)
+    rows = linking_rows(d)
+    res = linalg.snf(rows, (len(rows), len(rows)))
     factors = tuple(res.coker_invariants())
     determinant = res.det()
     return BoundaryHomology(factors, abs(determinant) == 1, determinant)
@@ -76,11 +82,11 @@ def intersection_form(d: KirbyDatum) -> IntMatrix:
     if d.three_handles != 0:
         raise UnsupportedThreeHandlesError(
             "intersection form of data with explicit 3-handles is not supported")
-    mat, _, _ = exponent_matrix(d)
-    basis = linalg.kernel_basis(mat)
-    full, _ = full_linking_matrix(d)
-    g, h = len(d.one_handles), mat.cols  # the 2-handle block follows the dotted circles
-    link = IntMatrix(h, h, tuple(chain.from_iterable(full.row(i)[g:] for i in range(g, g + h))))
+    rows, h = exponent_rows(d), len(d.two_handles)
+    basis = linalg.kernel_basis(rows, (len(rows), h))
+    g = len(rows)  # the 2-handle block follows the dotted circles
+    link = IntMatrix.from_sparse(
+        [{j - g: x for j, x in row.items() if j >= g} for row in linking_rows(d)[g:]], h)
     vectors = IntMatrix(len(basis), h, tuple(chain.from_iterable(basis)))
     return linalg.congruence(link, vectors)
 

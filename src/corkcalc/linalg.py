@@ -6,14 +6,22 @@ enters any result.  Pivot choices are deterministic: smallest nonzero
 absolute value, ties broken by position.
 
 One ``snf`` yields a matrix's cokernel invariants, kernel basis and (for a
-square matrix) determinant.  It keeps S, and V only for ``kernel_basis``:
-no result needs U.  A column operation changes S in its pivot row alone.
-Every product goes through ``IntMatrix.mul``, which skips the zero
-coefficients of its left factor, and every congruence c q c^T through
-``congruence``.  ``is_diag_minus_one`` drops a split -e_i row from a list
-of surviving slots, copying no entry; any other norm -1 vector, a diagonal
--1 or a lattice search's find, is split off with the SNF kernel of its row.
-``det`` runs only before a search.
+square matrix) determinant.  It takes an ``IntMatrix``, or sparse rows
+({column: nonzero} dicts) and a shape, as ``datum.exponent_rows`` and
+``datum.linking_rows`` hand them over, and eliminates on the nonzero
+entries alone: rows are dicts with a per-column set of the rows holding
+each column, and row and column positions are index lists, so a swap
+copies no entry.  The pivot is the first entry of least absolute value,
+row-major from (t, t), and the operations are those of the dense
+elimination, so S, V and the sign do not depend on the representation.
+It keeps S, and V only for ``kernel_basis``: no result needs U.  A column
+operation changes S in its pivot row alone.  Every product goes through
+``IntMatrix.mul``, which skips the zero coefficients of its left factor,
+and every congruence c q c^T through ``congruence``.  ``is_diag_minus_one``
+drops a split -e_i row from a list of surviving slots, copying no entry;
+any other norm -1 vector, a diagonal -1 or a lattice search's find, is
+split off with the SNF kernel of its row.  ``det`` runs only before a
+search.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, isqrt, prod
+from typing import Mapping, Sequence
 
 from .errors import NotSquareError
 
@@ -45,7 +54,18 @@ class IntMatrix:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-        return IntMatrix(r, c, tuple(int(v) for row in rows for v in row))
+        return IntMatrix(r, c, tuple(map(int, chain.from_iterable(rows))))
+
+    @staticmethod
+    def from_sparse(rows: Sequence[Mapping[int, int]], cols: int) -> "IntMatrix":
+        """The len(rows) x cols matrix whose row i holds rows[i] = {column: entry}."""
+        entries = [0] * (len(rows) * cols)
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if not 0 <= j < cols:
+                    raise ValueError(f"column {j} is outside {cols} columns")
+                entries[i * cols + j] = x
+        return IntMatrix(len(rows), cols, tuple(entries))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -140,112 +160,183 @@ def congruence(q: IntMatrix, c: IntMatrix) -> IntMatrix:
     return c.mul(c.mul(q).transpose())
 
 
-def snf(m: IntMatrix, *, v: bool = False) -> SNFResult:
+def snf(m: IntMatrix | Sequence[Mapping[int, int]], shape: tuple[int, int] | None = None,
+        *, v: bool = False) -> SNFResult:
     """Smith normal form S = U @ m @ V, with V built only on request.
+
+    ``m`` is an ``IntMatrix``, or with ``shape`` = (rows, cols) a list of
+    sparse rows, each a {column: entry} mapping (zero entries may be left
+    out; the caller's rows are copied, never changed).
 
     The diagonal of S is non-negative and satisfies d_i | d_{i+1}.  Every
     row or column swap and every row negation flips the tracked unit
     ``sign`` = det(U) * det(V); row and column additions leave it alone.
     So det(m) = sign * prod(diag S) for square m, with no second pass.
     The pivot sequence, hence S and ``sign``, does not depend on ``v``.
+
+    The working matrix is its nonzero entries only: each row a dict keyed
+    by the row's original column, and ``holders[c]`` the set of rows with a
+    nonzero in column c.  Positions are index lists (``row_at``/``col_at``
+    and their inverses), so a swap moves two indices and copies no entry.
+    At step t the pivot is the first entry of least absolute value, rows
+    in position order from t and, within a row, columns in position order;
+    a unit is least.  Row t then clears column t below it and column t
+    clears row t to its right.  The first remainder that is not zero, in
+    position order, is swapped into (t, t) and the step starts over; the
+    operations before it act on distinct rows (columns), so they are made
+    in any order.  A non-unit pivot that fails to divide a later row adds
+    the first such row to row t and starts over.  V is kept as its columns,
+    sparse by row, and a column operation touches row t of S alone: column
+    t is zero below it, and earlier pivot rows are zero there.
     """
-    a = m.to_rows()
-    R, C = m.rows, m.cols
-    v_rows = IntMatrix.identity(C).to_rows() if v else []
+    if shape is None:
+        R, C = m.rows, m.cols
+        e = m.entries
+        rows = [{j: x for j, x in enumerate(e[i * C:(i + 1) * C]) if x} for i in range(R)]
+    else:
+        R, C = shape
+        if R < 0 or C < 0 or len(m) != R:
+            raise ValueError(f"{len(m)} rows do not fit the shape {R}x{C}")
+        rows = [{j: x for j, x in row.items() if x} for row in m]
+        if any(not 0 <= j < C for row in rows for j in row):
+            raise ValueError(f"a column index is outside the shape {R}x{C}")
+    holders: list[set[int]] = [set() for _ in range(C)]
+    for r, row in enumerate(rows):
+        for j in row:
+            holders[j].add(r)
+    row_at, row_pos = list(range(R)), list(range(R))
+    col_at, col_pos = list(range(C)), list(range(C))
+    v_cols = [{j: 1} for j in range(C)] if v else None
     sign = 1
 
     def swap_rows(i, j):
         nonlocal sign
         if i != j:
-            a[i], a[j] = a[j], a[i]
+            ri, rj = row_at[i], row_at[j]
+            row_at[i], row_at[j], row_pos[ri], row_pos[rj] = rj, ri, j, i
             sign = -sign
 
     def swap_cols(i, j):
         nonlocal sign
         if i != j:
-            for row in chain(a, v_rows):
-                row[i], row[j] = row[j], row[i]
+            ci, cj = col_at[i], col_at[j]
+            col_at[i], col_at[j], col_pos[ci], col_pos[cj] = cj, ci, j, i
             sign = -sign
 
     def add_row(dst, src, q):
-        # row dst += q * row src
-        if q:
-            a[dst] = [p + q * s for p, s in zip(a[dst], a[src])]
+        # row dst += q * row src, for rows by their original index
+        row = rows[dst]
+        for j, x in rows[src].items():
+            y = row.get(j)
+            if y is None:
+                row[j] = q * x
+                holders[j].add(dst)
+            elif y + q * x:
+                row[j] = y + q * x
+            else:
+                del row[j]
+                holders[j].discard(dst)
 
-    def add_col(dst, t, q):
-        # column dst += q * column t, which is zero in S off row t: earlier
-        # pivot rows are zero there, and the rows below were just cleared
-        if q:
-            a[t][dst] += q * a[t][t]
-            for row in v_rows:
-                row[dst] += q * row[t]
+    def add_v_col(dst, src, q):
+        col = v_cols[dst]
+        for i, x in v_cols[src].items():
+            y = col.get(i, 0) + q * x
+            if y:
+                col[i] = y
+            else:
+                del col[i]
 
-    def find_pivot(t):
-        # the first entry of least absolute value, row by row; a unit is least
-        best, least = None, 0
+    for t in range(min(R, C)):
+        # rows at positions >= t hold no column at a position < t
+        best = None
         for i in range(t, R):
-            row = a[i]
-            for j in range(t, C):
-                val = row[j]
-                if val and (best is None or abs(val) < least):
-                    best, least = (i, j), abs(val)
-                    if least == 1:
-                        return best
-        return best
-
-    t = 0
-    while t < min(R, C):
-        piv = find_pivot(t)
-        if piv is None:
+            row = rows[row_at[i]]
+            if row:
+                low = min(map(abs, row.values()))
+                if best is None or low < least:
+                    best, least = i, low
+                    if low == 1:
+                        break
+        if best is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        swap_rows(t, best)
+        pivot_row = rows[row_at[t]]
+        swap_cols(t, col_pos[next(iter(pivot_row))] if len(pivot_row) == 1 else
+                  min(col_pos[j] for j, x in pivot_row.items() if x == least or x == -least))
         while True:
-            # Clear column t, re-pivoting on any nonzero remainder.
-            restart = False
-            for i in range(t + 1, R):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
+            rt, ct = row_at[t], col_at[t]
+            pivot_row = rows[rt]
+            p = pivot_row[ct]
+            unit = p == 1 or p == -1
+            if unit and len(pivot_row) == 1 and len(holders[ct]) == 1:
+                break  # alone in its row and column: nothing to clear
+            # Clear column t below row t, re-pivoting on the first nonzero remainder.
+            below = [r for r in holders[ct] if r != rt]
+            bad = None if unit else min((r for r in below if rows[r][ct] % p),
+                                        key=row_pos.__getitem__, default=None)
+            if bad is not None:
+                below = [r for r in below if row_pos[r] <= row_pos[bad]]
+            for r in below:
+                q = rows[r][ct] // p
+                if q:
+                    add_row(r, rt, -q)
+            if bad is not None:
+                swap_rows(t, row_pos[bad])
                 continue
-            for j in range(t + 1, C):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
+            # Clear row t right of column t, the same way.
+            right = [j for j in pivot_row if j != ct]
+            bad = None if unit else min((j for j in right if pivot_row[j] % p),
+                                        key=col_pos.__getitem__, default=None)
+            if bad is not None:
+                right = [j for j in right if col_pos[j] <= col_pos[bad]]
+            for j in right:
+                q = pivot_row[j] // p
+                if q:
+                    y = pivot_row[j] - q * p
+                    if y:
+                        pivot_row[j] = y
+                    else:
+                        del pivot_row[j]
+                        holders[j].discard(rt)
+                    if v:
+                        add_v_col(j, ct, -q)
+            if bad is not None:
+                swap_cols(t, col_pos[bad])
                 continue
             # Enforce the divisibility chain before moving on; a unit divides all.
-            d = a[t][t]
-            bad = None if d in (1, -1) else next(
-                (i for i in range(t + 1, R) if any(x % d for x in a[i][t + 1:])), None)
+            bad = None if unit else next(
+                (i for i in range(t + 1, R) if any(x % p for x in rows[row_at[i]].values())),
+                None)
             if bad is None:
                 break
-            add_row(t, bad, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+            add_row(rt, row_at[bad], 1)
+        if p < 0:
+            pivot_row[ct] = -p
             sign = -sign
-        t += 1
 
-    return SNFResult(IntMatrix(R, C, tuple(chain.from_iterable(a))),
-                     IntMatrix.from_rows(v_rows) if v else None, sign)
+    entries = [0] * (R * C)
+    for r, row in enumerate(rows):
+        for j, x in row.items():
+            entries[row_pos[r] * C + col_pos[j]] = x
+    v_matrix = None
+    if v:
+        v_rows = [[0] * C for _ in range(C)]
+        for k, j in enumerate(col_at):
+            for i, x in v_cols[j].items():
+                v_rows[i][k] = x
+        v_matrix = IntMatrix.from_rows(v_rows)
+    return SNFResult(IntMatrix(R, C, tuple(entries)), v_matrix, sign)
 
 
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel lattice {v : m @ v = 0}.
+def kernel_basis(m: IntMatrix | Sequence[Mapping[int, int]],
+                 shape: tuple[int, int] | None = None) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel lattice {v : m @ v = 0}, for m as ``snf``
+    takes it.
 
     Vectors are columns of the SNF transform V for the zero diagonal slots,
     hence primitive and linearly independent.
     """
-    return snf(m, v=True).kernel_basis()
+    return snf(m, shape, v=True).kernel_basis()
 
 
 def coker_invariants(m: IntMatrix) -> list[int]:

@@ -146,14 +146,18 @@ def is_constant(x: str) -> bool:
 
 
 def cork_order(x: str) -> int | None:
-    """Certified cork order of the wheel manifold indexed by x.
+    """Certified cork order of the wheel manifold indexed by x:
+    ``order_of_period(period(x))``."""
+    return order_of_period(period(x))
 
-    Returns the sequence period when x is non-constant (period > 1).
-    Returns None for constant sequences, the sequences of period 1: the
-    period-based certificate does not apply there, reported as NOT_A_CORK
-    by the CLI.
+
+def order_of_period(p: int) -> int | None:
+    """The cork order that a sequence of period p certifies.
+
+    Returns p when the sequence is non-constant (period > 1).  Returns None
+    for constant sequences, the sequences of period 1: the period-based
+    certificate does not apply there, reported as NOT_A_CORK by the CLI.
     """
-    p = period(x)
     return p if p > 1 else None
 
 

@@ -124,11 +124,11 @@ def _run_cork_order(case):
     if kind == "seq":
         x = arg
         n = len(x)
-        p = sequences.period(x)
+        p = sequences.period(x)  # the one check of x, and its one period
         if n % p:
             return CaseResult(f"period({x})", False, f"period {p} does not divide {n}")
-        order = sequences.cork_order(x)
-        if sequences.is_constant(x):
+        order = sequences.order_of_period(p)
+        if x == x[0] * n:  # constant, read off x itself
             ok = order is None
             return CaseResult(f"order({x})", ok,
                               "" if ok else f"constant sequence reported order {order}")

@@ -44,14 +44,16 @@ GRID_REPORT_SHA256 = {
     ("w-family", 11, 1): "b720a5eca154bcbac05b6b513d584255d75f6f3decbf1c30cbc8358cebe1c810",
 }
 
-# the same for the scaled grids: W(n) for n <= 18 and n <= 24, the deletion
+# the same for the scaled grids: W(n) for n <= 18, 24 and 30, the deletion
 # scripts and chains of length <= 8, the contractibility grid n <= 12, every
 # cork order of length <= 16, and the surface sum l = 20, n = 5; all with m = 1
 SCALED_REPORT_SHA256 = {
     "w-family": (({"n_max": 18, "m_max": 1},
                   "ae528866b40b6dac12ac6d6c4360072d689411e15a2795ec55c1a69c35f955c7"),
                  ({"n_max": 24, "m_max": 1},
-                  "5b2fb2978b95c0ab684799687660e4e6faca2acf84ce74057bf087dbb2f95b8d")),
+                  "5b2fb2978b95c0ab684799687660e4e6faca2acf84ce74057bf087dbb2f95b8d"),
+                 ({"n_max": 30, "m_max": 1},
+                  "acdbb7dc2c3e22562704d450ed16464a055f91ed860547cf8b4a31064ad3e3a0")),
     "lemma-3-4-scripts": (({"n_max": 8, "m_max": 1},
                            "3abbe069d3bc6d40848c975b9e34773b663d1912e53cdc4b482e3bc757ccb3b1"),),
     "lemma-2-2": (({"n_max": 12, "m_max": 1},

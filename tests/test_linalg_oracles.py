@@ -3,6 +3,9 @@ frozen copies of the code they replaced.
 
 ``seed_snf`` (both transforms U and V always built, each column operation
 over every row, full pivot scan, divisibility scan at every pivot),
+``dense_snf`` (the dense S and V that ``snf`` kept before it eliminated on
+sparse rows: whole rows rebuilt and scanned, each column swap over every
+row of V),
 ``seed_det`` (Bareiss elimination), ``seed_signature`` (rational congruence),
 ``seed_full_linking_matrix`` (one ``d.lk`` per entry),
 ``seed_exponent_matrix`` (one ``exponent_sum`` per entry) and
@@ -17,7 +20,7 @@ index), ``seed_handle``, ``seed_partners``, ``seed_linking_records``
 and ``seed_lk`` (a scan of the handles or of the store per call),
 ``seed_blow_down`` (every surviving handle rebuilt) and
 ``seed_drop_wheel_meta_if_touched`` (both ids of every pair built) are
-kept here as oracles: the new code must give the seed's S, V and sign (and
+kept here as oracles: the new code must give the seeds' S, V and sign (and
 the seed's U @ m @ V must be S), identical determinants, identical inertia,
 identical linking and exponent matrices, identical intersection forms,
 identical twisted data, identical cancellations, identical rotations,
@@ -37,17 +40,17 @@ from itertools import chain
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corkcalc import datum, families, isomorphism, linalg, moves, scripts, suites
-from corkcalc.datum import (KirbyDatum, TwoHandle, datum_hash, exponent_matrix,
-                            full_linking_matrix, link_key, linking_records, make_datum,
-                            two_handle, validate, wheel_sequence)
+from corkcalc import datum, families, invariants, isomorphism, linalg, moves, scripts, suites
+from corkcalc.datum import (KirbyDatum, TwoHandle, _in_order, datum_hash, exponent_matrix,
+                            exponent_rows, full_linking_matrix, link_key, linking_records,
+                            linking_rows, make_datum, two_handle, validate, wheel_sequence)
 from corkcalc.errors import (NotBlowdownableError, NotCancellableError, NotSeparatedError,
                              NotSquareError)
 from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, build_W,
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
                                dot_zero_exchange, load_elliptic_surface)
 from corkcalc.invariants import intersection_form
-from corkcalc.linalg import IntMatrix, det, kernel_basis, signature, snf
+from corkcalc.linalg import IntMatrix, SNFResult, det, kernel_basis, signature, snf
 from corkcalc.moves import Recorder, blow_down, cork_twist_pair
 from corkcalc.presentations import GroupPresentation
 from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, least_rotation,
@@ -215,15 +218,112 @@ def seed_full_linking_matrix(d):
     return IntMatrix.from_rows(rows), order
 
 
+def dense_snf(m: IntMatrix, *, v: bool = False) -> SNFResult:
+    a = m.to_rows()
+    R, C = m.rows, m.cols
+    v_rows = IntMatrix.identity(C).to_rows() if v else []
+    sign = 1
+
+    def swap_rows(i, j):
+        nonlocal sign
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            sign = -sign
+
+    def swap_cols(i, j):
+        nonlocal sign
+        if i != j:
+            for row in chain(a, v_rows):
+                row[i], row[j] = row[j], row[i]
+            sign = -sign
+
+    def add_row(dst, src, q):
+        if q:
+            a[dst] = [p + q * s for p, s in zip(a[dst], a[src])]
+
+    def add_col(dst, t, q):
+        # column t is zero in S off row t
+        if q:
+            a[t][dst] += q * a[t][t]
+            for row in v_rows:
+                row[dst] += q * row[t]
+
+    def find_pivot(t):
+        best, least = None, 0
+        for i in range(t, R):
+            row = a[i]
+            for j in range(t, C):
+                val = row[j]
+                if val and (best is None or abs(val) < least):
+                    best, least = (i, j), abs(val)
+                    if least == 1:
+                        return best
+        return best
+
+    t = 0
+    while t < min(R, C):
+        piv = find_pivot(t)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            restart = False
+            for i in range(t + 1, R):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, C):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            d = a[t][t]
+            bad = None if d in (1, -1) else next(
+                (i for i in range(t + 1, R) if any(x % d for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            sign = -sign
+        t += 1
+
+    return SNFResult(IntMatrix(R, C, tuple(chain.from_iterable(a))),
+                     IntMatrix.from_rows(v_rows) if v else None, sign)
+
+
+def assert_snf_matches_dense(m) -> None:
+    """``snf``'s S, V and sign are ``dense_snf``'s, with and without V (the
+    dense pivot sequence does not depend on V, so one dense run serves)."""
+    want = dense_snf(m, v=True)
+    got = snf(m, v=True)
+    assert (got.S, got.V, got.sign) == (want.S, want.V, want.sign)
+    bare = snf(m)
+    assert (bare.S, bare.V, bare.sign) == (want.S, None, want.sign)
+
+
 def assert_snf_matches_seed(m) -> SeedSNF:
-    """``snf``'s S, V and sign are the seed's, with and without V, and the
-    seed's U @ m @ V is S; returns the seed's result."""
+    """``snf``'s S, V and sign are the seed's and ``dense_snf``'s, with and
+    without V, and the seed's U @ m @ V is S; returns the seed's result."""
     want = seed_snf(m)
     assert want.U.mul(m).mul(want.V) == want.S
     got = snf(m, v=True)
     assert (got.S, got.V, got.sign) == (want.S, want.V, want.sign)
     bare = snf(m)
     assert (bare.S, bare.V, bare.sign) == (want.S, None, want.sign)
+    assert_snf_matches_dense(m)
     return want
 
 
@@ -246,23 +346,84 @@ def test_snf_matches_the_seed_on_decorated_wheel_matrices():
         assert_snf_matches_seed(full_linking_matrix(d)[0])
 
 
-def test_snf_matches_the_seed_on_the_forms_grid(monkeypatch):
-    # every distinct matrix that the benchmark's ``forms`` calls hand to snf:
-    # twisted and blown-down wheels, Z data and the E8 plumbings among them
-    seen = set()
+def snf_inputs(monkeypatch, runs) -> tuple[set[IntMatrix], int]:
+    """Every distinct matrix that ``linalg.snf`` is handed while the suite
+    runs ``runs`` = [(suite, grid)] pass, read dense when it comes as sparse
+    rows and a shape, and the number of calls that came as rows."""
+    seen, as_rows = set(), []
     program_snf = linalg.snf
 
-    def recording(m, **kw):
-        seen.add(m)
-        return program_snf(m, **kw)
+    def recording(m, shape=None, **kw):
+        if shape is not None:
+            as_rows.append(1)
+            seen.add(IntMatrix.from_sparse(m, shape[1]))
+        else:
+            seen.add(m)
+        return program_snf(m, shape, **kw)
 
     monkeypatch.setattr(linalg, "snf", recording)
-    assert suites.run_suite("w-family", {"n_max": 11, "m_max": 1}).passed
-    assert suites.run_suite("thm-1-7-arith").passed
+    for suite, grid in runs:
+        assert suites.run_suite(suite, grid).passed
     monkeypatch.undo()
+    return seen, len(as_rows)
+
+
+def test_snf_matches_the_seed_on_the_forms_grid(monkeypatch):
+    # every distinct matrix that the benchmark's ``forms`` calls hand to snf:
+    # twisted and blown-down wheels, Z data and the E8 plumbings among them;
+    # homology, boundary_h1 and intersection_form hand theirs over as rows
+    seen, as_rows = snf_inputs(monkeypatch, [("w-family", {"n_max": 11, "m_max": 1}),
+                                             ("thm-1-7-arith", None)])
     for m in seen:
         assert_snf_matches_seed(m)
     assert len(seen) > 200 and max(m.rows for m in seen) == 77  # W(11)'s linking matrix
+    assert as_rows > 200
+
+
+def test_snf_matches_the_dense_seed_on_the_w_family_to_24(monkeypatch):
+    seen, _ = snf_inputs(monkeypatch, [("w-family", {"n_max": 24, "m_max": 1})])
+    for m in seen:
+        assert_snf_matches_dense(m)
+    assert len(seen) > 900 and max(m.rows for m in seen) == 324  # W(24)'s linking matrix
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_snf_of_an_empty_shape_matches_the_seeds(rows, cols):
+    m = IntMatrix.zero(rows, cols)
+    want = assert_snf_matches_seed(m)
+    for v in (False, True):
+        got = snf([{} for _ in range(rows)], (rows, cols), v=v)
+        assert (got.S, got.V, got.sign) == (want.S, want.V if v else None, 1)
+    assert kernel_basis([{} for _ in range(rows)], (rows, cols)) == kernel_basis(m)
+    assert len(kernel_basis(m)) == cols
+
+
+def sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_snf_of_sparse_rows_is_snf_of_the_matrix(m):
+    rows = sparse_rows(m)
+    rows_before = [dict(r) for r in rows]
+    for v in (False, True):
+        assert snf(rows, (m.rows, m.cols), v=v) == snf(m, v=v)
+    assert rows == rows_before  # the caller's rows are copied
+    # zero entries may be given, and are dropped
+    padded = [{**dict.fromkeys(range(m.cols), 0), **r} for r in rows]
+    assert snf(padded, (m.rows, m.cols), v=True) == snf(m, v=True)
+
+
+def test_snf_refuses_rows_that_do_not_fit_the_shape():
+    with pytest.raises(ValueError):
+        snf([{0: 1}], (2, 1))
+    with pytest.raises(ValueError):
+        snf([{1: 1}], (1, 1))
+    with pytest.raises(ValueError):
+        snf([{-1: 1}], (1, 2))
+    with pytest.raises(ValueError):
+        IntMatrix.from_sparse([{2: 1}], 2)
 
 
 def test_kernel_basis_needs_the_transform_v():
@@ -408,6 +569,81 @@ def seed_exponent_matrix(d):
     row_ids = tuple(d.one_handles)
     entries = [h.word.exponent_sum(g) for g in row_ids for h in d.two_handles]
     return IntMatrix(len(row_ids), len(d.two_handles), tuple(entries)), row_ids, d.handle_ids
+
+
+def assert_rows_match_the_seeds(d) -> None:
+    """The datum's sparse rows hold no zero and, read dense, are the
+    exponent and linking matrices and the seeds built from exponent sums
+    and ``d.lk``."""
+    ex, full = exponent_rows(d), linking_rows(d)
+    for rows in (ex, full):
+        assert all(x for row in rows for x in row.values())
+    h = len(d.two_handles)
+    assert IntMatrix.from_sparse(ex, h) == exponent_matrix(d)[0] == seed_exponent_matrix(d)[0]
+    assert (IntMatrix.from_sparse(full, len(full)) == full_linking_matrix(d)[0]
+            == seed_full_linking_matrix(d)[0])
+
+
+def test_rows_match_the_seeds_on_the_forms_grid_and_the_wheels(monkeypatch):
+    # every datum whose rows the benchmark's ``forms`` calls read, the
+    # intersection-form data and W(2..15)
+    read = {}
+    for name in ("exponent_rows", "linking_rows"):
+        def recording(d, program=getattr(invariants, name)):
+            read[id(d)] = d
+            return program(d)
+        monkeypatch.setattr(invariants, name, recording)
+    assert suites.run_suite("w-family", {"n_max": 11, "m_max": 1}).passed
+    assert suites.run_suite("thm-1-7-arith").passed
+    monkeypatch.undo()
+    data = list(read.values()) + list(_forms_data()) + [build_W(n, 1) for n in range(2, 16)]
+    for d in data:
+        assert_rows_match_the_seeds(d)
+    assert len(read) > 190
+
+
+def test_rows_match_the_seeds_on_the_move_audit(monkeypatch):
+    visited = [build() for _, build in suites._AUDIT_STARTS]
+
+    def checked(d):
+        visited.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(suites, "validate", checked)  # every result of a move
+    assert suites.run_suite("move-audit").passed
+    for d in visited:
+        assert_rows_match_the_seeds(d)
+    assert len(visited) == len(suites._AUDIT_STARTS) + suites.AUDIT_WALKS * suites.AUDIT_MOVES
+
+
+def test_rows_skip_a_zero_exponent_sum_and_a_zero_link():
+    # h passes a and back (exponent sum 0 in a); the store is handed a 0
+    h = two_handle("h", [("a", 1), ("b", -1), ("a", -1)], 0)
+    k = two_handle("k", [("b", 1), ("b", 1)], -2)
+    d = make_datum(["a", "b"], [h, k], links={("h", "k"): 0})
+    assert d.links == ()
+    assert exponent_rows(d) == [{}, {0: -1, 1: 2}]
+    assert linking_rows(d) == [{}, {2: -1, 3: 2}, {1: -1}, {1: 2, 3: -2}]
+    assert_rows_match_the_seeds(d)
+    raw = _in_order(("a", "b"), (h, k), 0, (), ((("h", "k"), 0),))
+    assert linking_rows(raw) == linking_rows(d)
+    assert_rows_match_the_seeds(raw)
+
+
+def test_rows_match_the_seeds_off_the_store_rules():
+    # the data of test_full_linking_matrix_matches_the_seed_off_the_store_rules
+    d = make_datum(["a", "b"],
+                   [two_handle("h", [("a", 1), ("k", 1), ("q", -1), ("a", 1)], -1),
+                    two_handle("k", [("b", -1), ("h", 1), ("h", 1)], 3)],
+                   links={("h", "k"): 4, ("a", "h"): 7, ("k", "zz"): 5, ("h", "h"): 2})
+    assert_rows_match_the_seeds(d)
+    # a dotted circle listed twice (``validate`` refuses it): each exponent
+    # row holds the sum, and the linking goes to the last one, as it did
+    # when the dense matrices were filled entry by entry
+    twice = make_datum(["a", "a"], [two_handle("h", [("a", 1)], 1)])
+    assert exponent_rows(twice) == [{0: 1}, {0: 1}]
+    assert exponent_matrix(twice)[0] == seed_exponent_matrix(twice)[0]
+    assert linking_rows(twice) == [{}, {2: 1}, {1: 1, 2: 1}]
 
 
 def seed_presentation_exponent_matrix(p):

@@ -115,6 +115,20 @@ def test_serial_path_calls_run_case_once_per_case(monkeypatch):
     assert len(calls) == len(suites.iter_cases("cork-order", grid)) == len(result.cases)
 
 
+def test_a_cork_order_case_checks_its_sequence_once_and_takes_one_period(monkeypatch):
+    calls = []
+    for name in ("period", "check_sequence"):
+        def counting(x, program=getattr(sequences, name), name=name):
+            calls.append(name)
+            return program(x)
+        monkeypatch.setattr(sequences, name, counting)
+    seqs = [x for n in range(1, 9) for x in sequences.all_sequences(n)]
+    for x in seqs:
+        calls.clear()
+        assert suites.run_case("cork-order", ("seq", x)).ok
+        assert sorted(calls) == ["check_sequence", "period"], x
+
+
 # --- the contractibility memo ---------------------------------------------------
 
 @pytest.fixture
