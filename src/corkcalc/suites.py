@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
 import random
 from dataclasses import dataclass
 from itertools import starmap
@@ -63,14 +64,23 @@ class SuiteResult:
 # (content repr, budget) -> (homology profile, pi1 certified trivial).
 # A wheel's twist parameter m lives only in ``meta``, so the data of one
 # sequence recur for every m (and E(n, .) is C(n, .) under another tag).
-# ``lemma-2-2`` also builds each case's wheel at the least rotation of its
-# sequence: rotating the wheel (the cork twist) relabels its circles, which
-# keeps its homology and the triviality of its pi1. The key is the exact
-# content, so a hit checks that this case's datum equals the one certified:
-# each rotation class (binary necklace) is certified once, 261 classes for
-# the 2,046 sequences of length <= 10. Cleared by ``run_suite``: it lives
-# for one grid, and a forked pool worker inherits it empty.
+# The key is the exact content, so a hit checks that this datum equals the
+# one certified. ``lemma-2-2`` builds each case's wheel at the least
+# rotation of its sequence: rotating the wheel (the cork twist) relabels
+# its circles, which keeps its homology and the triviality of its pi1.
+# Each rotation class (binary necklace) is certified once, 261 classes for
+# the 2,046 sequences of length <= 10. A ``lemma-2-2`` case reaches this
+# memo only on a miss of ``_WHEEL_RESULTS``. Cleared by ``run_suite``: it
+# lives for one grid, and a forked pool worker inherits it empty.
 _CONTRACTIBLE: dict[tuple[str, int], tuple[HomologyProfile, bool]] = {}
+
+# (n, m, least rotation, budget) -> that wheel's ``_contractible`` result.
+# ``build_X`` is a pure function of its arguments, so a ``lemma-2-2`` case
+# looks its wheel up here before building it: each distinct wheel is built
+# and content-checked against ``_CONTRACTIBLE`` once per run (522 for the
+# 4,092 cases of n <= 10, m <= 2), not once per case. Holds results only,
+# and is cleared with ``_CONTRACTIBLE``.
+_WHEEL_RESULTS: dict[tuple[int, int, str, int], tuple[HomologyProfile, bool]] = {}
 
 
 def _contractible(d: KirbyDatum, budget: int) -> tuple[HomologyProfile, bool]:
@@ -102,7 +112,11 @@ def _run_contractibility(case):
     n, m, x, budget = case
     cid = f"X({n},{m},{x})"
     least, _ = sequences.least_rotation(x)
-    profile, certified = _contractible(families.build_X(n, m, least), budget)
+    key = (n, m, least, budget)
+    known = _WHEEL_RESULTS.get(key)
+    if known is None:
+        known = _WHEEL_RESULTS[key] = _contractible(families.build_X(n, m, least), budget)
+    profile, certified = known
     if not profile.is_contractible_homology:
         return CaseResult(cid, False, f"homology profile {profile}")
     if not certified:
@@ -475,7 +489,8 @@ def run_suite(name: str, grid: dict | None = None, jobs: int = 1) -> SuiteResult
     grid = grid or {}
     cases = iter_cases(resolved, grid)
     _CONTRACTIBLE.clear()
-    jobs = min(jobs, len(cases))
+    _WHEEL_RESULTS.clear()
+    jobs = min(jobs, len(cases), _usable_cpus())
     if jobs > 1:
         # one strided batch per worker: neighbouring cases cost about the same
         from concurrent.futures import ProcessPoolExecutor
@@ -488,6 +503,14 @@ def run_suite(name: str, grid: dict | None = None, jobs: int = 1) -> SuiteResult
         results = [run_case(resolved, c) for c in cases]
         results.sort(key=attrgetter("case"))
     return SuiteResult(resolved, tuple(results))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the most workers ``run_suite``
+    starts."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_batch(item) -> list[tuple[str, bool, str]]:

@@ -33,9 +33,13 @@ def test_a_worker_batch_is_plain_rows():
                     for r in (suites.run_case("cork-order", c) for c in batch)]
 
 
-def test_pool_matches_serial_in_order():
-    serial = suites.run_suite("cork-order", {"n_max": 8})
-    pooled = suites.run_suite("cork-order", {"n_max": 8}, jobs=2)
+@pytest.mark.parametrize("name, grid", [
+    ("cork-order", {"n_max": 8}),
+    ("lemma-2-2", {"n_max": 6, "m_max": 3}),
+], ids=["cork-order", "lemma-2-2"])
+def test_pool_matches_serial_in_order(name, grid):
+    serial = suites.run_suite(name, grid)
+    pooled = suites.run_suite(name, grid, jobs=2)
     assert pooled == serial  # the cases tuples, so their order too
     assert all(type(c) is suites.CaseResult for c in pooled.cases)
 
@@ -53,8 +57,10 @@ def test_pool_with_more_workers_than_cases():
     assert pooled == suites.run_suite("lemma-2-2", grid, jobs=1)
 
 
-def test_pool_starts_at_most_one_worker_per_case(monkeypatch):
-    # a stand-in pool: records its size and maps in this process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """A stand-in pool that records its size and maps in this process, so no
+    test forks the workers it asks for."""
     started = []
 
     class InlinePool:
@@ -71,12 +77,35 @@ def test_pool_starts_at_most_one_worker_per_case(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return started
+
+
+def test_pool_starts_at_most_one_worker_per_case(monkeypatch, pool_sizes):
+    started = pool_sizes
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     grid = {"n_max": 1}
     assert suites.run_suite("cork-order", grid, jobs=64) == suites.run_suite("cork-order", grid)
     assert started == [4]
     # one case: no pool at all
     assert suites.run_suite("thm-1-7-arith", {"l": 1, "n": 1}, jobs=64).passed
     assert started == [4]
+
+
+def test_pool_starts_at_most_one_worker_per_usable_cpu(monkeypatch, pool_sizes):
+    grid = {"n_max": 8}
+    serial = suites.run_suite("cork-order", grid)
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert suites.run_suite("cork-order", grid, jobs=100_000) == serial
+    assert suites.run_suite("cork-order", grid, jobs=2) == serial
+    # without an affinity mask, the machine's CPU count, or 1 if unknown
+    monkeypatch.delattr(suites.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 5)
+    assert suites.run_suite("cork-order", grid, jobs=100_000) == serial
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
+    assert suites.run_suite("cork-order", grid, jobs=100_000) == serial
+    assert pool_sizes == [3, 2, 5]
 
 
 def test_a_zero_grid_value_is_not_read_as_absent():
@@ -136,6 +165,7 @@ def homology_calls(monkeypatch):
     """An empty memo, and the list of data that ``suites.homology`` is called on
     (the attribute the benchmark's tracer wraps)."""
     monkeypatch.setattr(suites, "_CONTRACTIBLE", {})
+    monkeypatch.setattr(suites, "_WHEEL_RESULTS", {})
     calls = []
     real = suites.homology
 
@@ -190,6 +220,27 @@ def test_the_memo_keeps_no_datum_alive(monkeypatch):
     assert datum() is None and handle() is None and len(suites._CONTRACTIBLE) == 1
 
 
+def test_the_wheel_lookup_keeps_no_datum_alive(monkeypatch):
+    import gc
+    import weakref
+
+    monkeypatch.setattr(suites, "_CONTRACTIBLE", {})
+    monkeypatch.setattr(suites, "_WHEEL_RESULTS", {})
+    built = []
+    real = families.build_X
+
+    def building(*args):
+        d = real(*args)
+        built.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(families, "build_X", building)
+    assert suites._run_contractibility((4, 2, "0*00", 10_000)).ok
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+    assert list(suites._WHEEL_RESULTS) == [(4, 2, "*000", 10_000)]
+
+
 def test_a_worker_batch_certifies_each_wheel_once(homology_calls):
     batch = suites.iter_cases("lemma-2-2", {"n_max": 4, "m_max": 3})[0::2]
     rows = suites._run_batch(("lemma-2-2", batch))
@@ -204,9 +255,15 @@ def test_each_run_starts_from_an_empty_memo(homology_calls):
     assert len(homology_calls) == 9 + 5 and len(suites._CONTRACTIBLE) == 5
 
 
-def test_the_benchmark_grid_certifies_each_rotation_class_once(homology_calls):
+def test_the_benchmark_grid_certifies_each_rotation_class_once(homology_calls, monkeypatch):
+    # and builds each distinct wheel (n, m, least rotation) once
+    built = []
+    real = suites.families.build_X
+    monkeypatch.setattr(suites.families, "build_X",
+                        lambda *args: built.append(args) or real(*args))
     suites.run_suite("lemma-2-2", {"n_max": 10, "m_max": 2})
     assert len(homology_calls) == len(suites._CONTRACTIBLE) == 261
+    assert len(built) == len(set(built)) == len(suites._WHEEL_RESULTS) == 522
 
 
 def test_the_benchmark_grid_applies_no_wheel_rule(monkeypatch):
