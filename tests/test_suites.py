@@ -81,15 +81,14 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_starts_at_most_one_worker_per_case(monkeypatch, pool_sizes):
-    started = pool_sizes
     monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     grid = {"n_max": 1}
     assert suites.run_suite("cork-order", grid, jobs=64) == suites.run_suite("cork-order", grid)
-    assert started == [4]
+    assert pool_sizes == [4]
     # one case: no pool at all
     assert suites.run_suite("thm-1-7-arith", {"l": 1, "n": 1}, jobs=64).passed
-    assert started == [4]
+    assert pool_sizes == [4]
 
 
 def test_pool_starts_at_most_one_worker_per_usable_cpu(monkeypatch, pool_sizes):
