@@ -10,14 +10,14 @@ linking matrix to the kernel lattice.
 Each SNF here is taken of the sparse rows the datum hands over
 (``datum.exponent_rows`` and ``datum.linking_rows``, one {column: nonzero}
 dict per row) with the matrix's shape, so the dense matrix is never built
-for ``linalg.snf``; only the 2-handle linking block of the intersection
-form, which ``linalg.congruence`` multiplies, is read dense.
+for ``linalg.snf``, whose diagonal, sign and kernel vectors are all that is
+read; only the intersection form's kernel basis and 2-handle linking
+block, which ``linalg.congruence`` multiplies, are dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from . import linalg
 from .datum import KirbyDatum, exponent_rows, linking_rows
@@ -44,7 +44,7 @@ def homology(d: KirbyDatum) -> HomologyProfile:
     rows, h = exponent_rows(d), len(d.two_handles)
     res = linalg.snf(rows, (len(rows), h))
     h1 = tuple(res.coker_invariants())
-    b2 = h - sum(1 for x in res.S.diagonal() if x)
+    b2 = h - sum(1 for x in res.diagonal if x)
     contractible = (not h1) and b2 == 0
     return HomologyProfile(h1, b2, contractible)
 
@@ -84,11 +84,12 @@ def intersection_form(d: KirbyDatum) -> IntMatrix:
             "intersection form of data with explicit 3-handles is not supported")
     rows, h = exponent_rows(d), len(d.two_handles)
     basis = linalg.kernel_basis(rows, (len(rows), h))
+    if not basis:  # b2 = 0
+        return IntMatrix.zero(0, 0)
     g = len(rows)  # the 2-handle block follows the dotted circles
     link = IntMatrix.from_sparse(
         [{j - g: x for j, x in row.items() if j >= g} for row in linking_rows(d)[g:]], h)
-    vectors = IntMatrix(len(basis), h, tuple(chain.from_iterable(basis)))
-    return linalg.congruence(link, vectors)
+    return linalg.congruence(link, IntMatrix.from_rows(basis))
 
 
 # --- characteristic numbers -----------------------------------------------

@@ -6,22 +6,22 @@ enters any result.  Pivot choices are deterministic: smallest nonzero
 absolute value, ties broken by position.
 
 One ``snf`` yields a matrix's cokernel invariants, kernel basis and (for a
-square matrix) determinant.  It takes an ``IntMatrix``, or sparse rows
-({column: nonzero} dicts) and a shape, as ``datum.exponent_rows`` and
-``datum.linking_rows`` hand them over, and eliminates on the nonzero
-entries alone: rows are dicts with a per-column set of the rows holding
-each column, and row and column positions are index lists, so a swap
-copies no entry.  The pivot is the first entry of least absolute value,
-row-major from (t, t), and the operations are those of the dense
-elimination, so S, V and the sign do not depend on the representation.
-It keeps S, and V only for ``kernel_basis``: no result needs U.  A column
-operation changes S in its pivot row alone.  Every product goes through
-``IntMatrix.mul``, which skips the zero coefficients of its left factor,
-and every congruence c q c^T through ``congruence``.  ``is_diag_minus_one``
-drops a split -e_i row from a list of surviving slots, copying no entry;
-any other norm -1 vector, a diagonal -1 or a lattice search's find, is
-split off with the SNF kernel of its row.  ``det`` runs only before a
-search.
+square matrix) determinant from what it returns: S's diagonal, the sign
+and, on request, the kernel vectors.  U, S and V exist only in the test
+seeds.  It takes an ``IntMatrix``, or sparse rows ({column: nonzero}
+dicts) and a shape, as ``datum.exponent_rows`` and ``datum.linking_rows``
+hand them over, and eliminates on the nonzero entries alone: rows are
+dicts with a per-column set of the rows holding each column, and row and
+column positions are index lists, so a swap copies no entry.  The pivot
+is the first entry of least absolute value, row-major from (t, t), and
+the operations are those of the dense elimination, so what it returns
+does not depend on the representation.  A column operation changes S in
+its pivot row alone.  Every product goes through ``IntMatrix.mul``, which
+skips the zero coefficients of its left factor, and every congruence
+c q c^T through ``congruence``.  ``is_diag_minus_one`` drops a split -e_i
+row from a list of surviving slots, copying no entry; any other norm -1
+vector, a diagonal -1 or a lattice search's find, is split off with the
+SNF kernel of its row.  ``det`` runs only before a search.
 """
 
 from __future__ import annotations
@@ -120,33 +120,28 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """S = U @ m @ V for unimodular U (never built) and V (None unless asked
-    for), with ``sign`` = det(U) * det(V), which is +1 or -1."""
-    S: IntMatrix
-    V: IntMatrix | None
+    """S = U @ m @ V read off: S's diagonal, ``sign`` = det(U) * det(V), +1
+    or -1, and ``kernel`` (None unless asked for), V's columns at the zero
+    diagonal slots: a basis of ker(m)."""
+    rows: int
+    cols: int
+    diagonal: tuple[int, ...]
     sign: int
-
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Columns of V at the zero diagonal slots of S: a basis of ker(m)."""
-        if self.V is None:
-            raise ValueError("kernel_basis needs the transform V: call snf(m, v=True)")
-        diag = self.S.diagonal()
-        return [self.V.col(j) for j in range(self.S.cols)
-                if j >= len(diag) or diag[j] == 0]
+    kernel: list[tuple[int, ...]] | None = None
 
     def coker_invariants(self) -> list[int]:
         """Nontrivial invariant factors of coker(m); each free summand is a 0."""
-        nonzero = [d for d in self.S.diagonal() if d != 0]
+        nonzero = [d for d in self.diagonal if d != 0]
         factors = [d for d in nonzero if d != 1]
-        factors.extend([0] * (self.S.rows - len(nonzero)))
+        factors.extend([0] * (self.rows - len(nonzero)))
         return factors
 
     def det(self) -> int:
         """det(m) of a square m: the product of S's diagonal times ``sign``."""
-        if self.S.rows != self.S.cols:
+        if self.rows != self.cols:
             raise NotSquareError(
-                f"determinant needs a square matrix, got {self.S.rows}x{self.S.cols}")
-        return self.sign * prod(self.S.diagonal())
+                f"determinant needs a square matrix, got {self.rows}x{self.cols}")
+        return self.sign * prod(self.diagonal)
 
 
 def det(m: IntMatrix) -> int:
@@ -162,7 +157,8 @@ def congruence(q: IntMatrix, c: IntMatrix) -> IntMatrix:
 
 def snf(m: IntMatrix | Sequence[Mapping[int, int]], shape: tuple[int, int] | None = None,
         *, v: bool = False) -> SNFResult:
-    """Smith normal form S = U @ m @ V, with V built only on request.
+    """Smith normal form S = U @ m @ V: S's diagonal and the sign, and with
+    ``v`` the kernel vectors, V's columns at the zero diagonal slots.
 
     ``m`` is an ``IntMatrix``, or with ``shape`` = (rows, cols) a list of
     sparse rows, each a {column: entry} mapping (zero entries may be left
@@ -172,7 +168,7 @@ def snf(m: IntMatrix | Sequence[Mapping[int, int]], shape: tuple[int, int] | Non
     row or column swap and every row negation flips the tracked unit
     ``sign`` = det(U) * det(V); row and column additions leave it alone.
     So det(m) = sign * prod(diag S) for square m, with no second pass.
-    The pivot sequence, hence S and ``sign``, does not depend on ``v``.
+    The pivot sequence, hence the diagonal and sign, does not depend on v.
 
     The working matrix is its nonzero entries only: each row a dict keyed
     by the row's original column, and ``holders[c]`` the set of rows with a
@@ -314,18 +310,16 @@ def snf(m: IntMatrix | Sequence[Mapping[int, int]], shape: tuple[int, int] | Non
             pivot_row[ct] = -p
             sign = -sign
 
-    entries = [0] * (R * C)
-    for r, row in enumerate(rows):
-        for j, x in row.items():
-            entries[row_pos[r] * C + col_pos[j]] = x
-    v_matrix = None
-    if v:
-        v_rows = [[0] * C for _ in range(C)]
-        for k, j in enumerate(col_at):
+    diagonal = tuple(rows[row_at[t]].get(col_at[t], 0) for t in range(min(R, C)))
+    kernel = None
+    if v:  # the zero slots are the last: a zero pivot ends the elimination
+        kernel = []
+        for j in col_at[sum(map(bool, diagonal)):]:
+            vec = [0] * C
             for i, x in v_cols[j].items():
-                v_rows[i][k] = x
-        v_matrix = IntMatrix.from_rows(v_rows)
-    return SNFResult(IntMatrix(R, C, tuple(entries)), v_matrix, sign)
+                vec[i] = x
+            kernel.append(tuple(vec))
+    return SNFResult(R, C, diagonal, sign, kernel)
 
 
 def kernel_basis(m: IntMatrix | Sequence[Mapping[int, int]],
@@ -336,7 +330,7 @@ def kernel_basis(m: IntMatrix | Sequence[Mapping[int, int]],
     Vectors are columns of the SNF transform V for the zero diagonal slots,
     hence primitive and linearly independent.
     """
-    return snf(m, shape, v=True).kernel_basis()
+    return snf(m, shape, v=True).kernel
 
 
 def coker_invariants(m: IntMatrix) -> list[int]:

@@ -167,7 +167,8 @@ def test_criterion_9_linalg_oracles():
         c = rng.randint(1, 8)
         m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(c)]
                                  for _ in range(r)])
-        # snf builds no U: its S, V and sign are the seed's, whose U @ m @ V is S
+        # snf builds no U, S or V: it reads the seed's diagonal, kernel vectors
+        # and sign, and the seed's U @ m @ V is S
         res = assert_snf_matches_seed(m)
         diag = res.S.diagonal()
         for a, b in zip(diag, diag[1:]):

@@ -37,8 +37,9 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
 
 
 def check_snf(m):
-    """``snf``'s S, V and sign are the seed's, whose U @ m @ V is S with U
-    and V unimodular; returns the seed's result."""
+    """``snf`` reads the diagonal of the seed's S, its V's columns at the
+    zero slots and its sign; the seed's U @ m @ V is S with U and V
+    unimodular and S diagonal; returns the seed's result."""
     res = assert_snf_matches_seed(m)
     assert abs(det(res.U)) == 1
     assert abs(det(res.V)) == 1
@@ -266,8 +267,8 @@ def test_snf_determinant_needs_square():
 def test_snf_of_zero_row_matrix_keeps_shape():
     check_snf(IntMatrix.zero(0, 3))
     res = snf(IntMatrix.zero(0, 3), v=True)
-    assert (res.S.rows, res.S.cols) == (0, 3)
-    assert len(res.kernel_basis()) == 3
+    assert (res.rows, res.cols, res.diagonal) == (0, 3, ())
+    assert res.kernel == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert res.coker_invariants() == []
 
 

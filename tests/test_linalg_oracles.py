@@ -20,8 +20,9 @@ index), ``seed_handle``, ``seed_partners``, ``seed_linking_records``
 and ``seed_lk`` (a scan of the handles or of the store per call),
 ``seed_blow_down`` (every surviving handle rebuilt) and
 ``seed_drop_wheel_meta_if_touched`` (both ids of every pair built) are
-kept here as oracles: the new code must give the seeds' S, V and sign (and
-the seed's U @ m @ V must be S), identical determinants, identical inertia,
+kept here as oracles: ``snf`` must give the diagonal of the seeds' S, the
+columns of their V at its zero diagonal slots and their sign (and the
+seed's U @ m @ V must be S), identical determinants, identical inertia,
 identical linking and exponent matrices, identical intersection forms,
 identical twisted data, identical cancellations, identical rotations,
 identical cyclic word verdicts, identical chain steps, identical chain
@@ -50,7 +51,7 @@ from corkcalc.families import (build_C, build_Cm, build_D, build_E, build_F, bui
                                build_W_twisted, build_X, build_Z, build_Z_twisted,
                                dot_zero_exchange, load_elliptic_surface)
 from corkcalc.invariants import intersection_form
-from corkcalc.linalg import IntMatrix, SNFResult, det, kernel_basis, signature, snf
+from corkcalc.linalg import IntMatrix, det, kernel_basis, signature, snf
 from corkcalc.moves import Recorder, blow_down, cork_twist_pair
 from corkcalc.presentations import GroupPresentation
 from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, least_rotation,
@@ -60,6 +61,8 @@ from corkcalc.words import Word, reduce_letters, single
 
 # the seed's U @ m @ V == S, with sign = det(U) * det(V)
 SeedSNF = namedtuple("SeedSNF", "U S V sign")
+# the dense elimination's S, its V (None unless asked for) and sign
+DenseSNF = namedtuple("DenseSNF", "S V sign")
 
 
 def seed_snf(m: IntMatrix) -> SeedSNF:
@@ -218,7 +221,7 @@ def seed_full_linking_matrix(d):
     return IntMatrix.from_rows(rows), order
 
 
-def dense_snf(m: IntMatrix, *, v: bool = False) -> SNFResult:
+def dense_snf(m: IntMatrix, *, v: bool = False) -> DenseSNF:
     a = m.to_rows()
     R, C = m.rows, m.cols
     v_rows = IntMatrix.identity(C).to_rows() if v else []
@@ -300,29 +303,40 @@ def dense_snf(m: IntMatrix, *, v: bool = False) -> SNFResult:
             sign = -sign
         t += 1
 
-    return SNFResult(IntMatrix(R, C, tuple(chain.from_iterable(a))),
-                     IntMatrix.from_rows(v_rows) if v else None, sign)
+    return DenseSNF(IntMatrix(R, C, tuple(chain.from_iterable(a))),
+                    IntMatrix.from_rows(v_rows) if v else None, sign)
+
+
+def zero_slot_columns(want) -> list[tuple[int, ...]]:
+    """The columns of a seed's V at the zero diagonal slots of its S."""
+    diag = want.S.diagonal()
+    return [want.V.col(j) for j in range(want.S.cols) if j >= len(diag) or diag[j] == 0]
+
+
+def assert_snf_reads(m, want) -> None:
+    """``snf(m)`` and ``snf(m, v=True)`` give m's shape, the diagonal of a
+    seed's S and its sign, and with v (only) the seed V's columns at the
+    zero diagonal slots as the kernel."""
+    for v, kernel in ((True, zero_slot_columns(want)), (False, None)):
+        got = snf(m, v=v)
+        assert ((got.rows, got.cols), got.diagonal, got.kernel, got.sign) == (
+            (m.rows, m.cols), want.S.diagonal(), kernel, want.sign)
 
 
 def assert_snf_matches_dense(m) -> None:
-    """``snf``'s S, V and sign are ``dense_snf``'s, with and without V (the
-    dense pivot sequence does not depend on V, so one dense run serves)."""
-    want = dense_snf(m, v=True)
-    got = snf(m, v=True)
-    assert (got.S, got.V, got.sign) == (want.S, want.V, want.sign)
-    bare = snf(m)
-    assert (bare.S, bare.V, bare.sign) == (want.S, None, want.sign)
+    """``snf`` reads ``dense_snf``'s diagonal, kernel vectors and sign, with
+    and without V (the dense pivot sequence does not depend on V, so one
+    dense run serves)."""
+    assert_snf_reads(m, dense_snf(m, v=True))
 
 
 def assert_snf_matches_seed(m) -> SeedSNF:
-    """``snf``'s S, V and sign are the seed's and ``dense_snf``'s, with and
-    without V, and the seed's U @ m @ V is S; returns the seed's result."""
+    """``snf`` reads the seed's and ``dense_snf``'s diagonal, kernel vectors
+    and sign, with and without V, and the seed's U @ m @ V is S; returns
+    the seed's result."""
     want = seed_snf(m)
     assert want.U.mul(m).mul(want.V) == want.S
-    got = snf(m, v=True)
-    assert (got.S, got.V, got.sign) == (want.S, want.V, want.sign)
-    bare = snf(m)
-    assert (bare.S, bare.V, bare.sign) == (want.S, None, want.sign)
+    assert_snf_reads(m, want)
     assert_snf_matches_dense(m)
     return want
 
@@ -393,7 +407,8 @@ def test_snf_of_an_empty_shape_matches_the_seeds(rows, cols):
     want = assert_snf_matches_seed(m)
     for v in (False, True):
         got = snf([{} for _ in range(rows)], (rows, cols), v=v)
-        assert (got.S, got.V, got.sign) == (want.S, want.V if v else None, 1)
+        assert ((got.rows, got.cols), got.diagonal, got.kernel, got.sign) == (
+            (rows, cols), want.S.diagonal(), zero_slot_columns(want) if v else None, 1)
     assert kernel_basis([{} for _ in range(rows)], (rows, cols)) == kernel_basis(m)
     assert len(kernel_basis(m)) == cols
 
@@ -427,9 +442,9 @@ def test_snf_refuses_rows_that_do_not_fit_the_shape():
 
 
 def test_kernel_basis_needs_the_transform_v():
-    with pytest.raises(ValueError):
-        snf(IntMatrix.from_rows([[1, 1]])).kernel_basis()
-    assert snf(IntMatrix.from_rows([[1, 1]]), v=True).kernel_basis() == [(-1, 1)]
+    m = IntMatrix.from_rows([[1, 1]])
+    assert snf(m).kernel is None
+    assert snf(m, v=True).kernel == zero_slot_columns(assert_snf_matches_seed(m)) == [(-1, 1)]
 
 
 # --- one determinant ----------------------------------------------------------------
