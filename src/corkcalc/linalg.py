@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from math import gcd, isqrt, prod
+from math import ceil, floor, gcd, isqrt, prod
 from typing import Mapping, Sequence
 
 from .errors import NotSquareError
@@ -69,7 +69,9 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        entries = [0] * (n * n)
+        entries[::n + 1] = [1] * n
+        return IntMatrix(n, n, tuple(entries))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -439,8 +441,8 @@ def _norm_one_vectors(p_rows: list[list[Fraction]], height: int):
             return
         bound = remaining / d[k]
         r = _isqrt_frac(bound) + 1
-        lo = max(-height, _frac_ceil(center - r))
-        hi = min(height, _frac_floor(center + r))
+        lo = max(-height, ceil(center - r))
+        hi = min(height, floor(center + r))
         for x in range(lo, hi + 1):
             term = d[k] * (Fraction(x) - center) ** 2
             if term <= remaining:
@@ -449,14 +451,6 @@ def _norm_one_vectors(p_rows: list[list[Fraction]], height: int):
                 v[k] = 0
 
     yield from rec(n - 1, Fraction(1))
-
-
-def _frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def _drop_slot(slots: list[int], i: int) -> list[int]:
@@ -533,7 +527,7 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
         slots = list(range(current.rows))
 
     witness_t = IntMatrix(n, n, tuple(chain.from_iterable(columns)))
-    neg_identity = IntMatrix(n, n, tuple(-int(i == j) for i in range(n) for j in range(n)))
+    neg_identity = IntMatrix(n, n, tuple(-x for x in IntMatrix.identity(n).entries))
     if congruence(q, witness_t) != neg_identity:
         raise AssertionError("internal error: witness does not verify")
     return DiagMinusOneResult(True, witness_t.transpose(), "witness verified")

@@ -109,15 +109,6 @@ def _drop_wheel_meta_if_touched(d: KirbyDatum, touched_ids: set[str]) -> tuple:
     return tuple(item for item in d.meta if item[0] not in _WHEEL_KEYS)
 
 
-def _rebuild(d: KirbyDatum, handles: list[TwoHandle], one_handles=None,
-             meta: dict | None = None, links=None) -> KirbyDatum:
-    """The datum of new parts through the public path, which sorts them."""
-    return make_datum(one_handles if one_handles is not None else d.one_handles,
-                      handles, d.three_handles,
-                      meta if meta is not None else d.meta,
-                      links if links is not None else d.links)
-
-
 def _store(links: dict) -> tuple:
     """The pair store of a dict keyed by ``link_key`` pairs, with int
     values: its nonzero entries, sorted, as ``KirbyDatum`` keeps them."""
@@ -330,7 +321,7 @@ def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
     for j, sym in enumerate(seq or ""):
         if pair_ids(j, sym) == (dotted, framed):
             meta["sequence"] = seq[:j] + (ZERO if sym == STAR else STAR) + seq[j + 1:]
-    return _rebuild(d, new_handles, one_handles=ones, meta=meta, links=links)
+    return make_datum(ones, new_handles, d.three_handles, meta, links)
 
 
 def cork_twist_pair(d: KirbyDatum, dotted: str, zero_handle: str, m: int = 1) -> KirbyDatum:
@@ -376,7 +367,7 @@ def rotate(d: KirbyDatum, i: int) -> KirbyDatum:
                for h in d.two_handles]
     links = {(rename(x, x), rename(y, y)): v for (x, y), v in d.links}
     meta = d.meta_map | {"sequence": shift(seq, i)}
-    return _rebuild(d, handles, one_handles=ones, meta=meta, links=links)
+    return make_datum(ones, handles, d.three_handles, meta, links)
 
 
 # --- traces and replay ------------------------------------------------------------

@@ -10,6 +10,7 @@ is the only non-triviality signal reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Any
 
 from . import linalg
@@ -90,75 +91,51 @@ TIETZE_BUDGET = 10_000  # moves allowed per presentation unless a caller says ot
 def tietze_simplify(p: GroupPresentation, budget: int = TIETZE_BUDGET):
     """Greedy sound simplification; returns (presentation, certified_trivial).
 
-    certified_trivial is True only when every generator is eliminated.  On
-    budget exhaustion the best simplification so far is returned with a
-    False certificate.
+    Each turn applies the first move that applies, in this order: drop the
+    empty relators, eliminate the lowest generator killed by a single-letter
+    relator, or shorten a relator by a pair product (``_shortening_product``).
+    The budget counts the moves applied, one per turn.  certified_trivial is
+    True only when every generator is eliminated.  On budget exhaustion the
+    best simplification so far is returned with a False certificate.
     """
     gens = sorted(p.generators)
     rels = [r.cyclic_reduce() for r in p.relators]
     log = list(p.move_log)
     steps = 0
-
-    def spend() -> bool:
-        # a move is applied only if budget remains
-        nonlocal steps
-        if steps >= budget:
-            return False
-        steps += 1
-        return True
-
-    progress = True
-    while progress:
-        progress = False
-
-        nonempty = [r for r in rels if r]
-        if len(nonempty) != len(rels):
-            if not spend():
-                break
-            rels = nonempty
+    while steps < budget:
+        if not all(rels):
+            rels = [r for r in rels if r]
             log.append(TietzeStep("drop_trivial_relators", ""))
-            progress = True
-            continue
-
-        # eliminate a generator killed by a single-letter relator
-        # (lowest generator id first, for reproducible logs)
-        single_letter = [r for r in rels if len(r) == 1]
-        if single_letter:
-            if not spend():
-                break
+        elif single_letter := [r for r in rels if len(r) == 1]:
+            # lowest generator id first, for reproducible logs
             chosen = min(single_letter, key=lambda r: r.letters[0][0])
             g = chosen.letters[0][0]
             rels = [r.delete_generator(g).cyclic_reduce()
                     for r in rels if r is not chosen]
             gens = [x for x in gens if x != g]
             log.append(TietzeStep("eliminate_generator", g))
-            progress = True
-            continue
-
-        # length-reducing relator products, pairs only, deterministic order
-        for i, ri in enumerate(rels):
-            done = False
-            for j, rj in enumerate(rels):
-                if i == j:
-                    continue
-                best = None
-                for rot in rj.rotations():
-                    for candidate in (ri * rot, ri * rot.inverse()):
-                        reduced = candidate.cyclic_reduce()
-                        if len(reduced) < len(ri) and (best is None or len(reduced) < len(best)):
-                            best = reduced
-                if best is not None:
-                    if not spend():
-                        done = True
-                        break
-                    rels[i] = best
-                    log.append(TietzeStep("relator_product", f"{i}<-{i}*{j}"))
-                    progress = True
-                    done = True
-                    break
-            if done:
-                break
+        elif product := _shortening_product(rels):
+            i, j, word = product
+            rels[i] = word
+            log.append(TietzeStep("relator_product", f"{i}<-{i}*{j}"))
+        else:
+            break
+        steps += 1
 
     certified = not gens and not rels
     result = GroupPresentation(tuple(gens), tuple(rels), tuple(log))
     return result, certified
+
+
+def _shortening_product(rels: list[Word]) -> tuple[int, int, Word] | None:
+    """The first pair i != j, in order of i and then j, for which relator i
+    times a rotation of relator j or of its inverse cyclically reduces to a
+    shorter word; returns (i, j, the first shortest such word), or None."""
+    for i, j in permutations(range(len(rels)), 2):
+        ri = rels[i]
+        products = ((ri * other).cyclic_reduce()
+                    for rot in rels[j].rotations() for other in (rot, rot.inverse()))
+        shorter = [w for w in products if len(w) < len(ri)]
+        if shorter:
+            return i, j, min(shorter, key=len)
+    return None

@@ -86,14 +86,6 @@ def dotted_pairs(dotted) -> list[tuple[int, str]] | None:
     return sorted(pairs)
 
 
-def dotted_sequence(dotted) -> str | None:
-    """The sequence that the dotted circles ``dotted`` spell in increasing
-    pair index (``dotted_pairs``), or None if they spell none (no circles
-    spell none: a sequence is nonempty)."""
-    pairs = dotted_pairs(dotted)
-    return "".join(sym for _, sym in pairs) if pairs else None
-
-
 def pair_relabeling(js, r: int) -> dict[str, str]:
     """The circle relabeling that takes each circle of pair ``js[k]`` to
     the same circle of pair k - r mod len(js), as ``pair_ids`` names them."""

@@ -360,8 +360,7 @@ def _slide_congruence_holds(d, out, h1, h2, sign) -> bool:
     matrix, with E the identity plus ``sign`` at (h2, h1)."""
     before, order = full_linking_matrix(d)
     after, order_after = full_linking_matrix(out)
-    size = len(order)
-    rows = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
+    rows = IntMatrix.identity(len(order)).to_rows()
     rows[order.index(h1)][order.index(h2)] = sign  # the rows of E^T
     return order == order_after and congruence(before, IntMatrix.from_rows(rows)) == after
 

@@ -57,6 +57,12 @@ def check_snf(m):
     return res
 
 
+def test_identity_matches_the_per_entry_definition():
+    for n in range(41):
+        entries = tuple(int(i == j) for i in range(n) for j in range(n))
+        assert IntMatrix.identity(n) == IntMatrix(n, n, entries), n
+
+
 def test_snf_identity():
     res = check_snf(IntMatrix.identity(3))
     assert res.S == IntMatrix.identity(3)

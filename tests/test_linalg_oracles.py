@@ -746,7 +746,7 @@ def seed_flip_pair(d, dotted, framed):
     for j, sym in enumerate(seq or ""):
         if pair_ids(j, sym) == (dotted, framed):
             meta["sequence"] = seq[:j] + (ZERO if sym == STAR else STAR) + seq[j + 1:]
-    return moves._rebuild(d, new_handles, one_handles=ones, meta=meta, links=links)
+    return make_datum(ones, new_handles, d.three_handles, meta, links)
 
 
 @pytest.fixture
@@ -846,7 +846,7 @@ def _seed_slide_at(d, h1_id, h2_id, sign, position):
     new_h1 = TwoHandle(h1_id, new_word, h1.framing + h2.framing + 2 * sign * lk12)
     out = [new_h1 if h.id == h1_id else h for h in d.two_handles]
     meta = moves._drop_wheel_meta_if_touched(d, {h1_id})
-    return moves._rebuild(d, out, meta=meta, links=links)
+    return make_datum(d.one_handles, out, d.three_handles, meta, links)
 
 
 def seed_cancel_1_2(d, g, h):
@@ -871,7 +871,7 @@ def seed_cancel_1_2(d, g, h):
     links = {k: v for k, v in current.links if h not in k}
     ones = tuple(u for u in current.one_handles if u != g)
     meta = moves._drop_wheel_meta_if_touched(current, touched)
-    return moves._rebuild(current, survivors, one_handles=ones, meta=meta, links=links)
+    return make_datum(ones, survivors, current.three_handles, meta, links)
 
 
 def _check_cancel(d, g, h) -> bool:
@@ -979,7 +979,7 @@ def _count_calls(monkeypatch, module, name, calls: list) -> None:
 def test_cancel_1_2_calls_no_other_move(monkeypatch):
     # one build, from parts in canonical order, and none through the public path
     builds = []
-    _count_calls(monkeypatch, moves, "_rebuild", builds)
+    _count_calls(monkeypatch, moves, "make_datum", builds)
     _count_calls(monkeypatch, moves, "_in_order", builds)
     d = make_datum(["a", "c"],
                    [two_handle("h", [("a", 1)], -1),
@@ -1016,7 +1016,7 @@ def seed_rotate(d, i):
                for h in d.two_handles]
     links = {(rename(x), rename(y)): v for (x, y), v in d.links}
     meta = d.meta_map | {"sequence": shift(seq, i)}
-    return moves._rebuild(d, handles, one_handles=ones, meta=meta, links=links)
+    return make_datum(ones, handles, d.three_handles, meta, links)
 
 
 def memo_key(d):
@@ -1347,7 +1347,7 @@ def seed_blow_down(d, h):
     out = [TwoHandle(x.id, x.word, x.framing - eps * k.get(x.id, 0) ** 2)
            for x in d.two_handles if x.id != h]
     meta = moves._drop_wheel_meta_if_touched(d, {h} | set(k))
-    return moves._rebuild(d, out, meta=meta, links=links)
+    return make_datum(d.one_handles, out, d.three_handles, meta, links)
 
 
 def _check_blow_downs(d) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from corkcalc.families import build_C, build_X
 from corkcalc.moves import MoveTrace, Recorder, trace_from_text
 from corkcalc.scripts import deletion_chain
 from corkcalc.sequences import (all_sequences, check_sequence, check_wheel, cork_order,
-                                dotted_sequence, is_constant, least_rotation, pair_ids,
+                                dotted_pairs, is_constant, least_rotation, pair_ids,
                                 pair_index, pair_relabeling, period, rotation_ids,
                                 rotation_map_order, shift)
 
@@ -174,16 +174,16 @@ def test_rotation_sends_each_circle_to_the_same_circle_of_pair_j_plus_i():
                     assert tuple(ids[c] for c in pair_ids(j, sym)) == target
 
 
-def test_dotted_sequence_reads_pair_ids_backwards():
+def test_dotted_pairs_read_pair_ids_backwards():
     for n in range(1, 6):
         for x in all_sequences(n):
             dotted = [pair_ids(j, sym)[0] for j, sym in enumerate(x)]
-            assert dotted_sequence(reversed(dotted)) == x
-            # the survivors of a deletion keep their labels (none spell none)
-            assert dotted_sequence(dotted[1:]) == (x[1:] or None)
+            assert "".join(sym for _, sym in dotted_pairs(reversed(dotted))) == x
+            # the survivors of a deletion keep their labels (none spell "")
+            assert "".join(sym for _, sym in dotted_pairs(dotted[1:])) == x[1:]
     for bad in (["a0", "b0"], ["c0"], ["a"], ["a01"], ["a-1"], ["a²"], ["m1_1"], ["a\u0661"],
                 ["del"], [0]):
-        assert dotted_sequence(bad) is None
+        assert dotted_pairs(bad) is None
 
 
 def test_pair_relabeling_renames_the_circles_pair_ids_names():
@@ -234,9 +234,9 @@ def test_all_sequences_refuses_an_empty_length():
             all_sequences(n)
 
 
-def test_dotted_sequence_of_no_circles_is_none():
-    assert dotted_sequence([]) is None
-    assert dotted_sequence(iter(())) is None
+def test_dotted_pairs_of_no_circles_is_empty():
+    assert dotted_pairs([]) == []
+    assert dotted_pairs(iter(())) == []
 
 
 def test_cork_order_suite_validates_each_sequence_at_most_four_times(monkeypatch):
