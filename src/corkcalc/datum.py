@@ -17,15 +17,17 @@ reads it, and ``validate`` checks it against the circle pairs that
 
 ``KirbyDatum(...)`` and ``make_datum`` sort every part and check the pair
 store.  ``_in_order`` builds a datum from parts that are already in that
-order, sorting and checking nothing: the moves that keep the handles'
-order and ``build_X`` use it.  Both paths build the same two lookups, the
-first handle of each id and each id's stored partners.  Two facts are
-stored on a datum the first time they are worked out: its ``datum_hash``
-and its ``wheel_sequence`` verdict.  A caller of ``_in_order`` that knows
-the datum's wheel is valid hands the verdict over: ``build_X``, which has
-just checked it, and a move that adds a handle of a fresh id to a valid
-wheel, which a fresh id cannot break.  An invalid verdict is never
-carried, since a new handle may repair the wheel.
+order, sorting and checking nothing: the wheel builders of ``families``
+and every move but ``moves.rotate`` use it.  Both paths build the same two
+lookups, the first handle of each id and each id's stored partners.  Two
+facts are stored on a datum the first time they are worked out: its
+``datum_hash`` and its ``wheel_sequence`` verdict.  A caller of
+``_in_order`` that knows the datum's wheel is valid hands the verdict
+over: ``build_X``, which has just checked it; ``build_W`` and ``build_Z``,
+which add meridians of fresh ids to a ``build_C`` wheel; a pair twist of a
+wheel pair, with the flipped sequence; and a move that adds a handle of a
+fresh id to a valid wheel, which a fresh id cannot break.  An invalid
+verdict is never carried, since a new handle may repair the wheel.
 
 The exponent-sum and full linking matrices are written once, as sparse
 rows ({column: nonzero} dicts): ``exponent_rows`` and ``linking_rows``.

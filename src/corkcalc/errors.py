@@ -84,10 +84,6 @@ class LengthMismatchError(BadIndexError):
     code = "LENGTH_MISMATCH"
 
 
-class OddCuspImbalanceError(CorkCalcError):
-    code = "ODD_CUSP_IMBALANCE"
-
-
 class CorrespondenceIncompleteError(CorkCalcError):
     code = "CORRESPONDENCE_INCOMPLETE"
 

@@ -8,8 +8,14 @@ radial circle and 0-frames the circular one, ``0`` the other way round
 Pair j's 0-framed handle is one ``TwoHandle`` object per symbol, kept in a
 module table and shared by every wheel ``build_X`` makes, so its word and
 its cached JSON fragment are built once per process.  ``build_X`` hands
-its parts to ``datum`` already sorted and records its sequence as the
-datum's wheel verdict: it has just checked every part of the wheel rule.
+its parts to ``datum._in_order`` already sorted and records its sequence
+as the datum's wheel verdict: it has just checked every part of the wheel
+rule.  The decorated wheels do the same on top of ``build_C``: ``build_W``
+and ``build_Z`` append their meridians, whose ids sort after every wheel
+handle, and carry the C(n) verdict, which meridians of fresh ids, a
+family name and an ``i`` with 1 <= i < n cannot break.  ``build_W_twisted``
+and ``build_Z_twisted`` twist such a wheel with ``twist_wheel``, whose
+pair twists keep the canonical order and carry the flipped sequence.
 The -m twist boxes of the planar picture are invisible at this fidelity;
 m rides along as metadata and re-enters in the Legendrian front data.
 """
@@ -106,19 +112,33 @@ def dot_zero_exchange(d: KirbyDatum) -> KirbyDatum:
 
 # --- decorated families ----------------------------------------------------------
 
-def build_W(n: int, m: int) -> KirbyDatum:
-    """The order-n cork wheel plus j parallel -1-framed meridians of the j-th
-    circular circle for every 1 <= j <= n-1 (pairwise meridian linkings 0)."""
+def _decorated(c: KirbyDatum, extra: tuple[TwoHandle, ...], meta: tuple) -> KirbyDatum:
+    """The wheel ``c`` of ``build_C`` with the extra handles, whose ids sort
+    after every wheel handle, and its ``meta`` after the ``family`` entry
+    under the given labels (sorted by key).  Handles of fresh ids, a new
+    family string and an ``i`` with 1 <= i < n break no wheel rule, so the
+    wheel verdict of ``c`` carries over."""
+    return _in_order(c.one_handles, c.two_handles + extra, 0, meta + c.meta[1:], (),
+                     wheel=wheel_sequence(c))
+
+
+def _build_W(n: int, m: int, labels: tuple) -> KirbyDatum:
+    """``build_W`` under the given leading ``meta`` labels."""
     _require_ints(n=n)
     if n < 2:
         raise BadIndexError("need n >= 2")
-    d = build_C(n, m)
-    handles = list(d.two_handles)
+    meridians = []
     for j in range(1, n):
         circular, _ = pair_ids(j, ZERO)  # pair j > 0 of C(n) is a 0 pair
-        for k in range(1, j + 1):
-            handles.append(two_handle(f"m{j}_{k}", single(circular), -1))
-    return make_datum(d.one_handles, handles, 0, d.meta_map | {"family": "W"})
+        word = single(circular)
+        meridians += [TwoHandle(f"m{j}_{k}", word, -1) for k in range(1, j + 1)]
+    return _decorated(build_C(n, m), tuple(sorted(meridians, key=_by_id)), labels)
+
+
+def build_W(n: int, m: int) -> KirbyDatum:
+    """The order-n cork wheel plus j parallel -1-framed meridians of the j-th
+    circular circle for every 1 <= j <= n-1 (pairwise meridian linkings 0)."""
+    return _build_W(n, m, (("family", "W"),))
 
 
 def build_W_twisted(n: int, m: int, i: int) -> KirbyDatum:
@@ -126,15 +146,14 @@ def build_W_twisted(n: int, m: int, i: int) -> KirbyDatum:
 
     The dot pattern shifts under the twist, so exactly i meridians land on
     the 0-framed side with empty words: those are the blow-downable ones.
+    The wheel is built with its ``i`` label, which the twist keeps.
     """
     _require_ints(n=n, i=i)
     if not 0 <= i <= n - 1:
         raise BadIndexError(f"need 0 <= i <= n-1, got i={i}")
-    w = build_W(n, m)
     if i == 0:
-        return w
-    twisted = twist_wheel(w, i)
-    return twisted.replace(meta=twisted.meta_map | {"i": i})
+        return build_W(n, m)
+    return twist_wheel(_build_W(n, m, (("family", "W"), ("i", i))), i)
 
 
 def build_Z(n: int, m: int, i: int) -> KirbyDatum:
@@ -142,11 +161,9 @@ def build_Z(n: int, m: int, i: int) -> KirbyDatum:
     _require_ints(n=n, i=i)
     if not 0 < i < n:
         raise BadIndexError(f"need 0 < i < n, got i={i}")
-    d = build_C(n, m)
+    c = build_C(n, m)
     circular, _ = pair_ids(n - i, ZERO)  # pair n-i > 0 of C(n) is a 0 pair
-    handles = list(d.two_handles) + [two_handle("z", single(circular), -1)]
-    return make_datum(d.one_handles, handles, 0,
-                      d.meta_map | {"family": "Z", "i": i})
+    return _decorated(c, (two_handle("z", single(circular), -1),), (("family", "Z"), ("i", i)))
 
 
 def build_Z_twisted(n: int, m: int, i: int) -> KirbyDatum:

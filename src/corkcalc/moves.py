@@ -27,7 +27,9 @@ never changes.
 
 ``blow_down`` removes a +-1-framed empty-word handle e with a rank-one
 update: every survivor pair loses ``eps*lk(x,e)*lk(y,e)`` and every framing
-``eps*lk(x,e)**2``; boundary homology is untouched and b2 drops by one.
+``eps*lk(x,e)**2``; boundary homology is untouched and b2 drops by one
+(Gompf-Stipsicz, *4-Manifolds and Kirby Calculus*, sec. 5.1).  Only the
+partners of e change.
 
 Cork twists exchange the roles inside a (dotted circle, 0-framed handle)
 pair.  ``cork_twist_pair`` requires the pair to be algebraically separated;
@@ -40,11 +42,19 @@ available at this fidelity).  A pair twist rewrites only the handles that
 pass its dotted circle or link its 0-framed handle; every other handle
 object carries over unchanged.
 
-All moves are pure: they return fresh data and never mutate inputs.  A
-move that keeps the order of the handles it keeps builds its result with
-``datum._in_order`` (``attach_2handle`` and ``blow_up`` insert the new
-handle in id order); ``_flip_pair`` and ``rotate`` rename circles and
-handles, so they go through the public constructor, which sorts.
+All moves are pure: they return fresh data and never mutate inputs.  Every
+move but ``rotate`` hands canonical parts to ``datum._in_order``, which
+sorts and checks nothing: the slides, ``cancel_1_2`` and
+``remove_split_zero_handle`` keep the handles' order, ``attach_2handle``
+and ``blow_up`` insert the new handle in id order, ``blow_down`` rebuilds
+only the handles that link the blown-down one and sorts the pair store
+again only when two of them change their pair, and ``_flip_pair`` puts
+its new circle in place with ``insort`` and its handles by a stable sort
+on id.  A move that adds a handle of a fresh id to a valid wheel carries
+the wheel verdict forward, and ``_flip_pair`` of a wheel pair carries the
+flipped sequence; every other verdict is worked out when it is read.
+``rotate`` renames every circle and handle, so it goes through the public
+constructor, which sorts.
 
 A trace holds each step's checked params and its checked target as dicts,
 shared (do not mutate them; a step or trace is not hashable); only
@@ -59,7 +69,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import InitVar, dataclass
 from operator import attrgetter
 
@@ -257,23 +267,37 @@ def blow_up(d: KirbyDatum, id: str, sign: int) -> KirbyDatum:
 
 
 def blow_down(d: KirbyDatum, h: str) -> KirbyDatum:
-    """Remove a +-1-framed empty-word 2-handle, twisting the survivors; a
-    survivor that does not link it keeps its object."""
+    """Remove a +-1-framed empty-word 2-handle, twisting the survivors.  Only
+    the handles that link it are rebuilt, found by id in the sorted handles;
+    a survivor that does not link it keeps its object.  The pair store is
+    sorted again only when it has two partners, whose pairs change."""
     handle = _require_handle(d, h)
     eps = handle.framing
     if handle.word or eps not in (1, -1):
         raise NotBlowdownableError(f"{h} is not a +-1-framed empty-word handle")
     k = d.partners(h)
-    ks = sorted(k.items())
-    links = {pair: v for pair, v in d.links if h not in pair}
-    for i, (x, kx) in enumerate(ks):
-        for y, ky in ks[i + 1:]:
-            key = link_key(x, y)
-            links[key] = links.get(key, 0) - eps * kx * ky
-    out = tuple(TwoHandle(x.id, x.word, x.framing - eps * k[x.id] ** 2) if x.id in k else x
-                for x in d.two_handles if x.id != h)
-    return _in_order(d.one_handles, out, d.three_handles,
-                     _drop_wheel_meta_if_touched(d, {h} | set(k)), _store(links))
+    if len(k) < 2:
+        links = tuple(item for item in d.links if h not in item[0])
+    else:
+        ks = sorted(k.items())
+        store = {pair: v for pair, v in d.links if h not in pair}
+        for i, (x, kx) in enumerate(ks):
+            for y, ky in ks[i + 1:]:
+                key = link_key(x, y)
+                store[key] = store.get(key, 0) - eps * kx * ky
+        links = _store(store)
+    handles = d.two_handles
+    out = list(handles)
+    for x, kx in k.items():
+        if d.handle(x) is not None:  # a 2-handle id, comparable with the others
+            at = bisect_left(handles, x, key=_by_id)
+            while at < len(handles) and handles[at].id == x:
+                e = handles[at]
+                out[at] = TwoHandle(x, e.word, e.framing - eps * kx ** 2)
+                at += 1
+    del out[bisect_left(handles, h, key=_by_id):bisect_right(handles, h, key=_by_id)]
+    return _in_order(d.one_handles, tuple(out), d.three_handles,
+                     _drop_wheel_meta_if_touched(d, {h} | set(k)), links)
 
 
 def minus_one_sphere_present(d: KirbyDatum) -> bool:
@@ -302,26 +326,48 @@ def _flip_pair(d: KirbyDatum, dotted: str, framed: str) -> KirbyDatum:
 
     # pairs with the framed handle turn into letters of the new dotted
     # circle; passes through the old one turn into pairs with its new handle.
-    # A handle that does neither keeps its object; its pair entry with the
-    # dotted name is still written (as 0, so the store drops it).
+    # Each handle's letters are read once, for its exponent sum on the dotted
+    # circle and for a pass through it.  A handle that does neither keeps its
+    # object; a stored pair entry of it with the dotted name is still written
+    # (as 0, so the store drops it).  Its linking with the framed handle is
+    # the store's, read through ``d.lk`` where either id names a dotted circle.
+    circles = set(d.one_handles)
+    plain = framed not in circles
+    stored = d.partners(framed)
     links = {k: v for k, v in d.links if framed not in k}
+    written = set(d.partners(dotted))  # ids whose pair entry with dotted is in links
     new_handles = [TwoHandle(dotted, single(framed) ** sigma, 0)]
     for e in d.two_handles:
-        if e.id != framed:
-            links[link_key(dotted, e.id)] = e.word.exponent_sum(dotted)
-            k = d.lk(e.id, framed)
-            if k or any(g == dotted for g, _ in e.word.letters):
-                e = TwoHandle(e.id, e.word.delete_generator(dotted) * single(framed) ** k,
-                              e.framing)
-            new_handles.append(e)
+        hid = e.id
+        if hid == framed:
+            continue
+        s = hit = 0
+        for g, sign in e.word.letters:
+            if g == dotted:
+                s, hit = s + sign, 1
+        if s or hid in written:
+            links[link_key(dotted, hid)] = s
+            written.add(hid)
+        k = stored.get(hid, 0) if plain and hid not in circles else d.lk(hid, framed)
+        if k or hit:
+            letters = tuple(l for l in e.word.letters if l[0] != dotted)
+            e = TwoHandle(hid, Word(letters + ((framed, 1 if k > 0 else -1),) * abs(k)),
+                          e.framing)
+        new_handles.append(e)
 
-    ones = tuple(u for u in d.one_handles if u != dotted) + (framed,)
-    meta = d.meta_map
-    seq = wheel_sequence(d)
-    for j, sym in enumerate(seq or ""):
-        if pair_ids(j, sym) == (dotted, framed):
-            meta["sequence"] = seq[:j] + (ZERO if sym == STAR else STAR) + seq[j + 1:]
-    return make_datum(ones, new_handles, d.three_handles, meta, links)
+    # the circles and handles in canonical order; a wheel pair's flip keeps
+    # the wheel valid, so its flipped sequence is the verdict
+    ones = [u for u in d.one_handles if u != dotted]
+    insort(ones, framed)
+    meta, flipped = d.meta, None
+    seq, pair = wheel_sequence(d), pair_index(dotted)
+    if seq is not None and pair is not None:
+        j, sym = pair
+        if j < len(seq) and seq[j] == sym and pair_ids(j, sym)[1] == framed:
+            flipped = seq[:j] + (ZERO if sym == STAR else STAR) + seq[j + 1:]
+            meta = tuple((key, flipped if key == "sequence" else v) for key, v in d.meta)
+    return _in_order(tuple(ones), tuple(sorted(new_handles, key=_by_id)), d.three_handles,
+                     meta, _store(links), wheel=flipped)
 
 
 def cork_twist_pair(d: KirbyDatum, dotted: str, zero_handle: str, m: int = 1) -> KirbyDatum:

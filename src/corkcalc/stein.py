@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .datum import KirbyDatum
-from .errors import (CorkCalcError, CorrespondenceIncompleteError, FrontFormatError,
-                     OddCuspImbalanceError)
+from .errors import CorkCalcError, CorrespondenceIncompleteError, FrontFormatError
 from .families import c_sequence
 from .sequences import pair_ids
 
@@ -203,13 +202,14 @@ def tb(front: LegendrianFront, c: str) -> int:
 
 
 def rot(front: LegendrianFront, c: str) -> int:
-    """Rotation number: half the signed cusp imbalance."""
+    """Rotation number: half the signed cusp imbalance, down cusps minus up
+    cusps.  The halving is exact: ``_trace`` refuses a component whose left
+    and right cusp counts differ, so the component has an even number of
+    cusps, each marked up or down, and down - up = (down + up) - 2 up is
+    even."""
     _component(front, c)
     marks = front.geometry.cusp_marks[c]
-    diff = marks[DOWN] - marks[UP]
-    if diff % 2:
-        raise OddCuspImbalanceError(f"component {c} has odd cusp mark imbalance")
-    return diff // 2
+    return (marks[DOWN] - marks[UP]) // 2
 
 
 def linking_number(front: LegendrianFront, c1: str, c2: str) -> int:

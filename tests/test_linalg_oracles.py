@@ -1388,6 +1388,23 @@ def test_blow_down_matches_the_seed_off_the_wheels():
                    links={("e", "f"): 2, ("e", "g"): -1, ("f", "k"): 5})
     assert _check_blow_downs(d) == (1, 1)
     assert dict(blow_down(d, "e").links) == {("f", "g"): 2, ("f", "k"): 5}
+    # a -1 handle with no partners: the store keeps its entries
+    d = make_datum(["a"], [two_handle("e", [], -1), two_handle("f", [("a", 1)], 2),
+                           two_handle("g", [], 3)],
+                   links={("f", "g"): 4})
+    assert _check_blow_downs(d) == (1, 2)
+    assert blow_down(d, "e").links == d.links
+    # three partners, two of which link already: their pair changes to 0
+    # and leaves the store, the two new pairs enter it
+    d = make_datum(["a"], [two_handle("e", [], 1), two_handle("f", [("a", 1)], 2),
+                           two_handle("g", [], -3), two_handle("k", [], 0),
+                           two_handle("u", [], 5)],
+                   links={("e", "f"): 1, ("e", "g"): 2, ("e", "k"): 3, ("f", "g"): 2,
+                          ("g", "u"): 5})
+    assert _check_blow_downs(d) == (1, 1)
+    blown = blow_down(d, "e")
+    assert dict(blown.links) == {("f", "k"): -3, ("g", "k"): -6, ("g", "u"): 5}
+    assert [h.framing for h in blown.two_handles] == [1, -7, -9, 5]
 
 
 # --- data built from parts in canonical order ----------------------------------------
@@ -1498,6 +1515,29 @@ def test_build_x_records_the_verdict_of_the_wheel_rule(checked_in_order):
             assert wheel_sequence(build_X(n, 1 + k % 2, x, family="XE"[k % 2])) == x
             count += 1
     assert checked_in_order == {"build_X": count, "carried": count} and count == 510
+
+
+def test_decorated_wheels_carry_the_verdict_of_the_wheel_rule(checked_in_order):
+    # every W(n), Z(n) and their twists for n <= 12 and m <= 2, and each
+    # blow-down that ``w-family`` takes on them; each twist flips two wheel
+    # pairs, and every wheel datum is built with its verdict
+    blow_downs = 0
+    for n in range(2, 13):
+        for m in (1, 2):
+            build_W(n, m)
+            for i in range(1, n):
+                d = build_W_twisted(n, m, i)
+                for _ in range(i):
+                    d = blow_down(d, next(h.id for h in d.two_handles
+                                          if not h.word and h.framing == -1))
+                build_Z(n, m, i)
+                blow_down(build_Z_twisted(n, m, i), "z")
+                blow_downs += i + 1
+    builds = 2 * (11 + 3 * 66)  # W(n), then per i the twisted W, Z and twisted Z
+    assert checked_in_order == {"build_X": builds, "_decorated": builds,
+                                "_flip_pair": 2 * 4 * 66, "blow_down": blow_downs,
+                                "carried": 2 * builds + 2 * 4 * 66}
+    assert blow_downs == 2 * (286 + 66)
 
 
 # --- the wheel metadata that a move keeps ----------------------------------------------

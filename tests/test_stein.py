@@ -1,10 +1,9 @@
 import pytest
 
 from corkcalc.datum import make_datum, two_handle
-from corkcalc.errors import (CorrespondenceIncompleteError, FrontFormatError,
-                             OddCuspImbalanceError)
+from corkcalc.errors import CorrespondenceIncompleteError, FrontFormatError
 from corkcalc.families import build_C
-from corkcalc.stein import (DOWN, UP, FrontDocument, FrontEvent, FrontGeometry,
+from corkcalc.stein import (DOWN, UP, FrontDocument, FrontEvent,
                             LegendrianFront, framed_zero_component_events,
                             front_from_text, front_to_text, linking_number,
                             max_tb_reference_events,
@@ -106,13 +105,18 @@ def test_front_validation_errors():
         FrontEvent("xpos", 0, "u", None)  # crossings carry no component
 
 
-def test_odd_cusp_imbalance_guard():
-    f = front(unknot_events("u"))
-    doctored = FrontGeometry(("u",), {"u": []}, {}, {"u": {"left": 1, "right": 1}},
-                             {"u": {UP: 1, DOWN: 2}})
-    object.__setattr__(f, "_geometry", doctored)
-    with pytest.raises(OddCuspImbalanceError):
-        rot(f, "u")
+def test_rotation_halves_an_even_cusp_imbalance():
+    # _trace refuses unequal left and right cusp counts, so each component
+    # has an even number of cusps and its down - up is even
+    fronts = [wheel_front_events(n, m)[0] for n in range(1, 5) for m in range(1, 4)]
+    fronts.append(max_tb_reference_events("trefoil"))
+    for events in fronts:
+        f = front(events)
+        for c in f.components:
+            marks = [ev.mark for ev in events
+                     if ev.kind in ("lcusp", "rcusp") and ev.component == c]
+            assert 2 * rot(f, c) == marks.count(DOWN) - marks.count(UP)
+    assert len(fronts) == 13
 
 
 def test_stein_check_passes_on_bundled_wheel_fronts():

@@ -274,6 +274,17 @@ def test_the_benchmark_grid_applies_no_wheel_rule(monkeypatch):
     assert checks == []
 
 
+def test_the_forms_grid_applies_no_wheel_rule(monkeypatch):
+    # the W(n) and Z(n) builders carry the verdict of the C(n) wheel, and
+    # each twist of a wheel pair carries the flipped sequence
+    checks = []
+    rule = datum_io._wheel_violations
+    monkeypatch.setattr(datum_io, "_wheel_violations", lambda d: checks.append(d) or rule(d))
+    assert suites.run_suite("w-family", {"n_max": 11, "m_max": 1}).passed
+    assert suites.run_suite("thm-1-7-arith").passed
+    assert checks == []
+
+
 def test_the_sweep_builds_each_least_rotation_and_renames_no_word(monkeypatch):
     # lemma-2-2 certifies the wheel of each class's least rotation as built,
     # with no relabel of a built wheel on the way
