@@ -112,13 +112,13 @@ def dot_zero_exchange(d: KirbyDatum) -> KirbyDatum:
 
 # --- decorated families ----------------------------------------------------------
 
-def _decorated(c: KirbyDatum, extra: tuple[TwoHandle, ...], meta: tuple) -> KirbyDatum:
+def _decorated(c: KirbyDatum, extra: tuple[TwoHandle, ...], labels: tuple) -> KirbyDatum:
     """The wheel ``c`` of ``build_C`` with the extra handles, whose ids sort
     after every wheel handle, and its ``meta`` after the ``family`` entry
     under the given labels (sorted by key).  Handles of fresh ids, a new
     family string and an ``i`` with 1 <= i < n break no wheel rule, so the
     wheel verdict of ``c`` carries over."""
-    return _in_order(c.one_handles, c.two_handles + extra, 0, meta + c.meta[1:], (),
+    return _in_order(c.one_handles, c.two_handles + extra, 0, labels + c.meta[1:], (),
                      wheel=wheel_sequence(c))
 
 

@@ -270,7 +270,8 @@ def blow_down(d: KirbyDatum, h: str) -> KirbyDatum:
     """Remove a +-1-framed empty-word 2-handle, twisting the survivors.  Only
     the handles that link it are rebuilt, found by id in the sorted handles;
     a survivor that does not link it keeps its object.  The pair store is
-    sorted again only when it has two partners, whose pairs change."""
+    sorted again only when the handle has two partners or more, whose pairs
+    change."""
     handle = _require_handle(d, h)
     eps = handle.framing
     if handle.word or eps not in (1, -1):
