@@ -14,8 +14,8 @@ rule.  The decorated wheels do the same on top of ``build_C``: ``build_W``
 and ``build_Z`` append their meridians, whose ids sort after every wheel
 handle, and carry the C(n) verdict, which meridians of fresh ids, a
 family name and an ``i`` with 1 <= i < n cannot break.  ``build_W_twisted``
-and ``build_Z_twisted`` twist such a wheel with ``twist_wheel``, whose
-pair twists keep the canonical order and carry the flipped sequence.
+and ``twist_Z`` twist such a wheel with ``twist_wheel``, whose pair twists
+keep the canonical order and carry the flipped sequence.
 The -m twist boxes of the planar picture are invisible at this fidelity;
 m rides along as metadata and re-enters in the Legendrian front data.
 """
@@ -166,15 +166,15 @@ def build_Z(n: int, m: int, i: int) -> KirbyDatum:
     return _decorated(c, (two_handle("z", single(circular), -1),), (("family", "Z"), ("i", i)))
 
 
-def build_Z_twisted(n: int, m: int, i: int) -> KirbyDatum:
-    """Companion of build_Z: the twist that parks the extra handle on the
-    0-framed member, exposing the square -1 sphere.
-
-    The rotation power is n-i: the two bookkeeping orientations of a twist
-    differ by inverting the power, and this one realizes the obstruction.
-    """
-    z = build_Z(n, m, i)
+def twist_Z(z: KirbyDatum, n: int, i: int) -> KirbyDatum:
+    """Twist z = build_Z(n, m, i) so that z lies on a 0-framed member, a square
+    -1 sphere: of a twist's two inverse rotation powers, n-i realizes that."""
     return twist_wheel(z, (n - i) % n)
+
+
+def build_Z_twisted(n: int, m: int, i: int) -> KirbyDatum:
+    """Companion of build_Z: ``twist_Z`` of build_Z(n, m, i)."""
+    return twist_Z(build_Z(n, m, i), n, i)
 
 
 # --- the modified wheel family and elliptic-surface forms ---------------------------

@@ -21,7 +21,7 @@ skips the zero coefficients of its left factor, and every congruence
 c q c^T through ``congruence``.  ``is_diag_minus_one`` drops a split -e_i
 row from a list of surviving slots, copying no entry; any other norm -1
 vector, a diagonal -1 or a lattice search's find, is split off with the
-SNF kernel of its row.  ``det`` runs only before a search.
+SNF kernel of its row; ``signature`` and ``det`` run only before a search.
 """
 
 from __future__ import annotations
@@ -477,21 +477,17 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
     norm -1 vector with coefficients bounded by ``SEARCH_HEIGHT``; either
     vec is followed, on the form and basis materialised at the slots, by
     the SNF kernel of its row, and the form is updated through
-    ``congruence``.  Each splits off a norm -1 vector, so |det| of the
-    current form stays |det q|: ``det`` runs only before a search, and a
-    peel that needs none proves |det q| = 1.  Returns a definite False on
-    any definiteness or determinant obstruction; an exhausted search without
-    obstruction is inconclusive, never False.  A True verdict carries a
-    witness W with W^T q W == -I, checked here.
-    """
+    ``congruence``.  Each split keeps |det| and adds one -1 to the inertia
+    (Sylvester), so ``signature`` and ``det`` run only before a search, and a
+    peel that needs none proves q ~ -I.  A definiteness or determinant
+    obstruction is a definite False; an exhausted search without one is
+    inconclusive, never False.  A True verdict carries a witness W with
+    W^T q W == -I, checked here."""
     if not q.is_symmetric():
         raise ValueError("is_diag_minus_one needs a symmetric matrix")
     n = q.rows
     if n == 0:
         return DiagMinusOneResult(True, IntMatrix.identity(0), "empty form")
-    pos, neg, zero = signature(q)
-    if pos or zero:
-        return DiagMinusOneResult(False, None, f"not negative definite (inertia {(pos, neg, zero)})")
 
     columns: list[tuple[int, ...]] = []
     # row k: the k-th basis vector of the last materialised lattice, in the
@@ -512,7 +508,11 @@ def is_diag_minus_one(q: IntMatrix) -> DiagMinusOneResult:
             basis = IntMatrix(m, basis.cols, tuple(chain.from_iterable(map(basis.row, slots))))
         if i is not None:
             vec = tuple(int(k == i) for k in range(m))
-        else:
+        else:  # q's inertia is current's plus the n - m norm -1 vectors split off
+            pos, neg, zero = signature(current)
+            if pos or zero:
+                return DiagMinusOneResult(
+                    False, None, f"not negative definite (inertia {(pos, neg + n - m, zero)})")
             if abs(det(current)) != 1:
                 return DiagMinusOneResult(False, None, "determinant is not a unit")
             p_rows = [[Fraction(-x) for x in current.row(k)] for k in range(m)]

@@ -25,11 +25,11 @@ plus the 3-handle that caps it": the handle disappears and the modeled
 3-handle absorbs the H2 class it carried, so the explicit 3-handle count
 never changes.
 
-``blow_down`` removes a +-1-framed empty-word handle e with a rank-one
-update: every survivor pair loses ``eps*lk(x,e)*lk(y,e)`` and every framing
-``eps*lk(x,e)**2``; boundary homology is untouched and b2 drops by one
-(Gompf-Stipsicz, *4-Manifolds and Kirby Calculus*, sec. 5.1).  Only the
-partners of e change.
+``blow_down`` removes a ``blowdownable`` handle e (the one statement of the
+rule: empty word, framing eps = +-1) by a rank-one update: every survivor
+pair loses ``eps*lk(x,e)*lk(y,e)`` and every framing ``eps*lk(x,e)**2``;
+boundary homology is untouched and b2 drops by one (Gompf-Stipsicz,
+*4-Manifolds and Kirby Calculus*, sec. 5.1).  Only the partners of e change.
 
 Cork twists exchange the roles inside a (dotted circle, 0-framed handle)
 pair.  ``cork_twist_pair`` requires the pair to be algebraically separated;
@@ -266,16 +266,21 @@ def blow_up(d: KirbyDatum, id: str, sign: int) -> KirbyDatum:
     return _with_handle(d, TwoHandle(id, Word(), sign), d.links)
 
 
+def blowdownable(handle: TwoHandle) -> bool:
+    """The blow-down rule: the handle has an empty word and framing +-1."""
+    return not handle.word and handle.framing in (1, -1)
+
+
 def blow_down(d: KirbyDatum, h: str) -> KirbyDatum:
-    """Remove a +-1-framed empty-word 2-handle, twisting the survivors.  Only
+    """Remove a ``blowdownable`` 2-handle, twisting the survivors.  Only
     the handles that link it are rebuilt, found by id in the sorted handles;
     a survivor that does not link it keeps its object.  The pair store is
     sorted again only when the handle has two partners or more, whose pairs
     change."""
     handle = _require_handle(d, h)
-    eps = handle.framing
-    if handle.word or eps not in (1, -1):
+    if not blowdownable(handle):
         raise NotBlowdownableError(f"{h} is not a +-1-framed empty-word handle")
+    eps = handle.framing
     k = d.partners(h)
     if len(k) < 2:
         links = tuple(item for item in d.links if h not in item[0])
@@ -302,12 +307,9 @@ def blow_down(d: KirbyDatum, h: str) -> KirbyDatum:
 
 
 def minus_one_sphere_present(d: KirbyDatum) -> bool:
-    """Blow-down eligibility flag: a -1-framed empty-word handle exists.
-
-    Such a handle caps off to an embedded sphere of square -1, which
-    obstructs any Stein structure on the ambient 4-manifold.
-    """
-    return any(not h.word and h.framing == -1 for h in d.two_handles)
+    """A ``blowdownable`` handle of framing -1 is present: it caps off to a
+    sphere of square -1, which obstructs any Stein structure."""
+    return any(h.framing == -1 and blowdownable(h) for h in d.two_handles)
 
 
 # --- cork twists -----------------------------------------------------------------

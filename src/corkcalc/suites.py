@@ -25,7 +25,7 @@ from .invariants import (HomologyProfile, boundary_h1, char_numbers_from_datum,
                          connected_sum, cp2, cp2_bar, homology, intersection_form)
 from .isomorphism import datum_isomorphic
 from .linalg import IntMatrix, congruence, is_diag_minus_one
-from .moves import apply_move, blow_down, minus_one_sphere_present, slide_2_over_2
+from .moves import apply_move, blow_down, blowdownable, slide_2_over_2
 from .presentations import TIETZE_BUDGET, pi1_presentation, tietze_simplify
 
 
@@ -251,23 +251,22 @@ def _run_w_family(case):
         ok = verdict.verdict is True
         return CaseResult(f"W({n},{m})", ok, "" if ok else verdict.reason)
     if kind == "twisted":
-        d = families.build_W_twisted(n, m, i)
-        blown = d
-        for k in range(i):
-            target = next(h.id for h in blown.two_handles
-                          if not h.word and h.framing == -1)
+        # the twist exposes i unlinked -1 meridians: one pass takes them, in id order
+        blown = families.build_W_twisted(n, m, i)
+        targets = [h.id for h in blown.two_handles if h.framing == -1 and blowdownable(h)]
+        for target in targets[:i]:
             blown = blow_down(blown, target)
         prof = homology(blown)
         bh = boundary_h1(blown)
-        ok = (prof.b2 == expected_b2 - i and not prof.h1_invariants
+        ok = (len(targets) >= i and prof.b2 == expected_b2 - i and not prof.h1_invariants
               and bh.is_homology_sphere)
         return CaseResult(f"W({n},{m}) twist {i} + {i} blow-downs", ok,
                           "" if ok else f"b2={prof.b2}, boundary={bh.invariant_factors}")
     z = families.build_Z(n, m, i)
     if homology(z).b2 != 1:
         return CaseResult(f"Z({n},{m},{i})", False, "b2 != 1")
-    twisted = families.build_Z_twisted(n, m, i)
-    if not minus_one_sphere_present(twisted):
+    twisted = families.twist_Z(z, n, i)
+    if not blowdownable(exposed := twisted.handle("z")) or exposed.framing != -1:
         return CaseResult(f"Z({n},{m},{i})", False, "no -1-sphere after twist")
     blown = blow_down(twisted, "z")
     prof = homology(blown)
@@ -348,7 +347,7 @@ def _audit_options(d) -> list[str]:
         options.append("cancel")
     if wheel_sequence(d) is not None:
         options += ["rotate", "twist"]
-    if any(not h.word and h.framing in (1, -1) for h in d.two_handles):
+    if any(map(blowdownable, d.two_handles)):
         options.append("blow_down")
     if len(d.handle_ids) <= 16:
         options.append("blow_up")
@@ -399,9 +398,7 @@ def _run_move_audit(k):
             out = apply_move(d, "blow_up", {"id": f"bu{audited}",
                                             "sign": rng.choice((1, -1))})
         else:
-            target = next(h.id for h in d.two_handles
-                          if not h.word and h.framing in (1, -1))
-            out = blow_down(d, target)
+            out = blow_down(d, next(h.id for h in d.two_handles if blowdownable(h)))
         out_profile, out_boundary = homology(out), boundary_h1(out).invariant_factors
         if kind == "blow_up":
             profile_ok = out_profile.b2 == profile.b2 + 1

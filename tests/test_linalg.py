@@ -529,3 +529,30 @@ def test_diag_minus_one_needs_no_determinant_when_the_peel_finishes(monkeypatch)
 
     monkeypatch.setattr(linalg, "det", no_det)
     assert is_diag_minus_one(q).verdict is True
+
+
+def test_diag_minus_one_needs_no_signature_when_the_peel_finishes(monkeypatch):
+    q = intersection_form(build_W(12, 1))
+
+    def no_signature(m):
+        raise AssertionError("signature called although no lattice search ran")
+
+    monkeypatch.setattr(linalg, "signature", no_signature)
+    assert is_diag_minus_one(q).verdict is True
+
+
+@pytest.mark.parametrize("rows, inertia, rest", [
+    ([[-1, 1], [1, 1]], (1, 1, 0), [[2]]),
+    ([[-1, 0, 0], [0, -1, 1], [0, 1, 0]], (1, 2, 0), [[1]]),
+])
+def test_diag_minus_one_counts_the_peeled_vectors_in_the_inertia(monkeypatch, rows, inertia, rest):
+    # each form splits off norm -1 vectors down to the 1x1 rest before its
+    # signature is taken
+    q = IntMatrix.from_rows(rows)
+    assert signature(q) == inertia
+    taken = []
+    real = linalg.signature
+    monkeypatch.setattr(linalg, "signature", lambda m: taken.append(m.to_rows()) or real(m))
+    res = assert_same_verdict(q)
+    assert (res.verdict, res.reason) == (False, f"not negative definite (inertia {inertia})")
+    assert taken == [rest]

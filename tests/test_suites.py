@@ -2,10 +2,11 @@
 contractibility memo against the per-case code it replaces."""
 
 import concurrent.futures
+import json
 
 import pytest
 
-from corkcalc import datum as datum_io, families, sequences, suites
+from corkcalc import cli, datum as datum_io, families, linalg, moves, sequences, suites
 from corkcalc.datum import make_datum, two_handle
 from corkcalc.errors import CorkCalcError
 from corkcalc.invariants import homology
@@ -283,6 +284,65 @@ def test_the_forms_grid_applies_no_wheel_rule(monkeypatch):
     assert suites.run_suite("w-family", {"n_max": 11, "m_max": 1}).passed
     assert suites.run_suite("thm-1-7-arith").passed
     assert checks == []
+
+
+def seed_twisted_blow_downs(n, m, i):
+    """The blow-downs of the twisted case as it took them when it scanned
+    every handle for the next -1 empty-word handle after each blow-down."""
+    blown, taken = families.build_W_twisted(n, m, i), []
+    for _ in range(i):
+        target = next(h.id for h in blown.two_handles if not h.word and h.framing == -1)
+        taken.append(target)
+        blown = moves.blow_down(blown, target)
+    return taken
+
+
+def test_the_twisted_cases_blow_down_what_a_scan_per_step_finds(monkeypatch):
+    taken = []
+    real = suites.blow_down
+    monkeypatch.setattr(suites, "blow_down", lambda d, h: taken.append(h) or real(d, h))
+    twisted = 0
+    for case in suites.iter_cases("w-family", {"n_max": 12, "m_max": 2}):
+        taken.clear()
+        assert suites.run_case("w-family", case).ok
+        kind, n, m, i = case
+        expected = {"base": [], "obstruction": ["z"]}.get(kind)
+        if expected is None:
+            expected = seed_twisted_blow_downs(n, m, i)
+            assert len(expected) == i
+            twisted += 1
+        assert taken == expected
+    assert twisted == 2 * 66
+
+
+def test_the_forms_grid_builds_each_z_once(monkeypatch):
+    built = []
+    real = families.build_Z
+    monkeypatch.setattr(families, "build_Z", lambda *args: built.append(args) or real(*args))
+    assert suites.run_suite("w-family", {"n_max": 11, "m_max": 1}).passed
+    assert suites.run_suite("thm-1-7-arith").passed
+    assert len(built) == len(set(built)) == 55
+
+
+def test_the_w_family_forms_need_no_signature(monkeypatch):
+    # every W(n) form is -I, which the peel splits off to the end
+    calls = []
+    real = linalg.signature
+    monkeypatch.setattr(linalg, "signature", lambda q: calls.append(q) or real(q))
+    assert suites.run_suite("w-family", {"n_max": 11, "m_max": 1}).passed
+    assert calls == []
+
+
+def test_a_twist_that_exposes_too_few_spheres_fails_its_case(monkeypatch, capsys):
+    # the untwisted W(n) has no -1 empty-word handle to blow down, so its b2
+    # stays n(n - 1)/2
+    build_W = families.build_W
+    monkeypatch.setattr(suites.families, "build_W_twisted", lambda n, m, i: build_W(n, m))
+    assert cli.main(["verify", "w-family", "--n-max", "3"]) == 1
+    failed = {c["case"]: c["details"]
+              for c in json.loads(capsys.readouterr().out)["cases"] if not c["ok"]}
+    assert failed == {f"W({n},{m}) twist {i} + {i} blow-downs": f"b2={n * (n - 1) // 2}, boundary=()"
+                      for m in (1, 2) for n, i in ((2, 1), (3, 1), (3, 2))}
 
 
 def test_the_sweep_builds_each_least_rotation_and_renames_no_word(monkeypatch):
