@@ -88,8 +88,8 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
         f.write("\n")
 
 
-def _markdown(obj: dict, title: str = "report") -> str:
-    lines = [f"# {title}", ""]
+def _markdown(obj: dict) -> str:
+    lines = ["# report", ""]
 
     def walk(prefix, value):
         if isinstance(value, dict):

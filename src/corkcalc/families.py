@@ -17,7 +17,10 @@ family name and an ``i`` with 1 <= i < n cannot break.  ``build_W_twisted``
 and ``twist_Z`` twist such a wheel with ``twist_wheel``, whose pair twists
 keep the canonical order and carry the flipped sequence.
 The -m twist boxes of the planar picture are invisible at this fidelity;
-m rides along as metadata and re-enters in the Legendrian front data.
+m rides along as metadata and re-enters in the Legendrian front data.  So
+``build_X(n, m, x)`` equals ``build_X(n, 1, x)`` in every part but ``meta``,
+and ``build_E(n, m)`` equals ``build_C(n, 1)`` the same way; ``suites``
+stores one contractibility result per rotation class on that premise.
 """
 
 from __future__ import annotations

@@ -116,9 +116,6 @@ class IntMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
-    def __str__(self):
-        return "\n".join(" ".join(f"{v:4d}" for v in self.row(i)) for i in range(self.rows))
-
 
 @dataclass(frozen=True)
 class SNFResult:

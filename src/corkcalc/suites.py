@@ -61,44 +61,27 @@ class SuiteResult:
 
 # --- contractibility sweep ---------------------------------------------------
 
-# (content repr, budget) -> (homology profile, pi1 certified trivial).
-# A wheel's twist parameter m lives only in ``meta``, so the data of one
-# sequence recur for every m (and E(n, .) is C(n, .) under another tag).
-# The key is the exact content, so a hit checks that this datum equals the
-# one certified. ``lemma-2-2`` builds each case's wheel at the least
-# rotation of its sequence: rotating the wheel (the cork twist) relabels
-# its circles, which keeps its homology and the triviality of its pi1.
-# Each rotation class (binary necklace) is certified once, 261 classes for
-# the 2,046 sequences of length <= 10. A ``lemma-2-2`` case reaches this
-# memo only on a miss of ``_WHEEL_RESULTS``. Cleared by ``run_suite``: it
-# lives for one grid, and a forked pool worker inherits it empty.
-_CONTRACTIBLE: dict[tuple[str, int], tuple[HomologyProfile, bool]] = {}
-
-# (n, m, least rotation, budget) -> that wheel's ``_contractible`` result.
-# ``build_X`` is a pure function of its arguments, so a ``lemma-2-2`` case
-# looks its wheel up here before building it: each distinct wheel is built
-# and content-checked against ``_CONTRACTIBLE`` once per run (522 for the
-# 4,092 cases of n <= 10, m <= 2), not once per case. Holds results only,
-# and is cleared with ``_CONTRACTIBLE``.
-_WHEEL_RESULTS: dict[tuple[int, int, str, int], tuple[HomologyProfile, bool]] = {}
+# (least rotation, budget) -> (homology profile, pi1 certified trivial) of
+# that class's wheel; the rotation's length is n.  One result serves every
+# case of a rotation class (binary necklace), for two reasons:
+# - the cork twist is the wheel rotation, which relabels the circles and so
+#   keeps the homology and the triviality of pi1;
+# - m lives only in ``meta`` (``families``), so ``build_X(n, m, x)`` is the
+#   same datum for every m but there.
+# A ``lemma-2-2`` case looks its class up here before building a wheel:
+# 261 builds and results for the 4,092 cases of n <= 10, m <= 2.  Holds
+# results, no datum.  Cleared by ``run_suite``: it lives for one grid, and
+# a forked pool worker inherits it empty.
+_WHEEL_RESULTS: dict[tuple[str, int], tuple[HomologyProfile, bool]] = {}
 
 
 def _contractible(d: KirbyDatum, budget: int) -> tuple[HomologyProfile, bool]:
     """The homology profile of d and whether a Tietze run within ``budget``
     certifies its fundamental group trivial; the run is skipped (False)
     when the homology already rules out a ball."""
-    # the repr of d's fields but meta: an exact key that, unlike the fields
-    # themselves, does not keep every distinct datum of the grid alive
-    content = (d.one_handles, [(h.id, h.word.letters, h.framing) for h in d.two_handles],
-               d.three_handles, d.links)
-    key = (repr(content), budget)
-    known = _CONTRACTIBLE.get(key)
-    if known is None:
-        profile = homology(d)
-        certified = (profile.is_contractible_homology
+    profile = homology(d)
+    return profile, (profile.is_contractible_homology
                      and tietze_simplify(pi1_presentation(d), budget)[1])
-        known = _CONTRACTIBLE[key] = (profile, certified)
-    return known
 
 
 def _cases_contractibility(n_max=6, m_max=3, budget=TIETZE_BUDGET):
@@ -112,7 +95,7 @@ def _run_contractibility(case):
     n, m, x, budget = case
     cid = f"X({n},{m},{x})"
     least, _ = sequences.least_rotation(x)
-    key = (n, m, least, budget)
+    key = (least, budget)
     known = _WHEEL_RESULTS.get(key)
     if known is None:
         known = _WHEEL_RESULTS[key] = _contractible(families.build_X(n, m, least), budget)
@@ -484,7 +467,6 @@ def run_suite(name: str, grid: dict | None = None, jobs: int = 1) -> SuiteResult
     resolved = resolve_suite(name)
     grid = grid or {}
     cases = iter_cases(resolved, grid)
-    _CONTRACTIBLE.clear()
     _WHEEL_RESULTS.clear()
     jobs = min(jobs, len(cases), _usable_cpus())
     if jobs > 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -238,8 +239,10 @@ def test_verify_empty_grid_exit_2(capsys, suite):
 
 def test_verify_markdown_format(capsys):
     assert run(["verify", "cork-order", "--n-max", "3", "--format", "md"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("#")
+    out = capsys.readouterr().out.encode()
+    assert out.startswith(b"# report\n\n- `cases.0.case`: alternating *0*0")
+    assert hashlib.sha256(out).hexdigest() == (
+        "d7015c0079884bf9fa99a8912d562af0fd531f5730cb4e51ca98036834807409")
 
 
 def test_replay_with_declared_target(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from corkcalc import datum as datum_io, families
@@ -25,6 +27,22 @@ def test_build_x_validates_for_all_small_sequences():
     for n in range(1, 7):
         for x in all_sequences(n):
             assert validate(build_X(n, 1, x)).ok, (n, x)
+
+
+def _all_but_meta(d):
+    return [getattr(d, f.name) for f in dataclasses.fields(d) if f.name != "meta"]
+
+
+def test_m_lives_only_in_meta():
+    # the premise of suites._WHEEL_RESULTS: one result serves every m
+    for n in range(1, 9):
+        for x in all_sequences(n):
+            plain = _all_but_meta(build_X(n, 1, x))
+            for m in (2, 3):
+                d = build_X(n, m, x)
+                assert _all_but_meta(d) == plain and d.meta_map["m"] == m, (n, m, x)
+        for m in (1, 2, 3):
+            assert _all_but_meta(build_E(n, m)) == _all_but_meta(build_C(n, 1)), (n, m)
 
 
 def test_wheels_share_their_pair_handles(monkeypatch):

@@ -54,8 +54,8 @@ from corkcalc.invariants import intersection_form
 from corkcalc.linalg import IntMatrix, det, kernel_basis, signature, snf
 from corkcalc.moves import Recorder, blow_down, cork_twist_pair
 from corkcalc.presentations import GroupPresentation
-from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, least_rotation,
-                                pair_ids, rotation_ids, shift)
+from corkcalc.sequences import (STAR, ZERO, all_sequences, is_constant, pair_ids,
+                                rotation_ids, shift)
 from corkcalc.words import Word, reduce_letters, single
 
 
@@ -1019,34 +1019,16 @@ def seed_rotate(d, i):
     return make_datum(ones, handles, d.three_handles, meta, links)
 
 
-def memo_key(d):
-    """The content part of ``suites._contractible``'s memo key."""
-    return repr((d.one_handles, [(h.id, h.word.letters, h.framing) for h in d.two_handles],
-                 d.three_handles, d.links))
-
-
-def test_memo_key_is_the_one_contractible_stores():
-    # the sweep builds the wheel of the least rotation of each sequence
-    suites._CONTRACTIBLE.clear()
-    least, _ = least_rotation("*00")
-    d = build_X(3, 1, least)
-    suites._contractible(d, 7)
-    assert list(suites._CONTRACTIBLE) == [(memo_key(d), 7)]
-    suites._CONTRACTIBLE.clear()
-
-
 def _check_rotations(d) -> int:
     """Every rotation k in [-n, 2n) of the wheel d against the seed, which
-    reads k only mod n: the same datum and the same memo key, whose repr
-    also tells the letter signs' types apart, and, once per residue, the
-    same hash."""
+    reads k only mod n: the same datum and, once per residue, the same
+    hash."""
     n = len(wheel_sequence(d))
     for i in range(n):
         want = seed_rotate(d, i)
-        key = memo_key(want)
         for k in (i - n, i, i + n):
             got = moves.rotate(d, k)
-            assert got == want and memo_key(got) == key, (d.meta, k)
+            assert got == want, (d.meta, k)
         assert datum_hash(got) == datum_hash(want)
     return 3 * n
 

@@ -7,11 +7,10 @@ import json
 import pytest
 
 from corkcalc import cli, datum as datum_io, families, linalg, moves, sequences, suites
-from corkcalc.datum import make_datum, two_handle
 from corkcalc.errors import CorkCalcError
 from corkcalc.invariants import homology
 from corkcalc.presentations import pi1_presentation, tietze_simplify
-from corkcalc.words import Word, parse_word
+from corkcalc.words import Word
 
 
 @pytest.mark.parametrize("name", suites.SUITE_NAMES)
@@ -164,7 +163,6 @@ def test_a_cork_order_case_checks_its_sequence_once_and_takes_one_period(monkeyp
 def homology_calls(monkeypatch):
     """An empty memo, and the list of data that ``suites.homology`` is called on
     (the attribute the benchmark's tracer wraps)."""
-    monkeypatch.setattr(suites, "_CONTRACTIBLE", {})
     monkeypatch.setattr(suites, "_WHEEL_RESULTS", {})
     calls = []
     real = suites.homology
@@ -177,54 +175,32 @@ def homology_calls(monkeypatch):
     return calls
 
 
-def _datum(ones=("a", "b"), v_word=("b",), v_framing=0, lk=1, meta=None):
-    handles = [two_handle("u", parse_word(["a"]), 0),
-               two_handle("v", parse_word(v_word), v_framing)]
-    return make_datum(ones, handles, 0, meta, {("u", "v"): lk})
-
-
 @pytest.mark.parametrize("change, budget", [
-    ({"v_word": ("b", "a")}, 10),
-    ({"v_framing": -1}, 10),
-    ({"lk": 2}, 10),
-    ({"ones": ("a", "b", "c")}, 10),
+    ({"x": "**00"}, 10),
+    ({"x": "*0*0"}, 10),
+    ({"x": "0000"}, 10),
+    ({"n": 5, "x": "*0000"}, 10),
     ({}, 11),
 ])
 def test_memo_misses_on_any_content_or_budget_difference(homology_calls, change, budget):
-    suites._contractible(_datum(), 10)
-    suites._contractible(_datum(**change), budget)
-    assert len(homology_calls) == 2
+    # the content of a wheel is its rotation class; m rides along in meta
+    suites._run_contractibility((4, 1, "*000", 10))
+    case = {"n": 4, "m": 1, "x": "*000"} | change
+    suites._run_contractibility((case["n"], case["m"], case["x"], budget))
+    assert len(homology_calls) == len(suites._WHEEL_RESULTS) == 2
 
 
 def test_memo_hits_across_meta(homology_calls):
-    wheels = [families.build_C(4, m) for m in (1, 2, 3)] + [families.build_E(4, 2)]
-    assert {suites._contractible(d, 10_000) for d in wheels} == {(homology(wheels[0]), True)}
-    suites._contractible(_datum(meta={"m": 1}), 10)
-    suites._contractible(_datum(meta={"m": 2, "family": "E"}), 10)
-    assert len(homology_calls) == 2
-
-
-def test_the_memo_keeps_no_datum_alive(monkeypatch):
-    # a grid holds thousands of distinct data; the memo keeps their results only
-    import gc
-    import weakref
-
-    monkeypatch.setattr(suites, "_CONTRACTIBLE", {})
-    # the pair handles of a wheel live on in the families' table on purpose;
-    # z is this datum's own
-    d = families.build_Z(3, 1, 1)
-    datum, handle = weakref.ref(d), weakref.ref(d.handle("z"))
-    suites._contractible(d, 10_000)
-    del d
-    gc.collect()
-    assert datum() is None and handle() is None and len(suites._CONTRACTIBLE) == 1
+    # m lives only in meta and a rotation renames circles: one class, one result
+    cases = [(4, m, x, 10_000) for m in (1, 2, 3) for x in ("*000", "0*00", "000*")]
+    assert all(suites._run_contractibility(case).ok for case in cases)
+    assert len(homology_calls) == 1 and list(suites._WHEEL_RESULTS) == [("*000", 10_000)]
 
 
 def test_the_wheel_lookup_keeps_no_datum_alive(monkeypatch):
     import gc
     import weakref
 
-    monkeypatch.setattr(suites, "_CONTRACTIBLE", {})
     monkeypatch.setattr(suites, "_WHEEL_RESULTS", {})
     built = []
     real = families.build_X
@@ -238,7 +214,34 @@ def test_the_wheel_lookup_keeps_no_datum_alive(monkeypatch):
     assert suites._run_contractibility((4, 2, "0*00", 10_000)).ok
     gc.collect()
     assert len(built) == 1 and built[0]() is None
-    assert list(suites._WHEEL_RESULTS) == [(4, 2, "*000", 10_000)]
+    assert list(suites._WHEEL_RESULTS) == [("*000", 10_000)]
+
+
+@pytest.fixture
+def built_wheels(monkeypatch):
+    """The arguments of every ``build_X`` call."""
+    built = []
+    real = suites.families.build_X
+    monkeypatch.setattr(suites.families, "build_X",
+                        lambda *args: built.append(args) or real(*args))
+    return built
+
+
+def test_one_run_builds_each_rotation_class_once(homology_calls, built_wheels):
+    # whichever m meets a class first certifies it for every m
+    assert suites.run_suite("lemma-2-2", {"n_max": 4, "m_max": 3}).passed
+    classes = {sequences.least_rotation(x)[0] for n in range(1, 5)
+               for x in sequences.all_sequences(n)}
+    assert sorted(least for _, _, least in built_wheels) == sorted(classes)
+    assert len(homology_calls) == len(classes) == 15
+
+
+def test_two_budgets_on_one_class_compute_twice(homology_calls, built_wheels):
+    for case in [(4, 1, "0*00", 0), (4, 2, "00*0", 1), (4, 3, "000*", 0), (4, 1, "*000", 1)]:
+        suites._run_contractibility(case)
+    assert built_wheels == [(4, 1, "*000"), (4, 2, "*000")]
+    assert len(homology_calls) == 2
+    assert list(suites._WHEEL_RESULTS) == [("*000", 0), ("*000", 1)]
 
 
 def test_a_worker_batch_certifies_each_wheel_once(homology_calls):
@@ -252,18 +255,13 @@ def test_a_worker_batch_certifies_each_wheel_once(homology_calls):
 def test_each_run_starts_from_an_empty_memo(homology_calls):
     suites.run_suite("lemma-2-2", {"n_max": 3, "m_max": 2})
     suites.run_suite("lemma-2-2", {"n_max": 2, "m_max": 2})
-    assert len(homology_calls) == 9 + 5 and len(suites._CONTRACTIBLE) == 5
+    assert len(homology_calls) == 9 + 5 and len(suites._WHEEL_RESULTS) == 5
 
 
-def test_the_benchmark_grid_certifies_each_rotation_class_once(homology_calls, monkeypatch):
-    # and builds each distinct wheel (n, m, least rotation) once
-    built = []
-    real = suites.families.build_X
-    monkeypatch.setattr(suites.families, "build_X",
-                        lambda *args: built.append(args) or real(*args))
+def test_the_benchmark_grid_certifies_each_rotation_class_once(homology_calls, built_wheels):
+    # and builds each class's wheel once, for one m
     suites.run_suite("lemma-2-2", {"n_max": 10, "m_max": 2})
-    assert len(homology_calls) == len(suites._CONTRACTIBLE) == 261
-    assert len(built) == len(set(built)) == len(suites._WHEEL_RESULTS) == 522
+    assert len(homology_calls) == len(built_wheels) == len(suites._WHEEL_RESULTS) == 261
 
 
 def test_the_benchmark_grid_applies_no_wheel_rule(monkeypatch):
@@ -397,3 +395,6 @@ def test_memo_matches_the_unmemoized_cases(name, grid):
     expected = sorted((_unmemoized_case(name, c) for c in suites.iter_cases(name, grid)),
                       key=lambda r: r.case)
     assert suites.run_suite(name, grid).cases == tuple(expected)
+    if name == "lemma-2-2":
+        # a worker certifies a class with whichever m it meets first
+        assert suites.run_suite(name, grid, jobs=2).cases == tuple(expected)
